@@ -103,7 +103,7 @@ def sample_on_shell(ctx: DiracContext, cfg: SamplerConfig) -> list[dict[str, flo
                         break
                     step, *_ = np.linalg.lstsq(jacobian(z), -r, rcond=None)
                     z = z + step
-            except (PoleAtPointError, FloatingPointError):
+            except (PoleAtPointError, FloatingPointError, np.linalg.LinAlgError):
                 continue
             if found is not None:
                 break
@@ -163,11 +163,7 @@ def trace_identity(ctx: DiracContext) -> TraceIdentity:
 
 
 def _mentions(e: RationalExpr, indices: set[int]) -> bool:
-    for poly in (e.num, e.den):
-        for mono in poly.terms:
-            if any(mono[i] for i in indices):
-                return True
-    return False
+    return any(not indices.isdisjoint(poly.symbols_used()) for poly in (e.num, e.den))
 
 
 def reduction_check(ctx: DiracContext, eliminated: set[int],

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .expr import RationalExpr
 from .phase_space import PhaseSpace
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, coefficient_rows
 
 
 @dataclass(frozen=True)
@@ -116,25 +116,10 @@ def decompose_linear(target: RationalExpr, basis: PrimarySet,
             raise NonPolynomialInputError(f"basis element {name} is not polynomial: {e}")
         polys.append(e.num)
     k = len(polys)
-    nsyms = target.ps.nsyms
-    one = (0,) * nsyms
-
-    monomials = set(target.num.terms)
-    for p in polys:
-        monomials.update(p.terms)
     if allow_constant:
-        monomials.add(one)
-    ordered = sorted(monomials, key=grlex_key, reverse=True)
-
-    rows = []
-    rhs = []
-    for mono in ordered:
-        row = [p.terms.get(mono, Fraction(0)) for p in polys]
-        if allow_constant:
-            row.append(Fraction(1) if mono == one else Fraction(0))
-        rows.append(row)
-        rhs.append(target.num.terms.get(mono, Fraction(0)))
-    solution = _solve_exact(rows, rhs)
+        polys.append(Polynomial.constant(target.ps.nsyms, 1))
+    table = coefficient_rows(polys + [target.num])
+    solution = _solve_exact([row[:-1] for row in table], [row[-1] for row in table])
     if solution is None:
         return None
     if allow_constant:

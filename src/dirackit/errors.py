@@ -81,3 +81,7 @@ class ReportNotClosedError(DiracKitError):
 
 class ValidationError(DiracKitError):
     """System definition file is structurally invalid."""
+
+
+class DegreeOverflowError(DiracKitError):
+    """A monomial's total degree exceeds the polynomial kernel's limit."""

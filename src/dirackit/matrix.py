@@ -75,7 +75,7 @@ def _pivot_row(column_entries: list[RationalExpr], start: int) -> int | None:
         e = column_entries[r]
         if e.is_zero:
             continue
-        size = len(e.num.terms)
+        size = len(e.num)
         if best is None or size < best_size:
             best, best_size = r, size
     return best

@@ -144,4 +144,9 @@ class _Parser:
 
 def parse_expression(text: str, ps: PhaseSpace) -> RationalExpr:
     """Parse text into a canonical RationalExpr over ps."""
-    return _Parser(text, ps).parse()
+    parser = _Parser(text, ps)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply",
+                                    parser.peek()[2]) from None

@@ -1,20 +1,42 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from exponent vectors (one slot per phase-space
-symbol, parameters included) to nonzero Fractions.  The zero polynomial
-is the empty map; two equal polynomials always have identical stored
-form, so dict equality is canonical equality.
+A polynomial is stored as one signed rational content times a primitive
+part: a map from packed monomials to nonzero Python ints whose gcd is 1
+and whose leading coefficient is positive.  That split is unique, so
+two equal polynomials always have identical stored form and dict
+equality is canonical equality.  By Gauss's lemma the product of two
+primitive parts is primitive again, so multiplication multiplies the
+contents once and takes no gcd over the coefficients; addition rescales
+both operands to a common content and takes one gcd pass over the sum.
 
-The monomial order is graded lexicographic over the phase space's fixed
-symbol order.
+A packed monomial is one int of fixed-width slots of SLOT_BITS bits:
+the total degree in the top slot, then the exponent of each symbol in
+the phase space's fixed symbol order, the first symbol highest.  Integer
+order on packed monomials is therefore graded lexicographic order,
+multiplying monomials is adding ints, and differentiating subtracts slot
+units.  The total degree of every monomial is limited to MAX_DEGREE
+(2**32 - 1); construction, multiplication and powers that would exceed
+it raise DegreeOverflowError (an input error, CLI exit 2) before any
+slot can carry into its neighbour.
+
+The public view of the terms, `Polynomial.terms`, is a read-only map
+from exponent tuples to Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
+
+from .errors import DegreeOverflowError
 
 Monomial = tuple[int, ...]
+
+SLOT_BITS = 32
+MAX_DEGREE = (1 << SLOT_BITS) - 1
 
 
 def grlex_key(mono: Monomial):
@@ -22,111 +44,242 @@ def grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
-class Polynomial:
-    __slots__ = ("nsyms", "terms")
+@lru_cache(maxsize=None)
+def _layout(nsyms: int):
+    """(bit offset of the degree slot, struct of the exponent slots, mask
+    of the lowest bit of every slot but the lowest)."""
+    borrows = sum(1 << (SLOT_BITS * j) for j in range(1, nsyms + 1))
+    return SLOT_BITS * nsyms, struct.Struct(f">{nsyms}I"), borrows
 
-    def __init__(self, nsyms: int, terms: dict[Monomial, Fraction] | None = None):
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise DegreeOverflowError(
+            f"total degree {degree} exceeds the limit of {MAX_DEGREE}")
+
+
+def _pack(nsyms: int, mono: Monomial) -> int:
+    if len(mono) != nsyms or any(e < 0 for e in mono):
+        raise ValueError(f"not an exponent vector over {nsyms} symbols: {mono!r}")
+    degree = sum(mono)
+    _check_degree(degree)
+    shift, slots, _ = _layout(nsyms)
+    return degree << shift | int.from_bytes(slots.pack(*mono), "big")
+
+
+def _unpack(nsyms: int, key: int) -> Monomial:
+    shift, slots, _ = _layout(nsyms)
+    return slots.unpack(((key & ((1 << shift) - 1)).to_bytes(shift // 8, "big")))
+
+
+def _make(nsyms: int, num: int, den: int, ints: dict[int, int], lead: int) -> "Polynomial":
+    p = object.__new__(Polynomial)
+    p.nsyms = nsyms
+    p._n = num
+    p._d = den
+    p._t = ints
+    p._lead = lead
+    p._plan = None
+    return p
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _normalized(nsyms: int, num: int, den: int, ints: dict[int, int]) -> "Polynomial":
+    """num/den * ints with the common factor and sign of ints moved into
+    the content; num/den must be in lowest terms."""
+    if not ints:
+        return Polynomial.zero(nsyms)
+    lead = max(ints)
+    g = math.gcd(*ints.values())
+    if ints[lead] < 0:
+        g = -g
+    if g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+        h = math.gcd(g, den)
+        num, den = num * (g // h), den // h
+    return _make(nsyms, num, den, ints, lead)
+
+
+class Terms(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a polynomial's terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Polynomial"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._t)
+
+    def __iter__(self):
+        nsyms = self._poly.nsyms
+        return (_unpack(nsyms, k) for k in self._poly._t)
+
+    def __getitem__(self, mono) -> Fraction:
+        p = self._poly
+        try:
+            return _fraction(p._n * p._t[_pack(p.nsyms, mono)], p._d)
+        except (TypeError, ValueError, struct.error, DegreeOverflowError):
+            raise KeyError(mono) from None
+
+
+class Polynomial:
+    # The content is _n/_d in lowest terms with _d > 0; the zero
+    # polynomial has content 1, no terms and leading key 0.
+    __slots__ = ("nsyms", "_n", "_d", "_t", "_lead", "_plan")
+
+    def __init__(self, nsyms: int, terms: Mapping[Monomial, Fraction] | None = None):
+        coeffs = [(_pack(nsyms, m), Fraction(c)) for m, c in (terms or {}).items() if c != 0]
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        p = _normalized(nsyms, 1, den, {k: c.numerator * (den // c.denominator)
+                                        for k, c in coeffs})
         self.nsyms = nsyms
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._n, self._d, self._t, self._lead, self._plan = p._n, p._d, p._t, p._lead, None
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def zero(cls, nsyms: int) -> "Polynomial":
-        return cls(nsyms)
+    @staticmethod
+    def zero(nsyms: int) -> "Polynomial":
+        return _make(nsyms, 1, 1, {}, 0)
 
-    @classmethod
-    def constant(cls, nsyms: int, value) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return cls(nsyms)
-        return cls(nsyms, {(0,) * nsyms: c})
+    @staticmethod
+    def constant(nsyms: int, value) -> "Polynomial":
+        num, den = (value, 1) if type(value) is int else Fraction(value).as_integer_ratio()
+        if num == 0:
+            return Polynomial.zero(nsyms)
+        return _make(nsyms, num, den, {0: 1}, 0)
 
-    @classmethod
-    def variable(cls, nsyms: int, index: int) -> "Polynomial":
+    @staticmethod
+    def variable(nsyms: int, index: int) -> "Polynomial":
         mono = tuple(1 if i == index else 0 for i in range(nsyms))
-        return cls(nsyms, {mono: Fraction(1)})
+        key = _pack(nsyms, mono)
+        return _make(nsyms, 1, 1, {key: 1}, key)
 
     # -- queries ------------------------------------------------------
 
     @property
+    def terms(self) -> Terms:
+        return Terms(self)
+
+    def __len__(self) -> int:
+        """Number of terms."""
+        return len(self._t)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return self._lead == 0
 
     def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.terms[(0,) * self.nsyms]
+        return _fraction(self._n * self._t.get(0, 0), self._d)
 
     def leading_monomial(self) -> Monomial:
-        return max(self.terms, key=grlex_key)
+        if not self._t:
+            raise ValueError("the zero polynomial has no leading monomial")
+        return _unpack(self.nsyms, self._lead)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return _fraction(self._n * self._t[self._lead], self._d)
 
     def content(self) -> Fraction:
         """Positive gcd of the coefficients (gcd of numerators / lcm of denominators)."""
-        if self.is_zero:
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return _fraction(abs(self._n), self._d)
 
     def total_degree(self) -> int:
-        if self.is_zero:
-            return 0
-        return max(sum(m) for m in self.terms)
+        return self._lead >> _layout(self.nsyms)[0]
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order (canonical print order)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        nsyms, num, den = self.nsyms, self._n, self._d
+        return [(_unpack(nsyms, k), _fraction(num * v, den))
+                for k, v in sorted(self._t.items(), reverse=True)]
+
+    def symbols_used(self) -> set[int]:
+        """Indices of the symbols that occur in some term."""
+        union = 0
+        for k in self._t:
+            union |= k
+        return {i for i, e in enumerate(_unpack(self.nsyms, union)) if e}
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
+        a, b = self._t, other._t
+        if not b:
+            return self
+        if not a:
+            return other
+        # Common content num/den: both scale factors sa, sb are integers.
+        num = math.gcd(self._n, other._n)
+        den = math.lcm(self._d, other._d)
+        sa = self._n // num * (den // self._d)
+        sb = other._n // num * (den // other._d)
+        out = dict(a) if sa == 1 else {k: v * sa for k, v in a.items()}
+        get = out.get
+        for k, v in b.items():
+            s = get(k, 0) + v * sb
+            if s:
+                out[k] = s
             else:
-                out[m] = s
-        return Polynomial(self.nsyms, out)
+                del out[k]
+        return _normalized(self.nsyms, num, den, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nsyms, {m: -c for m, c in self.terms.items()})
+        if not self._t:
+            return self
+        return _make(self.nsyms, -self._n, self._d, self._t, self._lead)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.nsyms, out)
+        a, b = self._t, other._t
+        if not a or not b:
+            return Polynomial.zero(self.nsyms)
+        shift = _layout(self.nsyms)[0]
+        _check_degree((self._lead >> shift) + (other._lead >> shift))
+        # A primitive single term has coefficient 1: multiplying by it
+        # shifts the keys and cannot merge two of them.
+        if len(b) == 1:
+            out = {k + other._lead: v for k, v in a.items()} if other._lead else a
+        elif len(a) == 1:
+            out = {self._lead + k: v for k, v in b.items()} if self._lead else b
+        else:
+            out = {}
+            get = out.get
+            items = list(b.items())
+            for k1, v1 in a.items():
+                for k2, v2 in items:
+                    k = k1 + k2
+                    s = get(k, 0) + v1 * v2
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        num, den = self._n * other._n, self._d * other._d
+        if den != 1:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        return _make(self.nsyms, num, den, out, self._lead + other._lead)
 
     def scale(self, factor) -> "Polynomial":
         f = Fraction(factor)
-        if f == 0:
-            return Polynomial(self.nsyms)
-        return Polynomial(self.nsyms, {m: c * f for m, c in self.terms.items()})
+        if f == 0 or not self._t:
+            return Polynomial.zero(self.nsyms)
+        num, den = self._n * f.numerator, self._d * f.denominator
+        g = math.gcd(num, den)
+        return _make(self.nsyms, num // g, den // g, self._t, self._lead)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power on a bare polynomial")
+        _check_degree(self.total_degree() * k)
         result = Polynomial.constant(self.nsyms, 1)
         base = self
         while k:
@@ -139,39 +292,52 @@ class Polynomial:
     # -- calculus and evaluation --------------------------------------
 
     def derivative(self, index: int) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[index]
-            if e == 0:
-                continue
-            dm = m[:index] + (e - 1,) + m[index + 1:]
-            out[dm] = out.get(dm, Fraction(0)) + c * e
-        return Polynomial(self.nsyms, out)
+        shift = _layout(self.nsyms)[0]
+        at = SLOT_BITS * (self.nsyms - 1 - index)
+        unit = (1 << shift) + (1 << at)
+        out = {}
+        for k, v in self._t.items():
+            e = (k >> at) & MAX_DEGREE
+            if e:
+                out[k - unit] = v * e
+        return _normalized(self.nsyms, self._n, self._d, out)
 
     def evaluate(self, values) -> float:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._evaluation_plan()
         total = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for e, v in zip(m, values):
-                if e:
-                    term *= v ** e
+        for term, factors in plan:
+            for i, e in factors:
+                term *= values[i] ** e
             total += term
         return total
+
+    def _evaluation_plan(self):
+        """(float coefficient, ((symbol index, exponent), ...)) per term."""
+        num, den = self._n, self._d
+        return [(num * v / den,
+                 tuple((i, e) for i, e in enumerate(_unpack(self.nsyms, k)) if e))
+                for k, v in self._t.items()]
 
     # -- equality -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return (isinstance(other, Polynomial) and self.nsyms == other.nsyms
+                and self._n == other._n and self._d == other._d and self._t == other._t)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._n, self._d, frozenset(self._t.items())))
 
     def __repr__(self):
-        return f"Polynomial({self.nsyms}, {self.terms!r})"
+        return f"Polynomial({self.nsyms}, {dict(self.terms)!r})"
 
 
-def _divides(da: Monomial, db: Monomial) -> bool:
-    return all(a <= b for a, b in zip(da, db))
+def _divides(nsyms: int, a: int, b: int) -> bool:
+    """Whether packed monomial a divides packed monomial b: b - a borrows
+    across no slot boundary."""
+    diff = b - a
+    return diff >= 0 and not (diff ^ a ^ b) & _layout(nsyms)[2]
 
 
 def reduce_by(poly: Polynomial, divisors: list[Polynomial]) -> Polynomial:
@@ -181,20 +347,32 @@ def reduce_by(poly: Polynomial, divisors: list[Polynomial]) -> Polynomial:
     leading monomial divides the current one is used.  The result is
     weakly equal to the input: they agree wherever all divisors vanish.
     """
-    divs = [(d, d.leading_monomial(), d.leading_coefficient())
-            for d in divisors if not d.is_zero]
-    remainder = Polynomial.zero(poly.nsyms)
+    nsyms = poly.nsyms
+    divs = [(d, d._lead, d.leading_coefficient()) for d in divisors if not d.is_zero]
+    remainder = Polynomial.zero(nsyms)
     work = poly
     while not work.is_zero:
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
+        lm = work._lead
+        lc = work.leading_coefficient()
         for d, dlm, dlc in divs:
-            if _divides(dlm, lm):
-                qm = tuple(a - b for a, b in zip(lm, dlm))
-                quotient = Polynomial(poly.nsyms, {qm: lc / dlc})
-                work = work - quotient * d
+            if _divides(nsyms, dlm, lm):
+                q = lc / dlc
+                work = work - _make(nsyms, q.numerator, q.denominator,
+                                    {lm - dlm: 1}, lm - dlm) * d
                 break
         else:
-            remainder = remainder + Polynomial(poly.nsyms, {lm: lc})
-            work = work - Polynomial(poly.nsyms, {lm: lc})
+            lead = _make(nsyms, lc.numerator, lc.denominator, {lm: 1}, lm)
+            remainder = remainder + lead
+            work = work - lead
     return remainder
+
+
+def coefficient_rows(polys: list[Polynomial]) -> list[list[Fraction]]:
+    """One row per monomial in the union of the supports, in descending
+    graded-lex order, holding each polynomial's coefficient there."""
+    keys = set()
+    for p in polys:
+        keys.update(p._t)
+    zero = Fraction(0)
+    return [[_fraction(p._n * p._t[k], p._d) if k in p._t else zero for p in polys]
+            for k in sorted(keys, reverse=True)]

@@ -7,6 +7,7 @@ ambiguity between configuration parsing and expression parsing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .analysis import SamplerConfig
@@ -90,6 +91,9 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
             except ValueError:
                 raise ValidationError(
                     f"{source}:{lineno}: bad numeric binding {value!r}") from None
+            if not math.isfinite(bindings[key]):
+                raise ValidationError(
+                    f"{source}:{lineno}: binding {value!r} is not a finite number")
             continue
         key, value = _split_kv(line, lineno)
         if key == "n":

@@ -69,6 +69,13 @@ class TestSampler:
             assert abs(z["x1"]) <= 1e-10
             assert abs(z["p1"]) <= 1e-10
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_binding_counts_as_failed_attempts(self, sphere_ctx, value):
+        cfg = SamplerConfig(seed=1, point_count=1, max_retries=3,
+                            parameter_bindings={"r": value})
+        with pytest.raises(NoOnShellPointError):
+            sample_on_shell(sphere_ctx, cfg)
+
     def test_missing_parameter_binding(self, sphere_ctx):
         with pytest.raises(ValidationError):
             sample_on_shell(sphere_ctx, SamplerConfig(seed=1, point_count=1))

@@ -10,6 +10,7 @@ import pytest
 from dirackit import load_system
 from dirackit.cli import main
 from dirackit.errors import ValidationError
+from dirackit.poly import MAX_DEGREE
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 SPHERE = str(SYSTEMS / "sphere.system")
@@ -81,6 +82,29 @@ class TestExitCodes:
                         "chi2 = p1\n[sampler]\nseed = 1\npoints = 1\n"
                         "max_retries = 3\nmax_newton_iters = 20\n")
         assert main(["analyze", str(path)]) == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_binding(self, tmp_path, capsys, value):
+        path = tmp_path / "sphere.system"
+        path.write_text(Path(SPHERE).read_text().replace("bind r = 1.0", f"bind r = {value}"))
+        with pytest.raises(ValidationError, match="not a finite number"):
+            load_system(str(path))
+        assert main(["analyze", str(path)]) == 2
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        assert main(["bracket", SPHERE, "--f", deep, "--g", "p1"]) == 2
+        path = tmp_path / "deep.system"
+        path.write_text(f"[system]\nn = 1\n[constraints]\nchi1 = {deep}\nchi2 = p1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_degree_past_the_kernel_limit(self, tmp_path, capsys):
+        path = tmp_path / "degree.system"
+        path.write_text("[system]\nn = 1\n[constraints]\n"
+                        f"chi1 = x1^{MAX_DEGREE + 1}\nchi2 = p1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_closure_without_primaries(self, capsys):
         assert main(["closure", TRIVIAL]) == 2

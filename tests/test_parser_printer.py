@@ -83,6 +83,13 @@ def test_unbalanced_paren(ps):
         parse_expression("(x1 + p1", ps)
 
 
+@pytest.mark.parametrize("text", ["(" * 2000 + "x1" + ")" * 2000, "-" * 5000 + "x1"],
+                         ids=["parentheses", "unary_minus"])
+def test_deep_nesting_is_a_syntax_error(ps, text):
+    with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+        parse_expression(text, ps)
+
+
 def test_print_zero(ps):
     assert print_expression(parse_expression("0", ps)) == "0"
 

@@ -1,11 +1,14 @@
 """Polynomial layer: canonical form, graded-lex order, division."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from dirackit import PhaseSpace, parse_expression
-from dirackit.poly import Polynomial, grlex_key, reduce_by
+from dirackit.errors import DegreeOverflowError
+from dirackit.poly import MAX_DEGREE, Polynomial, grlex_key, reduce_by
 
 
 def P(text, ps):
@@ -106,3 +109,210 @@ class TestDivision:
         # point on the sphere r=1
         vals = [0.6, 0.8, 0.0, 0.3, -0.2, 0.9, 1.0]
         assert abs(rem.evaluate(vals) - target.evaluate(vals)) < 1e-12
+
+
+class TestDegreeLimit:
+    def test_largest_exponent_round_trips(self):
+        top = (0, MAX_DEGREE, 0)
+        p = Polynomial(3, {top: Fraction(-3, 2)})
+        assert dict(p.terms) == {top: Fraction(-3, 2)}
+        assert p.leading_monomial() == top
+        assert p.total_degree() == MAX_DEGREE
+        assert Polynomial.variable(3, 1) ** MAX_DEGREE == p.scale(Fraction(-2, 3))
+
+    @pytest.mark.parametrize("mono", [(0, MAX_DEGREE + 1, 0), (1, MAX_DEGREE, 0),
+                                      (0, MAX_DEGREE, 1)])
+    def test_one_past_the_limit_raises(self, mono):
+        with pytest.raises(DegreeOverflowError):
+            Polynomial(3, {mono: 1})
+
+    def test_product_and_power_past_the_limit_raise(self):
+        x2 = Polynomial.variable(3, 1)
+        top = x2 ** MAX_DEGREE
+        with pytest.raises(DegreeOverflowError):
+            top * x2
+        with pytest.raises(DegreeOverflowError):
+            Polynomial.variable(3, 2) * top
+        with pytest.raises(DegreeOverflowError):
+            x2 ** (MAX_DEGREE + 1)
+        with pytest.raises(DegreeOverflowError):
+            (x2 * x2 + Polynomial.constant(3, 1)) ** (MAX_DEGREE // 2 + 1)
+
+    def test_parse_at_the_limit(self, ps):
+        e = parse_expression(f"x2^{MAX_DEGREE}*2", ps)
+        assert str(e) == f"2*x2^{MAX_DEGREE}"
+        with pytest.raises(DegreeOverflowError):
+            parse_expression(f"x2^{MAX_DEGREE}*x3", ps)
+
+
+# -- oracle: a plain {exponent tuple: Fraction} kernel ----------------------
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def ref_scale(a, f):
+    return {m: c * f for m, c in a.items()} if f else {}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out = ref_add(out, {tuple(x + y for x, y in zip(m1, m2)): c1 * c2})
+    return out
+
+
+def ref_pow(a, k, nsyms):
+    out = {(0,) * nsyms: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            out[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+    return out
+
+
+def ref_content(a):
+    num, den = 0, 1
+    for c in a.values():
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den) if a else Fraction(1)
+
+
+def ref_lead(a):
+    return max(a, key=lambda m: (sum(m), m))
+
+
+def ref_reduce(a, divisors):
+    divs = [d for d in divisors if d]
+    rem, work = {}, dict(a)
+    while work:
+        lm = ref_lead(work)
+        lc = work[lm]
+        for d in divs:
+            dlm = ref_lead(d)
+            if all(x <= y for x, y in zip(dlm, lm)):
+                q = {tuple(y - x for x, y in zip(dlm, lm)): lc / d[dlm]}
+                work = ref_add(work, ref_scale(ref_mul(q, d), -1))
+                break
+        else:
+            rem = ref_add(rem, {lm: lc})
+            work = ref_add(work, {lm: -lc})
+    return rem
+
+
+def ref_evaluate(a, values):
+    return sum(float(c) * math.prod(v ** e for v, e in zip(values, m))
+               for m, c in a.items())
+
+
+def random_terms(rng, nsyms, max_terms=6, max_degree=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = [0] * nsyms
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(nsyms)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return {m: c for m, c in terms.items() if c}
+
+
+def oracle_case(i):
+    """(rng, nsyms, terms a, terms b): case i has 1 + i % 13 symbols."""
+    rng = random.Random(1304 + i)
+    nsyms = 1 + i % 13
+    return rng, nsyms, random_terms(rng, nsyms), random_terms(rng, nsyms)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_kernel_matches_reference(case):
+    rng, nsyms, ta, tb = oracle_case(case)
+    a, b = Polynomial(nsyms, ta), Polynomial(nsyms, tb)
+    assert dict(a.terms) == ta and len(a.terms) == len(ta)
+    assert Polynomial(nsyms, a.terms) == a
+    assert dict((a + b).terms) == ref_add(ta, tb)
+    assert dict((a - b).terms) == ref_add(ta, ref_scale(tb, -1))
+    assert dict((-a).terms) == ref_scale(ta, -1)
+    assert dict((a * b).terms) == ref_mul(ta, tb)
+    assert dict((a ** 3).terms) == ref_pow(ta, 3, nsyms)
+    f = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    assert dict(a.scale(f).terms) == ref_scale(ta, f)
+    i = rng.randrange(nsyms)
+    assert dict(a.derivative(i).terms) == ref_derivative(ta, i)
+    assert a.content() == ref_content(ta)
+    assert a.sorted_terms() == sorted(ta.items(), key=lambda t: grlex_key(t[0]),
+                                      reverse=True)
+    assert a.is_constant == all(sum(m) == 0 for m in ta)
+    assert a.total_degree() == max((sum(m) for m in ta), default=0)
+    if ta:
+        lead = ref_lead(ta)
+        assert a.leading_monomial() == lead
+        assert a.leading_coefficient() == ta[lead]
+    divisors = [Polynomial(nsyms, random_terms(rng, nsyms, 3, 2)) for _ in range(2)]
+    assert dict(reduce_by(a * b, divisors).terms) == ref_reduce(
+        ref_mul(ta, tb), [dict(d.terms) for d in divisors])
+    values = [rng.uniform(-1.5, 1.5) for _ in range(nsyms)]
+    assert a.evaluate(values) == pytest.approx(ref_evaluate(ta, values), abs=1e-9)
+
+
+@pytest.mark.parametrize("case", range(0, 40, 3))
+def test_kernel_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    rng, nsyms, ta, tb = oracle_case(case)
+    gens = sympy.symbols(f"s0:{nsyms}")
+
+    def to_sympy(terms):
+        return sympy.Poly.from_dict(
+            {m: sympy.Rational(c.numerator, c.denominator) for m, c in terms.items()},
+            *gens, domain="QQ")
+
+    def from_sympy(poly):
+        return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items()}
+
+    a, b = Polynomial(nsyms, ta), Polynomial(nsyms, tb)
+    sa, sb = to_sympy(ta), to_sympy(tb)
+    assert dict((a * b).terms) == from_sympy(sa * sb)
+    assert dict((a + b).terms) == from_sympy(sa + sb)
+    assert dict((a ** 2).terms) == from_sympy(sa ** 2)
+    assert dict(a.derivative(0).terms) == from_sympy(sa.diff(gens[0]))
+    if ta:
+        assert a.leading_monomial() == sa.monoms(order="grlex")[0]
+    divisor = Polynomial(nsyms, random_terms(rng, nsyms, 3, 2))
+    if not divisor.is_zero:
+        _, rem = sympy.reduced((sa * sb).as_expr(), [to_sympy(dict(divisor.terms)).as_expr()],
+                               *gens, order="grlex")
+        assert dict(reduce_by(a * b, [divisor]).terms) == from_sympy(
+            sympy.Poly(rem, *gens, domain="QQ"))
+
+
+def test_equal_polynomials_built_in_different_orders():
+    rng = random.Random(7)
+    for nsyms in (1, 4, 13):
+        terms = random_terms(rng, nsyms, max_terms=8)
+        items = list(terms.items())
+        rng.shuffle(items)
+        a, b = Polynomial(nsyms, terms), Polynomial(nsyms, dict(items))
+        c = sum((Polynomial(nsyms, {m: v}) for m, v in items), Polynomial.zero(nsyms))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+
+
+def test_terms_view_is_read_only(ps):
+    p = P("x1^2 + 2*x2", ps)
+    with pytest.raises(TypeError):
+        p.terms[(1, 0, 0, 0, 0, 0, 0)] = Fraction(1)
+    assert p.terms.get((9, 9), Fraction(0)) == 0
+    assert (0,) * 7 not in p.terms

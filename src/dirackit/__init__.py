@@ -18,6 +18,7 @@ from .analysis import (
     trace_identity,
 )
 from .brackets import (
+    ConstraintSystem,
     DiracContext,
     bracket_table,
     delta_matrix,
@@ -33,16 +34,9 @@ from .closure import (
     decompose_linear,
     finite_dim_obstruction,
     lemma_verdict,
+    trace_verdict,
 )
-from .expr import (
-    RationalExpr,
-    arithmetic,
-    differentiate,
-    evaluate,
-    is_zero,
-    print_expression,
-    reduce_mod_constraints,
-)
+from .expr import RationalExpr
 from .matrix import ExprMatrix, invert_matrix
 from .parser import parse_expression
 from .phase_space import PhaseSpace
@@ -52,6 +46,7 @@ from .sysfile import SystemSpec, load_system
 __all__ = [
     "AlgebraReport",
     "Classification",
+    "ConstraintSystem",
     "DiracContext",
     "ExprMatrix",
     "PhaseSpace",
@@ -62,27 +57,22 @@ __all__ = [
     "SystemSpec",
     "TraceIdentity",
     "Verdict",
-    "arithmetic",
     "bracket_table",
     "classify_constraints",
     "closure_analysis",
     "decompose_linear",
     "delta_matrix",
-    "differentiate",
     "dirac_bracket",
     "dof_count",
-    "evaluate",
     "finite_dim_obstruction",
     "invert_matrix",
-    "is_zero",
     "lemma_verdict",
     "load_system",
     "make_context",
     "parse_expression",
     "poisson_bracket",
-    "print_expression",
-    "reduce_mod_constraints",
     "reduction_check",
     "sample_on_shell",
     "trace_identity",
+    "trace_verdict",
 ]

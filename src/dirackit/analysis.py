@@ -11,17 +11,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import DiracContext, delta_matrix, dirac_bracket, poisson_bracket
+from .brackets import (
+    ConstraintSystem,
+    DiracContext,
+    delta_matrix,
+    dirac_bracket,
+    poisson_bracket,
+)
 from .errors import (
     InvalidCountsError,
     NoOnShellPointError,
-    OddConstraintCountError,
     PoleAtPointError,
     PreconditionViolatedError,
+    SingularMatrixError,
     ValidationError,
 )
 from .expr import RationalExpr
-from .matrix import is_symbolically_invertible
+from .matrix import invert_matrix
 from .parser import parse_expression
 from .phase_space import PhaseSpace
 
@@ -51,6 +57,8 @@ class Classification:
     symbolic_det_nonzero: bool
     on_shell_rank: int
     dof_pairs: int
+    # The validated context when Delta inverted, else None; not reported.
+    context: DiracContext | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,13 @@ def _bound_values(ps: PhaseSpace, z: np.ndarray, cfg: SamplerConfig) -> list[flo
     return values
 
 
-def sample_on_shell(ctx: DiracContext, cfg: SamplerConfig) -> list[dict[str, float]]:
+def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str, float]]:
     """Newton-project standard-normal seeds onto the constraint surface.
 
     Deterministic for a fixed config: one RNG stream, points generated
     in order.  The Jacobian is symbolic; the step is a least-squares
-    solve since 2m equations under-determine 2n unknowns.
+    solve since 2m equations under-determine 2n unknowns.  An attempt
+    that meets a non-finite residual or Jacobian fails before the solve.
     """
     ps = ctx.ps
     nvars = 2 * ps.n
@@ -101,7 +110,10 @@ def sample_on_shell(ctx: DiracContext, cfg: SamplerConfig) -> list[dict[str, flo
                     if np.max(np.abs(r)) <= cfg.tolerance:
                         found = z
                         break
-                    step, *_ = np.linalg.lstsq(jacobian(z), -r, rcond=None)
+                    jac_z = jacobian(z)
+                    if not (np.isfinite(r).all() and np.isfinite(jac_z).all()):
+                        break
+                    step, *_ = np.linalg.lstsq(jac_z, -r, rcond=None)
                     z = z + step
             except (PoleAtPointError, FloatingPointError, np.linalg.LinAlgError):
                 continue
@@ -117,21 +129,18 @@ def sample_on_shell(ctx: DiracContext, cfg: SamplerConfig) -> list[dict[str, flo
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus numeric
-    full rank at sampled on-shell points."""
-    constraints = list(constraints)
-    if len(constraints) % 2 != 0 or not constraints:
-        raise OddConstraintCountError(
-            f"need an even number >= 2 of constraints, got {len(constraints)}")
-    m = len(constraints) // 2
+    full rank at sampled on-shell points.  Delta is built and inverted
+    once; the resulting context rides along on the classification."""
+    constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
-    symbolic_ok = is_symbolically_invertible(delta)
+    try:
+        context = DiracContext(ps, constraints, delta, invert_matrix(delta))
+    except SingularMatrixError:
+        context = None
 
-    # Rank sampling needs a context only for its constraint list; build
-    # a throwaway one without requiring invertibility.
-    dummy = DiracContext(ps, tuple(constraints), delta, delta)
-    points = sample_on_shell(dummy, cfg)
+    m = len(constraints) // 2
     rank = 2 * m
-    for point in points:
+    for point in sample_on_shell(ConstraintSystem(ps, constraints, delta), cfg):
         values = [point[s] for s in ps.symbols]
         numeric = np.array([[delta.at(a, b).evaluate_vector(values)
                              for b in range(2 * m)] for a in range(2 * m)])
@@ -139,13 +148,14 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
         top = sv[0] if len(sv) else 0.0
         rank = min(rank, int(np.sum(sv > RANK_TOLERANCE * max(top, 1e-300))))
 
-    second_class = symbolic_ok and rank == 2 * m
+    second_class = context is not None and rank == 2 * m
     return Classification(
         verdict="second_class" if second_class else "degenerate",
         m=m,
-        symbolic_det_nonzero=symbolic_ok,
+        symbolic_det_nonzero=context is not None,
         on_shell_rank=rank,
         dof_pairs=ps.n - m,
+        context=context,
     )
 
 

@@ -54,26 +54,30 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> ExprMatrix:
 
 
 @dataclass(frozen=True)
-class DiracContext:
+class ConstraintSystem:
+    """A constraint set with its bracket matrix Delta, which may be singular."""
     ps: PhaseSpace
     constraints: tuple[RationalExpr, ...]
     delta: ExprMatrix
-    delta_inv: ExprMatrix
 
     @property
     def m(self) -> int:
         return len(self.constraints) // 2
 
 
+@dataclass(frozen=True)
+class DiracContext(ConstraintSystem):
+    """A second-class constraint system with the inverse of its Delta."""
+    delta_inv: ExprMatrix
+
+
 def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     """Validate a second-class constraint set and cache Delta and its inverse."""
     constraints = tuple(constraints)
+    delta = delta_matrix(constraints, ps)  # rejects an odd or empty set first
     k = len(constraints)
-    if k == 0 or k % 2 != 0:
-        raise OddConstraintCountError(f"need an even number >= 2 of constraints, got {k}")
     if k > 2 * ps.n:
         raise TooManyConstraintsError(f"{k} constraints exceed 2n = {2 * ps.n}")
-    delta = delta_matrix(constraints, ps)
     try:
         delta_inv = invert_matrix(delta)
     except SingularMatrixError as exc:

@@ -13,12 +13,13 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
 from .analysis import classify_constraints, trace_identity
-from .brackets import dirac_bracket, make_context, poisson_bracket
-from .closure import closure_analysis, finite_dim_obstruction, lemma_verdict
+from .brackets import bracket_table, make_context
+from .closure import closure_analysis, finite_dim_obstruction, lemma_verdict, trace_verdict
 from .errors import (
     DiracKitError,
     NoOnShellPointError,
@@ -47,26 +48,15 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 class _Timings:
     def __init__(self):
         self.raw: dict[str, float] = {}
 
+    @contextmanager
     def time(self, stage: str):
-        timings = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timings.raw[stage] = (time.perf_counter() - self.t0) * 1000.0
-                return False
-
-        return _Timer()
+        t0 = time.perf_counter()
+        yield
+        self.raw[stage] = (time.perf_counter() - t0) * 1000.0
 
     def rounded(self) -> dict[str, int]:
         return {k: int(round(v / TIMING_RESOLUTION_MS)) * TIMING_RESOLUTION_MS
@@ -102,11 +92,11 @@ def _closure_dict(report) -> dict:
         "mode": report.mode,
         "closed": report.closed,
         "names": list(report.names),
-        "c": [[[_frac(v) for v in row] for row in plane] for plane in report.c],
-        "z": [[_frac(v) for v in row] for row in report.z],
-        "h": ([[_frac(v) for v in row] for row in report.h]
+        "c": [[[str(v) for v in row] for row in plane] for plane in report.c],
+        "z": [[str(v) for v in row] for row in report.z],
+        "h": ([[str(v) for v in row] for row in report.h]
               if report.h is not None else None),
-        "h_const": ([_frac(v) for v in report.h_const]
+        "h_const": ([str(v) for v in report.h_const]
                     if report.h_const is not None else None),
         "residuals": {k: str(v) for k, v in sorted(
             ((_residual_key(key, report.names), expr)
@@ -120,7 +110,7 @@ def _closure_dict(report) -> dict:
 def _verdict_dict(v) -> dict:
     witness = v.witness
     if witness is not None:
-        witness = {k: (_frac(val) if isinstance(val, Fraction)
+        witness = {k: (str(val) if isinstance(val, Fraction)
                        else list(val) if isinstance(val, tuple) else val)
                    for k, val in witness.items()}
     return {"kind": v.kind, "witness": witness, "explanation": v.explanation}
@@ -193,52 +183,57 @@ def _base_report(spec: SystemSpec, path: str) -> dict:
     }
 
 
-def cmd_analyze(spec: SystemSpec, path: str, fmt: str) -> int:
+def run_report(spec: SystemSpec, args) -> int:
+    """The one driver of the report commands analyze, classify and closure.
+
+    analyze runs classify -> trace -> closure -> verdict, each stage once,
+    passing each result on; classify stops after its first stage; closure
+    runs only the closure stage, in the mode it was given.
+    """
+    command = args.command
+    if command == "closure" and spec.primaries is None:
+        print("error: the system file declares no [primaries]", file=sys.stderr)
+        return EXIT_INPUT
     timings = _Timings()
-    report = _base_report(spec, path)
-    with timings.time("classify"):
-        classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
-    report["classification"] = _classification_dict(classification)
-    if classification.verdict != "second_class":
-        print("error: constraint set is not second class", file=sys.stderr)
-        return EXIT_NOT_SECOND_CLASS
-    ctx = make_context(spec.ps, spec.constraints)
-    with timings.time("trace"):
-        report["trace_identity"] = _trace_dict(trace_identity(ctx))
-    if spec.primaries is not None:
+    report = _base_report(spec, args.file)
+    if command == "closure":
+        mode = args.mode
+        ctx_or_ps = make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
+    else:
+        with timings.time("classify"):
+            classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
+        report["classification"] = _classification_dict(classification)
+    if command == "analyze":
+        if classification.verdict != "second_class":
+            print("error: constraint set is not second class", file=sys.stderr)
+            return EXIT_NOT_SECOND_CLASS
+        mode, ctx_or_ps = "dirac", classification.context
+        with timings.time("trace"):
+            trace = trace_identity(ctx_or_ps)
+        report["trace_identity"] = _trace_dict(trace)
+    if command != "classify" and spec.primaries is not None:
         with timings.time("closure"):
-            closure = closure_analysis(spec.primaries, ctx, "dirac",
+            closure = closure_analysis(spec.primaries, ctx_or_ps, mode,
                                        on_shell_rules=spec.on_shell_rules())
         report["closure"] = _closure_dict(closure)
-    with timings.time("verdict"):
-        verdict = lemma_verdict(spec.ps, spec.constraints, spec.sampler)
-    report["verdict"] = _verdict_dict(verdict)
+    if command == "analyze":
+        with timings.time("verdict"):
+            report["verdict"] = _verdict_dict(trace_verdict(classification, trace))
+    elif command == "closure" and closure.closed:
+        report["verdict"] = _verdict_dict(finite_dim_obstruction(closure))
+    elif command == "closure":
+        report["verdict"] = None
+        print("note: algebra is not closed; no obstruction verdict", file=sys.stderr)
     report["timings_ms"] = timings.rounded()
     timings.report_stderr()
-    emit_report(report, fmt)
+    emit_report(report, args.format)
     return EXIT_OK
 
 
 def cmd_bracket(spec: SystemSpec, f_text: str, g_text: str, mode: str) -> int:
-    f = parse_expression(f_text, spec.ps)
-    g = parse_expression(g_text, spec.ps)
-    if mode == "dirac":
-        ctx = make_context(spec.ps, spec.constraints)
-        result = dirac_bracket(f, g, ctx)
-    else:
-        result = poisson_bracket(f, g, spec.ps)
-    sys.stdout.write(str(result) + "\n")
-    return EXIT_OK
-
-
-def cmd_classify(spec: SystemSpec, path: str, fmt: str) -> int:
-    timings = _Timings()
-    report = _base_report(spec, path)
-    with timings.time("classify"):
-        classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
-    report["classification"] = _classification_dict(classification)
-    report["timings_ms"] = timings.rounded()
-    emit_report(report, fmt)
+    items = [parse_expression(f_text, spec.ps), parse_expression(g_text, spec.ps)]
+    ctx_or_ps = make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
+    sys.stdout.write(str(bracket_table(items, ctx_or_ps, mode).at(0, 1)) + "\n")
     return EXIT_OK
 
 
@@ -247,30 +242,6 @@ def cmd_trace(spec: SystemSpec) -> int:
     t = trace_identity(ctx)
     sys.stdout.write(
         f"value={t.value} expected={t.expected} holds={str(t.holds).lower()}\n")
-    return EXIT_OK
-
-
-def cmd_closure(spec: SystemSpec, path: str, mode: str, fmt: str) -> int:
-    if spec.primaries is None:
-        print("error: the system file declares no [primaries]", file=sys.stderr)
-        return EXIT_INPUT
-    timings = _Timings()
-    report = _base_report(spec, path)
-    if mode == "dirac":
-        ctx_or_ps = make_context(spec.ps, spec.constraints)
-    else:
-        ctx_or_ps = spec.ps
-    with timings.time("closure"):
-        closure = closure_analysis(spec.primaries, ctx_or_ps, mode,
-                                   on_shell_rules=spec.on_shell_rules())
-    report["closure"] = _closure_dict(closure)
-    if closure.closed:
-        report["verdict"] = _verdict_dict(finite_dim_obstruction(closure))
-    else:
-        report["verdict"] = None
-        print("note: algebra is not closed; no obstruction verdict", file=sys.stderr)
-    report["timings_ms"] = timings.rounded()
-    emit_report(report, fmt)
     return EXIT_OK
 
 
@@ -322,16 +293,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
 
-        if args.command == "analyze":
-            return cmd_analyze(spec, args.file, args.format)
+        if args.command in ("analyze", "classify", "closure"):
+            return run_report(spec, args)
         if args.command == "bracket":
             return cmd_bracket(spec, args.f, args.g, args.mode)
-        if args.command == "classify":
-            return cmd_classify(spec, args.file, args.format)
         if args.command == "trace":
             return cmd_trace(spec)
-        if args.command == "closure":
-            return cmd_closure(spec, args.file, args.mode, args.format)
         if args.command == "verdict":
             return cmd_verdict(spec)
         return EXIT_INTERNAL

@@ -13,8 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import SamplerConfig, classify_constraints, trace_identity
-from .brackets import DiracContext, bracket_table, make_context, poisson_bracket
+from .analysis import (
+    Classification,
+    SamplerConfig,
+    TraceIdentity,
+    classify_constraints,
+    trace_identity,
+)
+from .brackets import bracket_table
 from .errors import (
     NonPolynomialInputError,
     NotSecondClassError,
@@ -145,7 +151,11 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
         hamiltonian=primaries.hamiltonian,
     )
     k = len(primaries)
-    table = bracket_table(list(primaries.exprs), ctx_or_ps, mode)
+    # {g_a, H} is column k of the table when a Hamiltonian is declared.
+    items = list(primaries.exprs)
+    if primaries.hamiltonian is not None:
+        items.append(primaries.hamiltonian)
+    table = bracket_table(items, ctx_or_ps, mode)
 
     zero = Fraction(0)
     c = [[[zero] * k for _ in range(k)] for _ in range(k)]
@@ -169,16 +179,10 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
     h = None
     h_const = None
     if primaries.hamiltonian is not None:
-        if mode == "dirac":
-            from .brackets import dirac_bracket
-            ham_bracket = lambda f: dirac_bracket(f, primaries.hamiltonian, ctx_or_ps)
-        else:
-            ps = ctx_or_ps.ps if isinstance(ctx_or_ps, DiracContext) else ctx_or_ps
-            ham_bracket = lambda f: poisson_bracket(f, primaries.hamiltonian, ps)
         h = [[zero] * k for _ in range(k)]
         h_const = [zero] * k
         for a in range(k):
-            hb = _reduced(ham_bracket(primaries.exprs[a]), rules)
+            hb = _reduced(table.at(a, k), rules)
             dec = decompose_linear(hb, reduced_basis, allow_constant=True)
             if dec is None:
                 residuals[(a, "H")] = hb
@@ -249,18 +253,24 @@ def lemma_verdict(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Verdict:
         raise NotSecondClassError(
             "constraint set is degenerate; the obstruction analysis needs an "
             "invertible constraint bracket matrix")
-    m = classification.m
-    if m == ps.n:
+    # With m = n the verdict needs no trace; skip its cost.
+    ti = trace_identity(classification.context) if classification.dof_pairs else None
+    return trace_verdict(classification, ti)
+
+
+def trace_verdict(classification: Classification, ti: TraceIdentity | None) -> Verdict:
+    """The verdict of lemma_verdict from a second-class classification
+    and the trace identity of its context, both already computed; the
+    trace may be None when m = n."""
+    if classification.dof_pairs == 0:
         return Verdict(
             kind="trivial_system",
             witness=None,
             explanation=(
-                f"m = n = {ps.n}: every canonical pair is constrained away, "
+                f"m = n = {classification.m}: every canonical pair is constrained away, "
                 "leaving no dynamical degrees of freedom; there is nothing to "
                 "quantize."),
         )
-    ctx = make_context(ps, constraints)
-    ti = trace_identity(ctx)
     if not ti.holds:
         raise AssertionError(
             f"trace identity violated: got {ti.value}, expected {ti.expected}")

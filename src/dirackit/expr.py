@@ -198,42 +198,3 @@ def format_polynomial(poly: Polynomial, names) -> str:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
 
-
-# Spec-level operation surface; thin wrappers over the methods above.
-
-def print_expression(e: RationalExpr) -> str:
-    return str(e)
-
-
-def arithmetic(a: RationalExpr, b: RationalExpr | int | None, op: str) -> RationalExpr:
-    """Field arithmetic dispatch: add, sub, mul, div, neg, int_pow."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "int_pow":
-        return a.int_pow(int(b))
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def differentiate(e: RationalExpr, var: str) -> RationalExpr:
-    return e.diff(var)
-
-
-def evaluate(e: RationalExpr, point: dict[str, float]) -> float:
-    return e.evaluate(point)
-
-
-def reduce_mod_constraints(e: RationalExpr, constraints, ps: PhaseSpace | None = None) -> RationalExpr:
-    polys = [c.as_polynomial() if isinstance(c, RationalExpr) else c for c in constraints]
-    return e.reduce_mod(polys)
-
-
-def is_zero(e: RationalExpr) -> bool:
-    return e.is_zero

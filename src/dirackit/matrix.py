@@ -115,11 +115,3 @@ def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return ExprMatrix.from_rows(aug)
 
-
-def is_symbolically_invertible(mat: ExprMatrix) -> bool:
-    """True iff elimination succeeds, i.e. det is not identically zero."""
-    try:
-        invert_matrix(mat)
-        return True
-    except SingularMatrixError:
-        return False

@@ -1,13 +1,18 @@
 """Classification, on-shell sampling, trace identity, reduction check."""
 
+import ctypes
 import random
 
 import pytest
 
 from dirackit import (
+    ConstraintSystem,
+    DiracContext,
+    ExprMatrix,
     PhaseSpace,
     SamplerConfig,
     classify_constraints,
+    delta_matrix,
     dof_count,
     make_context,
     parse_expression,
@@ -76,6 +81,26 @@ class TestSampler:
         with pytest.raises(NoOnShellPointError):
             sample_on_shell(sphere_ctx, cfg)
 
+    def test_non_finite_values_never_reach_lapack(self, sphere_ctx, capfd):
+        cfg = SamplerConfig(seed=1, point_count=1, max_retries=3,
+                            parameter_bindings={"r": float("nan")})
+        with pytest.raises(NoOnShellPointError):
+            sample_on_shell(sphere_ctx, cfg)
+        # LAPACK complains about a non-finite input through C stdio, below
+        # Python's sys.stdout/sys.stderr; flush it so that capfd sees it.
+        libc = ctypes.CDLL(None)
+        libc.fflush.argtypes = [ctypes.c_void_p]
+        libc.fflush.restype = ctypes.c_int
+        libc.fflush(None)
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
+
+    def test_singular_delta_system(self, ps3):
+        constraints = (E("x1", ps3), E("x2", ps3))
+        system = ConstraintSystem(ps3, constraints, delta_matrix(constraints, ps3))
+        for z in sample_on_shell(system, SamplerConfig(seed=3, point_count=2)):
+            assert abs(z["x1"]) <= 1e-10 and abs(z["x2"]) <= 1e-10
+
     def test_missing_parameter_binding(self, sphere_ctx):
         with pytest.raises(ValidationError):
             sample_on_shell(sphere_ctx, SamplerConfig(seed=1, point_count=1))
@@ -97,6 +122,13 @@ class TestClassification:
         assert c.verdict == "degenerate"
         assert not c.symbolic_det_nonzero
         assert c.on_shell_rank == 0
+
+    def test_context_rides_along(self, ps3):
+        cfg = SamplerConfig(seed=2, point_count=4)
+        c = classify_constraints(ps3, [E("x1", ps3), E("p1", ps3)], cfg)
+        assert isinstance(c.context, DiracContext)
+        assert c.context.delta.matmul(c.context.delta_inv) == ExprMatrix.identity(2, ps3)
+        assert classify_constraints(ps3, [E("x1", ps3), E("x2", ps3)], cfg).context is None
 
     def test_sphere(self):
         ps = PhaseSpace(3, parameters=("r",))

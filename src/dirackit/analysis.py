@@ -7,6 +7,7 @@ exactly the constant n - m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,14 @@ class SamplerConfig:
     parameter_bindings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValidationError("sampler tolerance must be positive")
+        if self.seed < 0:
+            raise ValidationError("sampler seed must be >= 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError("sampler tolerance must be finite and positive")
+        if self.max_newton_iters < 1:
+            raise ValidationError("sampler needs max_newton_iters >= 1")
+        if self.max_retries < 1:
+            raise ValidationError("sampler needs max_retries >= 1")
         if self.point_count < 1:
             raise ValidationError("sampler needs point_count >= 1")
 

@@ -29,12 +29,19 @@ from .phase_space import PhaseSpace
 
 
 def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> RationalExpr:
+    """Only the terms whose two partials can both be nonzero are formed:
+    a skipped term is an exact zero, and adding or subtracting one leaves
+    num and den as they are."""
+    f_syms = f.num.symbols_used() | f.den.symbols_used()
+    g_syms = g.num.symbols_used() | g.den.symbols_used()
     acc = RationalExpr.zero(ps)
     for i in range(1, ps.n + 1):
         xi = ps.coordinate_index(i)
         pi = ps.momentum_index(i)
-        acc = acc + f.diff_index(xi) * g.diff_index(pi) \
-                  - f.diff_index(pi) * g.diff_index(xi)
+        if xi in f_syms and pi in g_syms:
+            acc = acc + f.diff_index(xi) * g.diff_index(pi)
+        if pi in f_syms and xi in g_syms:
+            acc = acc - f.diff_index(pi) * g.diff_index(xi)
     return acc
 
 
@@ -86,12 +93,9 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     return DiracContext(ps, constraints, delta, delta_inv)
 
 
-def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
-    ps = ctx.ps
+def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> RationalExpr:
+    """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order."""
     k = len(ctx.constraints)
-    f_chi = [poisson_bracket(f, chi, ps) for chi in ctx.constraints]
-    chi_g = [poisson_bracket(chi, g, ps) for chi in ctx.constraints]
-    acc = poisson_bracket(f, g, ps)
     for a in range(k):
         if f_chi[a].is_zero:
             continue
@@ -103,19 +107,34 @@ def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> Ration
     return acc
 
 
+def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
+    ps = ctx.ps
+    f_chi = [poisson_bracket(f, chi, ps) for chi in ctx.constraints]
+    chi_g = [poisson_bracket(chi, g, ps) for chi in ctx.constraints]
+    return _dirac_correct(poisson_bracket(f, g, ps), f_chi, chi_g, ctx)
+
+
 def bracket_table(items, ctx_or_ps, mode: str = "poisson") -> ExprMatrix:
-    """All pairwise brackets of items; exactly skew-symmetric by construction."""
+    """All pairwise brackets of items; exactly skew-symmetric by construction.
+
+    In dirac mode each item's brackets with the constraints are computed
+    once: the row {item, chi_a} for every item but the last, the column
+    {chi_b, item} for every item but the first."""
     items = list(items)
     if not items:
         raise ValueError("items must be nonempty")
     if mode == "poisson":
         ps = ctx_or_ps.ps if isinstance(ctx_or_ps, DiracContext) else ctx_or_ps
-        bracket = lambda f, g: poisson_bracket(f, g, ps)
+        bracket = lambda a, b: poisson_bracket(items[a], items[b], ps)
     elif mode == "dirac":
         if not isinstance(ctx_or_ps, DiracContext):
             raise ValueError("dirac mode requires a DiracContext")
-        ps = ctx_or_ps.ps
-        bracket = lambda f, g: dirac_bracket(f, g, ctx_or_ps)
+        ctx = ctx_or_ps
+        ps, chis = ctx.ps, ctx.constraints
+        rows = [[poisson_bracket(f, chi, ps) for chi in chis] for f in items[:-1]]
+        columns = [None] + [[poisson_bracket(chi, g, ps) for chi in chis] for g in items[1:]]
+        bracket = lambda a, b: _dirac_correct(
+            poisson_bracket(items[a], items[b], ps), rows[a], columns[b], ctx)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     k = len(items)
@@ -123,7 +142,7 @@ def bracket_table(items, ctx_or_ps, mode: str = "poisson") -> ExprMatrix:
     entries = [[zero] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            v = bracket(items[a], items[b])
+            v = bracket(a, b)
             entries[a][b] = v
             entries[b][a] = -v
     return ExprMatrix.from_rows(entries)

@@ -89,11 +89,11 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
             continue
         a[r], a[piv] = a[piv], a[r]
         scale = a[r][c]
-        a[r] = [v / scale for v in a[r]]
+        a[r] = [v / scale if v else v for v in a[r]]
         for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+                a[i] = [v - f * w if w else v for v, w in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

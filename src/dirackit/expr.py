@@ -10,6 +10,8 @@ immutable and all operations pure.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     DivisionByZeroError,
     PoleAtPointError,
@@ -29,11 +31,9 @@ class RationalExpr:
         if num.is_zero:
             den = Polynomial.constant(ps.nsyms, 1)
         else:
-            factor = den.content()
-            if den.leading_coefficient() < 0:
-                factor = -factor
-            if factor != 1:
-                inv = 1 / factor
+            n, d = den.signed_content()
+            if (n, d) != (1, 1):
+                inv = Fraction(d, n)
                 num = num.scale(inv)
                 den = den.scale(inv)
         self.ps = ps

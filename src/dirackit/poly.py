@@ -191,6 +191,11 @@ class Polynomial:
         """Positive gcd of the coefficients (gcd of numerators / lcm of denominators)."""
         return _fraction(abs(self._n), self._d)
 
+    def signed_content(self) -> tuple[int, int]:
+        """The content with the sign of the leading coefficient, as
+        (numerator, denominator) in lowest terms, denominator positive."""
+        return self._n, self._d
+
     def total_degree(self) -> int:
         return self._lead >> _layout(self.nsyms)[0]
 

@@ -6,6 +6,7 @@ evaluation, so they can serve as an independent cross-check.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,16 @@ def sphere_ctx(ps3r):
     chi1 = parse_expression("x1^2 + x2^2 + x3^2 - r^2", ps3r)
     chi2 = parse_expression("p1*x1 + p2*x2 + p3*x3", ps3r)
     return make_context(ps3r, [chi1, chi2])
+
+
+def replace_everywhere(monkeypatch, original, replacement):
+    """Replace a function in every dirackit namespace that holds it;
+    modules such as `cli` call their own `from .analysis import` copies."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "dirackit" or name.startswith("dirackit.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 def random_polynomial(ps, rng: random.Random, max_degree=3, max_terms=4,
@@ -137,3 +148,61 @@ def linear_mix_constraints(ps, m: int, rng: random.Random):
                 acc = acc + e.scale(coeff)
         out.append(acc)
     return out
+
+
+# -- generated families --------------------------------------------------
+
+def tower_text(k: int, sampler_seed: int) -> str:
+    """`.system` text of k decoupled spheres of radius r, with the angular
+    momenta of each sphere as primaries and H = |p|^2 / 2."""
+    n = 3 * k
+    lines = ["[system]", f"n = {n}", "parameters = r", "bind r = 1.0", "", "[constraints]"]
+    for s in range(k):
+        x = [f"x{3 * s + i}" for i in (1, 2, 3)]
+        p = [f"p{3 * s + i}" for i in (1, 2, 3)]
+        lines.append(f"radius{s + 1} = " + " + ".join(f"{v}^2" for v in x) + " - r^2")
+        lines.append(f"tangent{s + 1} = " + " + ".join(f"{a}*{b}" for a, b in zip(p, x)))
+    lines += ["", "[hamiltonian]",
+              "H = (" + " + ".join(f"p{i}^2" for i in range(1, n + 1)) + ")/2",
+              "", "[primaries]"]
+    for s in range(k):
+        x = [f"x{3 * s + i}" for i in (1, 2, 3)]
+        p = [f"p{3 * s + i}" for i in (1, 2, 3)]
+        for a in range(3):
+            b, c = (a + 1) % 3, (a + 2) % 3
+            lines.append(f"L{a + 1}_s{s + 1} = {x[b]}*{p[c]} - {x[c]}*{p[b]}")
+    lines += ["", "[onshell]"] + [f"use radius{s + 1}" for s in range(k)]
+    lines += ["", "[sampler]", f"seed = {sampler_seed}", "points = 16"]
+    return "\n".join(lines) + "\n"
+
+
+def mix_text(n: int, m: int, rng: random.Random) -> str:
+    """`.system` text of 2m constraints that mix the first m canonical
+    pairs by a random invertible integer matrix with entries in [-3, 3]."""
+    base = [f"x{i}" for i in range(1, m + 1)] + [f"p{i}" for i in range(1, m + 1)]
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in base] for _ in base]
+        if exact_int_matrix_invertible(rows):
+            break
+    lines = ["[system]", f"n = {n}", "", "[constraints]"]
+    for i, row in enumerate(rows, 1):
+        terms = [f"({c})*{name}" for c, name in zip(row, base) if c]
+        lines.append(f"chi{i} = " + " + ".join(terms))
+    lines += ["", "[sampler]", f"seed = {rng.randrange(2**31)}"]
+    return "\n".join(lines) + "\n"
+
+
+# Supports of f, g, h in the sphere Jacobi triples; only the coefficients vary.
+JACOBI_SUPPORTS = (("p1*p2", "1"), ("p1*p3", "p2"), ("x2*p3", "x1"))
+
+
+def jacobi_triple(ps, rng: random.Random):
+    """f, g, h on the sphere phase space with random nonzero rational
+    coefficients on JACOBI_SUPPORTS."""
+    def coefficient():
+        while True:
+            value = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if value:
+                return value
+    return tuple(parse_expression(" + ".join(f"({coefficient()})*{mono}" for mono in support), ps)
+                 for support in JACOBI_SUPPORTS)

@@ -20,7 +20,7 @@ from dirackit.errors import (
     TooManyConstraintsError,
 )
 
-from conftest import fd_poisson, random_point, random_polynomial
+from conftest import fd_poisson, random_point, random_polynomial, random_rational_expr
 
 
 def E(text, ps):
@@ -56,6 +56,41 @@ class TestPoissonBracket:
             point = random_point(ps3, rng)
             assert result.evaluate(point) == pytest.approx(
                 fd_poisson(f, g, ps3, point), abs=1e-5, rel=1e-5)
+
+
+def dense_poisson(f, g, ps):
+    """The bracket summed over every canonical pair, skipping none."""
+    acc = RationalExpr.zero(ps)
+    for i in range(1, ps.n + 1):
+        xi = ps.coordinate_index(i)
+        pi = ps.momentum_index(i)
+        acc = acc + f.diff_index(xi) * g.diff_index(pi) \
+                  - f.diff_index(pi) * g.diff_index(xi)
+    return acc
+
+
+class TestSparsePoissonBracket:
+    """Skipping the pairs outside the supports of f and g changes no
+    printed form: the skipped terms are exact zeros."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_polynomials_print_as_dense(self, seed):
+        ps = PhaseSpace(4, parameters=("r",))
+        rng = random.Random(seed)
+        for _ in range(40):
+            f = random_polynomial(ps, rng, max_degree=3, max_terms=3)
+            g = random_polynomial(ps, rng, max_degree=3, max_terms=3)
+            assert str(poisson_bracket(f, g, ps)) == str(dense_poisson(f, g, ps))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rationals_print_as_dense(self, seed):
+        ps = PhaseSpace(3)
+        rng = random.Random(100 + seed)
+        for _ in range(30):
+            f = random_rational_expr(ps, rng)
+            g = rng.choice([random_rational_expr, random_polynomial])(ps, rng)
+            assert str(poisson_bracket(f, g, ps)) == str(dense_poisson(f, g, ps))
+            assert str(poisson_bracket(g, f, ps)) == str(dense_poisson(g, f, ps))
 
 
 class TestDeltaMatrix:
@@ -175,6 +210,22 @@ class TestBracketTable:
         table = bracket_table([E("x2", ps3), E("p2", ps3)], ctx, "dirac")
         assert table.at(0, 1) == E("1", ps3)
         assert table.at(1, 0) == E("-1", ps3)
+
+    def test_dirac_entries_print_as_dirac_bracket(self, sphere_ctx):
+        # Above the diagonal an entry is {items[a], items[b]}_D with the
+        # constraint rows shared between pairs; below it is the negation.
+        ps = sphere_ctx.ps
+        rng = random.Random(606)
+        for _ in range(6):
+            items = [random_polynomial(ps, rng, max_degree=2, max_terms=2,
+                                       variables_only=True) for _ in range(3)]
+            items.append(random_rational_expr(ps, rng, max_degree=1, max_terms=2))
+            table = bracket_table(items, sphere_ctx, "dirac")
+            for a in range(len(items)):
+                for b in range(a + 1, len(items)):
+                    expected = str(dirac_bracket(items[a], items[b], sphere_ctx))
+                    assert str(table.at(a, b)) == expected
+                    assert str(-table.at(b, a)) == expected
 
     def test_dirac_mode_requires_context(self, ps3):
         with pytest.raises(ValueError):

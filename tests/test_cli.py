@@ -91,6 +91,20 @@ class TestExitCodes:
             load_system(str(path))
         assert main(["analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "verdict"])
+    @pytest.mark.parametrize("line", [
+        "seed = -5", "max_retries = -3", "max_retries = 0", "max_newton_iters = 0",
+        "tolerance = 0", "tolerance = inf", "tolerance = nan"])
+    def test_bad_sampler_value(self, tmp_path, capsys, command, line):
+        path = tmp_path / "sampler.system"
+        path.write_text("[system]\nn = 2\n[constraints]\nchi1 = x1\nchi2 = p1\n"
+                        f"[sampler]\n{line}\n")
+        with pytest.raises(ValidationError, match="sampler"):
+            load_system(str(path))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "sampler" in err and "internal error" not in err
+
     def test_deep_nesting(self, tmp_path, capsys):
         deep = "(" * 2000 + "x1" + ")" * 2000
         assert main(["bracket", SPHERE, "--f", deep, "--g", "p1"]) == 2

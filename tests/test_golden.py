@@ -1,9 +1,16 @@
-"""Golden CLI outputs: every command on every shipped system.
+"""Golden CLI outputs: every command on every shipped system, and
+generated families.
 
 The goldens in `golden/cli.json` pin stdout, exit code and the stderr
 lines other than `[timing]` for each case.  `timings_ms` is the only
 part of a report that may change between runs, so it is stripped from
 both the golden and the fresh output before they are compared.
+
+`golden/families.json` pins the exit code and the sha256 of stdout of
+`analyze` (and `closure --mode poisson` on the towers) on sphere towers
+and seeded linear mixes, and the six printed Dirac brackets of a sphere
+Jacobi triple.  These brackets and reports are large and uncancelled, so
+their printed forms change with the order in which terms are summed.
 
 Regenerate (only when an output change is intended) with
 
@@ -11,19 +18,29 @@ Regenerate (only when an output change is intended) with
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from dirackit import PhaseSpace, dirac_bracket, make_context, parse_expression
 from dirackit.cli import main
+
+from conftest import jacobi_triple, mix_text, tower_text
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+FAMILIES = Path(__file__).resolve().parent / "golden" / "families.json"
 SYSTEM_NAMES = sorted(p.name for p in (ROOT / "systems").glob("*.system"))
 SPHERE_BRACKETS = (("x1", "p1"), ("x1*p2", "x2*p3"))
+TOWER_SIZES = (1, 2, 3, 4)
+MIXES = ((2, 2, 1), (2, 4, 2), (6, 8, 3), (10, 10, 4))  # (m, n, seed)
+JACOBI_SEED = 1
 
 
 def cases() -> dict[str, list[str]]:
@@ -65,6 +82,58 @@ def run_case(argv: list[str]) -> dict:
             "stderr": stderr}
 
 
+def family_files() -> dict[str, str]:
+    """Generated file name -> `.system` text."""
+    files = {f"tower_k{k}.system": tower_text(k, sampler_seed=k) for k in TOWER_SIZES}
+    for m, n, seed in MIXES:
+        files[f"mix_m{m}_n{n}_s{seed}.system"] = mix_text(n, m, random.Random(seed))
+    return files
+
+
+def family_cases() -> dict[str, tuple[str, list[str]]]:
+    """Case name -> (generated file name, argv after the file)."""
+    out = {}
+    for name in family_files():
+        out[f"analyze {name} json"] = (name, ["--format", "json"])
+        if name.startswith("tower"):
+            out[f"closure {name} poisson json"] = (
+                name, ["--mode", "poisson", "--format", "json"])
+    return out
+
+
+def jacobi_brackets() -> dict[str, str]:
+    """The printed inner and outer Dirac brackets of one sphere Jacobi triple."""
+    ps = PhaseSpace(3, parameters=("r",))
+    ctx = make_context(ps, [parse_expression("x1^2 + x2^2 + x3^2 - r^2", ps),
+                            parse_expression("p1*x1 + p2*x2 + p3*x3", ps)])
+    f, g, h = jacobi_triple(ps, random.Random(JACOBI_SEED))
+    gh, hf, fg = dirac_bracket(g, h, ctx), dirac_bracket(h, f, ctx), dirac_bracket(f, g, ctx)
+    brackets = {"{g,h}": gh, "{h,f}": hf, "{f,g}": fg,
+                "{f,{g,h}}": dirac_bracket(f, gh, ctx),
+                "{g,{h,f}}": dirac_bracket(g, hf, ctx),
+                "{h,{f,g}}": dirac_bracket(h, fg, ctx)}
+    return {f"jacobi {name}": str(e) for name, e in brackets.items()}
+
+
+def _sha256(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_family_case(name: str, workdir: Path) -> dict:
+    file_name, rest = family_cases()[name]
+    path = workdir / file_name
+    path.write_text(family_files()[file_name], encoding="utf-8")
+    command = name.split()[0]
+    result = run_case([command, str(path)] + rest)
+    return {"exit": result["exit"], "stdout": _sha256(result["stdout"])}
+
+
+def family_digests(workdir: Path) -> dict:
+    out = {name: run_family_case(name, workdir) for name in family_cases()}
+    out.update((name, _sha256(text)) for name, text in jacobi_brackets().items())
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -79,8 +148,36 @@ def test_output_matches_golden(golden, name):
     assert run_case(cases()[name]) == golden[name]
 
 
+@pytest.fixture(scope="module")
+def families() -> dict:
+    return json.loads(FAMILIES.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def jacobi() -> dict:
+    return jacobi_brackets()
+
+
+def test_families_cover_every_case(families, jacobi):
+    assert sorted(families) == sorted(list(family_cases()) + list(jacobi))
+
+
+@pytest.mark.parametrize("name", sorted(family_cases()))
+def test_family_output_matches_golden(families, tmp_path, name):
+    assert run_family_case(name, tmp_path) == families[name]
+
+
+def test_jacobi_brackets_match_golden(families, jacobi):
+    for name, text in jacobi.items():
+        assert _sha256(text) == families[name], name
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     data = {name: run_case(argv) for name, argv in sorted(cases().items())}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(data)} cases to {GOLDEN}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as workdir:
+        data = family_digests(Path(workdir))
+    FAMILIES.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(data)} cases to {FAMILIES}", file=sys.stderr)

@@ -10,6 +10,8 @@ import pytest
 from dirackit.brackets import DiracContext
 from dirackit.cli import main
 
+from conftest import replace_everywhere
+
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 STAGES = (
     ("dirackit.brackets", "delta_matrix"),
@@ -22,11 +24,8 @@ STAGES = (
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Count calls of each stage through every dirackit namespace holding it;
-    modules such as `cli` call their own `from .analysis import` copies."""
+    """Count calls of each stage through every dirackit namespace holding it."""
     calls = Counter()
-    modules = [m for name, m in list(sys.modules.items())
-               if m is not None and (name == "dirackit" or name.startswith("dirackit."))]
     for module_name, attr in STAGES:
         original = getattr(sys.modules[module_name], attr)
 
@@ -35,10 +34,7 @@ def stage_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         functools.update_wrapper(counted, original)
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+        replace_everywhere(monkeypatch, original, counted)
     return calls
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class TraceIdentity:
     value: RationalExpr
     expected: int
     holds: bool
+
+    @cached_property
+    def value_text(self) -> str:
+        """The printed value, formatted once; it can run to thousands of terms."""
+        return str(self.value)
 
 
 def _bound_values(ps: PhaseSpace, z: np.ndarray, cfg: SamplerConfig) -> list[float]:

@@ -77,14 +77,12 @@ def _classification_dict(c) -> dict:
 
 
 def _trace_dict(t) -> dict:
-    return {"value": str(t.value), "expected": t.expected, "holds": t.holds}
+    return {"value": t.value_text, "expected": t.expected, "holds": t.holds}
 
 
 def _residual_key(key, names) -> str:
-    a, b = key
-    left = names[a] if isinstance(a, int) else a
-    right = names[b] if isinstance(b, int) else b
-    return f"{left},{right}"
+    a, b = key  # b is "H" for a bracket with the Hamiltonian
+    return f"{names[a]},{b if b == 'H' else names[b]}"
 
 
 def _closure_dict(report) -> dict:
@@ -241,7 +239,7 @@ def cmd_trace(spec: SystemSpec) -> int:
     ctx = make_context(spec.ps, spec.constraints)
     t = trace_identity(ctx)
     sys.stdout.write(
-        f"value={t.value} expected={t.expected} holds={str(t.holds).lower()}\n")
+        f"value={t.value_text} expected={t.expected} holds={str(t.holds).lower()}\n")
     return EXIT_OK
 
 

@@ -73,17 +73,18 @@ class Verdict:
     explanation: str
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly over the rationals; None when inconsistent.
-
-    Free unknowns are set to zero; pivot ties go to the lowest row.
-    """
+def _solve_exact(rows: list[list[Fraction]],
+                 rhs: list[list[Fraction]]) -> list[list[Fraction] | None]:
+    """Solve A x = b exactly over the rationals for each column b of rhs in
+    one elimination; None for a column with no solution.  Free unknowns are
+    set to zero; the pivot columns depend on A alone, so each x is what a
+    lone solve gives.  Pivot ties go to the lowest row."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    a = [list(r) + list(b) for r, b in zip(rows, rhs)]
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
@@ -95,42 +96,42 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
                 f = a[i][c]
                 a[i] = [v - f * w if w else v for v, w in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = a[row_idx][ncols]
-    return x
+    solutions = []
+    for j in range(ncols, len(a[0])):
+        x = [Fraction(0)] * ncols
+        for row_idx, c in enumerate(pivots):
+            x[c] = a[row_idx][j]
+        solutions.append(None if any(row[j] != 0 for row in a[len(pivots):]) else x)
+    return solutions
 
 
-def decompose_linear(target: RationalExpr, basis: PrimarySet,
-                     allow_constant: bool) -> Decomposition | None:
-    """Write target as sum(lambda_b * g_b) (+ lambda_0), exactly.
-
-    Returns None when no exact rational combination exists; the caller
-    records the target itself as the residual.
-    """
+def _check_polynomial(target: RationalExpr, basis: PrimarySet):
     if not target.is_polynomial:
         raise NonPolynomialInputError(f"target is not polynomial: {target}")
-    polys = []
     for name, e in zip(basis.names, basis.exprs):
         if not e.is_polynomial:
             raise NonPolynomialInputError(f"basis element {name} is not polynomial: {e}")
-        polys.append(e.num)
-    k = len(polys)
+
+
+def decompose_linear(targets: list[RationalExpr], basis: PrimarySet,
+                     allow_constant: bool) -> list[Decomposition | None]:
+    """Write each target as sum(lambda_b * g_b) (+ lambda_0), exactly, in
+    one elimination for all targets.  None for a target with no exact
+    rational combination; the caller records it as the residual."""
+    for target in targets:
+        _check_polynomial(target, basis)
+    k = len(basis)
+    polys = [e.num for e in basis.exprs]
     if allow_constant:
-        polys.append(Polynomial.constant(target.ps.nsyms, 1))
-    table = coefficient_rows(polys + [target.num])
-    solution = _solve_exact([row[:-1] for row in table], [row[-1] for row in table])
-    if solution is None:
-        return None
-    if allow_constant:
-        return Decomposition(tuple(solution[:k]), solution[k])
-    return Decomposition(tuple(solution), Fraction(0))
+        polys.append(Polynomial.constant(basis.exprs[0].ps.nsyms, 1))
+    columns = polys + [t.num for t in targets]
+    # With every polynomial zero there is no monomial; one zero row keeps the columns.
+    table = coefficient_rows(columns) or [[Fraction(0)] * len(columns)]
+    width = len(polys)
+    solutions = _solve_exact([row[:width] for row in table], [row[width:] for row in table])
+    return [None if x is None else
+            Decomposition(tuple(x[:k]), x[k] if allow_constant else Fraction(0))
+            for x in solutions]
 
 
 def _reduced(e: RationalExpr, rules: list[Polynomial] | None) -> RationalExpr:
@@ -138,62 +139,49 @@ def _reduced(e: RationalExpr, rules: list[Polynomial] | None) -> RationalExpr:
 
 
 def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
-                     on_shell_rules=None) -> AlgebraReport:
+                     on_shell_rules: list[Polynomial] | None = None) -> AlgebraReport:
     """Decompose every pairwise bracket (and {g_a, H} when a Hamiltonian
     is declared) into structure constants plus central charges."""
-    rules = None
-    if on_shell_rules:
-        rules = [r.as_polynomial() if isinstance(r, RationalExpr) else r
-                 for r in on_shell_rules]
-    reduced_basis = PrimarySet(
-        names=primaries.names,
-        exprs=tuple(_reduced(e, rules) for e in primaries.exprs),
-        hamiltonian=primaries.hamiltonian,
-    )
+    basis = PrimarySet(primaries.names,
+                       tuple(_reduced(e, on_shell_rules) for e in primaries.exprs))
     k = len(primaries)
-    # {g_a, H} is column k of the table when a Hamiltonian is declared.
-    items = list(primaries.exprs)
-    if primaries.hamiltonian is not None:
-        items.append(primaries.hamiltonian)
-    table = bracket_table(items, ctx_or_ps, mode)
-
     zero = Fraction(0)
     c = [[[zero] * k for _ in range(k)] for _ in range(k)]
     z = [[zero] * k for _ in range(k)]
+    h = h_const = None
+    # {g_a, H} is column k of the table when a Hamiltonian is declared.
+    items = list(primaries.exprs)
+    keys = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    if primaries.hamiltonian is not None:
+        items.append(primaries.hamiltonian)
+        keys += [(a, k) for a in range(k)]
+        h, h_const = [[zero] * k for _ in range(k)], [zero] * k
+    table = bracket_table(items, ctx_or_ps, mode)
+    # Reduce and check one bracket at a time, so that the first failure
+    # is the one a bracket-by-bracket decomposition would meet.
+    brackets = []
+    for a, b in keys:
+        brackets.append(_reduced(table.at(a, b), on_shell_rules))
+        _check_polynomial(brackets[-1], basis)
+    decompositions = decompose_linear(brackets, basis, allow_constant=True)
     residuals = {}
     notes = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            bracket = _reduced(table.at(a, b), rules)
-            dec = decompose_linear(bracket, reduced_basis, allow_constant=True)
-            if dec is None:
-                residuals[(a, b)] = bracket
-                residuals[(b, a)] = -bracket
-                continue
-            for idx in range(k):
-                c[a][b][idx] = dec.coefficients[idx]
-                c[b][a][idx] = -dec.coefficients[idx]
-            z[a][b] = dec.constant
-            z[b][a] = -dec.constant
-
-    h = None
-    h_const = None
-    if primaries.hamiltonian is not None:
-        h = [[zero] * k for _ in range(k)]
-        h_const = [zero] * k
-        for a in range(k):
-            hb = _reduced(table.at(a, k), rules)
-            dec = decompose_linear(hb, reduced_basis, allow_constant=True)
-            if dec is None:
-                residuals[(a, "H")] = hb
-                continue
-            h[a] = list(dec.coefficients)
-            h_const[a] = dec.constant
+    for (a, b), bracket, dec in zip(keys, brackets, decompositions):
+        if dec is None and b == k:
+            residuals[(a, "H")] = bracket
+        elif dec is None:
+            residuals[(a, b)] = bracket
+            residuals[(b, a)] = -bracket
+        elif b == k:
+            h[a], h_const[a] = dec.coefficients, dec.constant
             if dec.constant != 0:
                 notes.append(
                     f"bracket of {primaries.names[a]} with the Hamiltonian "
                     f"carries constant term {dec.constant}; recorded in the "
                     "constant column rather than treated as closure failure")
+        else:
+            c[a][b], c[b][a] = dec.coefficients, tuple(-v for v in dec.coefficients)
+            z[a][b], z[b][a] = dec.constant, -dec.constant
 
     return AlgebraReport(
         mode=mode,
@@ -276,7 +264,7 @@ def trace_verdict(classification: Classification, ti: TraceIdentity | None) -> V
             f"trace identity violated: got {ti.value}, expected {ti.expected}")
     return Verdict(
         kind="infinite_dimensional",
-        witness={"trace_value": ti.expected, "trace_expression": str(ti.value)},
+        witness={"trace_value": ti.expected, "trace_expression": ti.value_text},
         explanation=(
             f"The sum of Dirac brackets of all canonical pairs equals "
             f"n - m = {ti.expected} != 0 identically. Its operator image is "

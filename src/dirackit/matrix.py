@@ -91,27 +91,22 @@ def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
         raise ValueError("matrix must be square")
     size = mat.rows
     ps = mat.entries[0].ps
-    work = [mat.row(i) for i in range(size)]
-    aug = [ExprMatrix.identity(size, ps).row(i) for i in range(size)]
+    identity = ExprMatrix.identity(size, ps)
+    rows = [mat.row(i) + identity.row(i) for i in range(size)]  # [mat | identity]
 
     for col in range(size):
-        piv = _pivot_row([work[r][col] for r in range(size)], col)
+        piv = _pivot_row([rows[r][col] for r in range(size)], col)
         if piv is None:
             raise SingularMatrixError(f"no nonzero pivot in column {col}")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = work[col][col]
-        inv_pivot = RationalExpr.constant(ps, 1) / pivot
-        work[col] = [e * inv_pivot for e in work[col]]
-        aug[col] = [e * inv_pivot for e in aug[col]]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv_pivot = RationalExpr.constant(ps, 1) / rows[col][col]
+        # An exact-zero e or b leaves e or a as it is; skip that work.
+        rows[col] = [e if e.is_zero else e * inv_pivot for e in rows[col]]
         for r in range(size):
             if r == col:
                 continue
-            factor = work[r][col]
+            factor = rows[r][col]
             if factor.is_zero:
                 continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return ExprMatrix.from_rows(aug)
-
+            rows[r] = [a if b.is_zero else a - factor * b for a, b in zip(rows[r], rows[col])]
+    return ExprMatrix.from_rows([row[size:] for row in rows])

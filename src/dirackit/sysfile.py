@@ -8,6 +8,7 @@ ambiguity between configuration parsing and expression parsing.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .analysis import SamplerConfig
@@ -18,6 +19,8 @@ from .parser import parse_expression
 from .phase_space import PhaseSpace
 
 _SECTIONS = ("system", "constraints", "hamiltonian", "primaries", "onshell", "sampler")
+# The expression grammar's identifier rule; primary names label brackets ("{a,b}", "{a,H}").
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,12 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
     hamiltonian = ham_exprs[0] if ham_exprs else None
 
     prim_names, prim_exprs = parse_named("primaries")
+    for name in prim_names:
+        if not _IDENTIFIER.fullmatch(name):
+            raise ValidationError(f"{source}: primary name {name!r} is not an identifier")
+        if name == "H" and hamiltonian is not None:
+            raise ValidationError(
+                f"{source}: primary name 'H' is reserved for the Hamiltonian")
     primaries = None
     if prim_names:
         primaries = PrimarySet(names=prim_names, exprs=prim_exprs,

@@ -133,6 +133,22 @@ class TestExitCodes:
             "[primaries]\ng1 = x1\ng2 = p1\n")
         assert main(["closure", str(path), "--mode", "dirac"]) == 5
 
+    @pytest.mark.parametrize("command", ["analyze", "closure"])
+    @pytest.mark.parametrize("sections, message", [
+        # residual keys "g1,H" of the pair (g1, H) and of {g1, Hamiltonian}
+        ("[hamiltonian]\nH = p2^3\n[primaries]\ng1 = x2^2\nH = p2^2\n", "reserved"),
+        # residual keys "a,b,c" of the pairs (a, b,c) and (a,b, c)
+        ("[primaries]\na = x2^2\nb,c = p2^2\na,b = x2^3\nc = p2^3\n", "identifier"),
+    ])
+    def test_colliding_primary_names(self, tmp_path, capsys, command, sections, message):
+        path = tmp_path / "names.system"
+        path.write_text("[system]\nn = 2\n[constraints]\nchi1 = x1\nchi2 = p1\n" + sections)
+        with pytest.raises(ValidationError, match=message):
+            load_system(str(path))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
     def test_trivial_system_ok(self, capsys):
         assert main(["analyze", TRIVIAL]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,10 @@
 """Closure analysis, structure constants, central charges, verdicts."""
 
+import functools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,20 +12,25 @@ from dirackit import (
     PhaseSpace,
     PrimarySet,
     SamplerConfig,
+    RationalExpr,
     closure_analysis,
     decompose_linear,
     finite_dim_obstruction,
     lemma_verdict,
+    load_system,
     make_context,
     parse_expression,
 )
+from dirackit.closure import Decomposition
 from dirackit.errors import (
     NonPolynomialInputError,
     NotSecondClassError,
     ReportNotClosedError,
 )
 
-from conftest import fd_poisson, random_point
+from conftest import fd_poisson, random_point, random_polynomial, replace_everywhere
+
+SPHERE = Path(__file__).resolve().parent.parent / "systems" / "sphere.system"
 
 
 def E(text, ps):
@@ -47,32 +55,83 @@ def angular_momenta(ps3):
 class TestDecomposeLinear:
     def test_with_constant(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("x1*p2", ps3),))
-        dec = decompose_linear(E("2*x1*p2 + 3", ps3), basis, allow_constant=True)
+        (dec,) = decompose_linear([E("2*x1*p2 + 3", ps3)], basis, allow_constant=True)
         assert dec.coefficients == (Fraction(2),)
         assert dec.constant == 3
 
     def test_not_closed(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("x1", ps3),))
-        assert decompose_linear(E("x1^2", ps3), basis, allow_constant=True) is None
+        (dec,) = decompose_linear([E("x1^2", ps3)], basis, allow_constant=True)
+        assert dec is None
 
     def test_basis_element_itself(self, ps3, angular_momenta):
-        dec = decompose_linear(angular_momenta.exprs[2], angular_momenta,
-                               allow_constant=False)
+        (dec,) = decompose_linear([angular_momenta.exprs[2]], angular_momenta,
+                                  allow_constant=False)
         assert dec.coefficients == (0, 0, 1)
         assert dec.constant == 0
 
     def test_rational_coefficients(self, ps3):
         basis = PrimarySet(names=("g1", "g2"), exprs=(E("2*x1", ps3), E("3*p1", ps3)))
-        dec = decompose_linear(E("x1 + p1", ps3), basis, allow_constant=False)
+        (dec,) = decompose_linear([E("x1 + p1", ps3)], basis, allow_constant=False)
         assert dec.coefficients == (Fraction(1, 2), Fraction(1, 3))
 
     def test_non_polynomial_target(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("x1", ps3),))
         with pytest.raises(NonPolynomialInputError):
-            decompose_linear(E("1/x1", ps3), basis, allow_constant=True)
+            decompose_linear([E("1/x1", ps3)], basis, allow_constant=True)
+
+    def test_all_zero_polynomials(self, ps3):
+        basis = PrimarySet(names=("g1",), exprs=(E("0", ps3),))
+        zeros = [E("0", ps3), E("0", ps3)]
+        assert decompose_linear(zeros, basis, allow_constant=False) == [
+            Decomposition((Fraction(0),), Fraction(0))] * 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_joint_solve_equals_separate_solves(self, ps3, seed):
+        rng = random.Random(seed)
+        exprs = [random_polynomial(ps3, rng, max_degree=2) for _ in range(rng.randint(1, 4))]
+        # a linearly dependent element makes a non-pivot column
+        exprs.append(exprs[0].scale(Fraction(rng.randint(1, 5), 3)) + exprs[-1])
+        basis = PrimarySet(names=tuple(f"g{i}" for i in range(len(exprs))),
+                           exprs=tuple(exprs))
+        inside = [sum((e.scale(rng.randint(-3, 3)) for e in exprs),
+                      RationalExpr.constant(ps3, rng.randint(-2, 2))) for _ in range(3)]
+        # every basis element has degree <= 2
+        outside = [t + E("x1^3", ps3) for t in inside]
+        targets = [t for pair in zip(inside, outside) for t in pair]
+        for allow_constant in (True, False):
+            joint = decompose_linear(targets, basis, allow_constant)
+            assert joint == [decompose_linear([t], basis, allow_constant)[0] for t in targets]
+            for target, dec in zip(targets, joint):
+                if dec is None:
+                    continue
+                rebuilt = RationalExpr.constant(ps3, dec.constant)
+                for coeff, e in zip(dec.coefficients, exprs):
+                    rebuilt = rebuilt + e.scale(coeff)
+                assert rebuilt == target
+        joint = decompose_linear(targets, basis, allow_constant=True)
+        assert [dec is None for dec in joint] == [False, True] * 3
 
 
 class TestClosureAnalysis:
+    def test_one_elimination_per_closure(self, monkeypatch):
+        closure_module = sys.modules["dirackit.closure"]
+        original = closure_module._solve_exact
+        calls = []
+
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        replace_everywhere(monkeypatch, original, counted)
+        spec = load_system(str(SPHERE))
+        # three pair brackets and three {L_a, H} brackets
+        report = closure_analysis(spec.primaries, make_context(spec.ps, spec.constraints),
+                                  "dirac", on_shell_rules=spec.on_shell_rules())
+        assert report.closed and report.h is not None
+        assert len(calls) == 1
+
     def test_angular_momentum_poisson(self, ps3, angular_momenta):
         report = closure_analysis(angular_momenta, ps3, "poisson")
         assert report.closed

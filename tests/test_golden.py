@@ -11,6 +11,9 @@ both the golden and the fresh output before they are compared.
 and seeded linear mixes, and the six printed Dirac brackets of a sphere
 Jacobi triple.  These brackets and reports are large and uncancelled, so
 their printed forms change with the order in which terms are summed.
+It also pins two closures that no shipped system reaches: one that is
+not closed, and one that stops at a non-polynomial bracket; a case with
+stderr lines other than `[timing]` pins those as well.
 
 Regenerate (only when an output change is intended) with
 
@@ -41,6 +44,35 @@ SPHERE_BRACKETS = (("x1", "p1"), ("x1*p2", "x2*p3"))
 TOWER_SIZES = (1, 2, 3, 4)
 MIXES = ((2, 2, 1), (2, 4, 2), (6, 8, 3), (10, 10, 4))  # (m, n, seed)
 JACOBI_SEED = 1
+# Not closed, with a Hamiltonian: {g1,g2} = 2*p2 and {g2,H}, {g3,H} fall
+# outside the span, {g1,g3} and {g2,g3} close, {g1,H} = 1 is a constant.
+OPEN_ALGEBRA = """[system]
+n = 2
+[constraints]
+chi1 = x1
+chi2 = p1
+[hamiltonian]
+H = p2 + x2^3
+[primaries]
+g1 = x2
+g2 = p2^2
+g3 = x2*p2
+"""
+# Dirac brackets on the sphere without [onshell] rules: the angular
+# momenta bracket polynomially, {x1, p1} is the first rational bracket.
+NONPOLYNOMIAL_CLOSURE = """[system]
+n = 3
+parameters = r
+bind r = 1.0
+[constraints]
+chi1 = x1^2 + x2^2 + x3^2 - r^2
+chi2 = p1*x1 + p2*x2 + p3*x3
+[primaries]
+L3 = x1*p2 - x2*p1
+L1 = x2*p3 - x3*p2
+g1 = x1
+g2 = p1
+"""
 
 
 def cases() -> dict[str, list[str]]:
@@ -87,6 +119,8 @@ def family_files() -> dict[str, str]:
     files = {f"tower_k{k}.system": tower_text(k, sampler_seed=k) for k in TOWER_SIZES}
     for m, n, seed in MIXES:
         files[f"mix_m{m}_n{n}_s{seed}.system"] = mix_text(n, m, random.Random(seed))
+    files["open_algebra.system"] = OPEN_ALGEBRA
+    files["nonpolynomial_closure.system"] = NONPOLYNOMIAL_CLOSURE
     return files
 
 
@@ -94,10 +128,16 @@ def family_cases() -> dict[str, tuple[str, list[str]]]:
     """Case name -> (generated file name, argv after the file)."""
     out = {}
     for name in family_files():
-        out[f"analyze {name} json"] = (name, ["--format", "json"])
+        if name.startswith(("tower", "mix")):
+            out[f"analyze {name} json"] = (name, ["--format", "json"])
         if name.startswith("tower"):
             out[f"closure {name} poisson json"] = (
                 name, ["--mode", "poisson", "--format", "json"])
+    for fmt in ("json", "text"):
+        out[f"closure open_algebra.system poisson {fmt}"] = (
+            "open_algebra.system", ["--mode", "poisson", "--format", fmt])
+    out["closure nonpolynomial_closure.system dirac text"] = (
+        "nonpolynomial_closure.system", ["--mode", "dirac"])
     return out
 
 
@@ -125,7 +165,10 @@ def run_family_case(name: str, workdir: Path) -> dict:
     path.write_text(family_files()[file_name], encoding="utf-8")
     command = name.split()[0]
     result = run_case([command, str(path)] + rest)
-    return {"exit": result["exit"], "stdout": _sha256(result["stdout"])}
+    out = {"exit": result["exit"], "stdout": _sha256(result["stdout"])}
+    if result["stderr"]:
+        out["stderr"] = result["stderr"]
+    return out
 
 
 def family_digests(workdir: Path) -> dict:

@@ -4,10 +4,18 @@ import random
 
 import pytest
 
-from dirackit import ExprMatrix, PhaseSpace, RationalExpr, invert_matrix, parse_expression
+from dirackit import (
+    ExprMatrix,
+    PhaseSpace,
+    RationalExpr,
+    delta_matrix,
+    invert_matrix,
+    parse_expression,
+)
 from dirackit.errors import SingularMatrixError
+from dirackit.sysfile import parse_system
 
-from conftest import random_polynomial
+from conftest import random_polynomial, tower_text
 
 
 @pytest.fixture
@@ -85,3 +93,21 @@ def test_transpose_and_skew_check(ps):
     mat = ExprMatrix.from_rows([[zero, c], [-c, zero]])
     assert mat.is_skew_symmetric()
     assert mat.transpose().at(0, 1) == -c
+
+
+def test_inversion_skips_exact_zero_products(monkeypatch):
+    spec = parse_system(tower_text(2, sampler_seed=1))
+    delta = delta_matrix(spec.constraints, spec.ps)
+    zero_operands = []
+    multiply = RationalExpr.__mul__
+
+    def recording(self, other):
+        if self.is_zero or other.is_zero:
+            zero_operands.append((str(self), str(other)))
+        return multiply(self, other)
+
+    monkeypatch.setattr(RationalExpr, "__mul__", recording)
+    inv = invert_matrix(delta)
+    monkeypatch.undo()
+    assert zero_operands == []
+    assert is_identity(delta.matmul(inv), spec.ps)

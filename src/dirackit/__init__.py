@@ -21,6 +21,7 @@ from .brackets import (
     ConstraintSystem,
     DiracContext,
     bracket_table,
+    constraint_gradients,
     delta_matrix,
     dirac_bracket,
     make_context,
@@ -60,6 +61,7 @@ __all__ = [
     "bracket_table",
     "classify_constraints",
     "closure_analysis",
+    "constraint_gradients",
     "decompose_linear",
     "delta_matrix",
     "dirac_bracket",

@@ -8,14 +8,14 @@ exactly the constant n - m.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .brackets import (
     ConstraintSystem,
     DiracContext,
+    constraint_gradients,
     delta_matrix,
     dirac_bracket,
     poisson_bracket,
@@ -29,7 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .expr import RationalExpr
-from .matrix import invert_matrix
+from .matrix import ExprMatrix, invert_matrix
+from .numeric import PivotedQR
 from .parser import parse_expression
 from .phase_space import PhaseSpace
 
@@ -81,8 +82,8 @@ class TraceIdentity:
         return str(self.value)
 
 
-def _bound_values(ps: PhaseSpace, z: np.ndarray, cfg: SamplerConfig) -> list[float]:
-    values = list(map(float, z))
+def _parameter_values(ps: PhaseSpace, cfg: SamplerConfig) -> list[float]:
+    values = []
     for name in ps.parameters:
         if name not in cfg.parameter_bindings:
             raise ValidationError(f"parameter {name!r} has no numeric binding")
@@ -90,84 +91,139 @@ def _bound_values(ps: PhaseSpace, z: np.ndarray, cfg: SamplerConfig) -> list[flo
     return values
 
 
+class _Plan:
+    """Float values of a fixed, sparse list of expressions, planned once.
+
+    Exact zeros are left out, constants are evaluated when the plan is
+    built (one too large for a float becomes inf), and an expression
+    whose denominator is exactly 1 evaluates its numerator directly,
+    since it cannot have a pole.
+    """
+
+    __slots__ = ("base", "varying")
+
+    def __init__(self, size: int, entries):
+        self.base = [0.0] * size
+        self.varying = []
+        for i, e in entries:
+            if e.is_zero:
+                continue
+            if e.num.is_constant and e.den.is_constant:
+                try:
+                    self.base[i] = e.num.evaluate(())
+                except OverflowError:
+                    self.base[i] = math.inf
+            else:
+                self.varying.append((i, e.num.evaluate if e.is_polynomial else e.evaluate_vector))
+
+    def __call__(self, values) -> list[float]:
+        out = self.base[:]
+        for i, evaluate in self.varying:
+            out[i] = evaluate(values)
+        return out
+
+
+def _delta_plan(delta: ExprMatrix) -> _Plan:
+    return _Plan(len(delta.entries), enumerate(delta.entries))
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str, float]]:
     """Newton-project standard-normal seeds onto the constraint surface.
 
-    Deterministic for a fixed config: one RNG stream, points generated
-    in order.  The Jacobian is symbolic; the step is a least-squares
-    solve since 2m equations under-determine 2n unknowns.  An attempt
-    that meets a non-finite residual or Jacobian fails before the solve.
+    Deterministic for a fixed config: one `random.Random(seed)` stream,
+    points generated in order.  The Jacobian is read from the symbolic
+    constraint gradients.  The step is a least-squares solve of J s = -r
+    through a pivoted QR of J^T truncated at its numeric rank: 2m
+    equations under-determine 2n unknowns, and they may be dependent.
+    An attempt fails on a pole, a float overflow, a non-finite residual
+    or Jacobian, or a converged point where Delta is not finite.
     """
     ps = ctx.ps
     nvars = 2 * ps.n
-    constraints = ctx.constraints
-    jac = [[chi.diff_index(j) for j in range(nvars)] for chi in constraints]
-    rng = np.random.default_rng(cfg.seed)
+    k = len(ctx.constraints)
+    params = _parameter_values(ps, cfg)
+    gradients = ctx.gradients or constraint_gradients(ctx.constraints, ps)
+    residual = _Plan(k, enumerate(ctx.constraints))
+    jacobian = _Plan(k * nvars, ((a * nvars + j, d) for a, grad in enumerate(gradients)
+                                 for j, d in grad.items()))
+    delta = _delta_plan(ctx.delta)
+    rng = random.Random(cfg.seed)
 
-    def residual(z):
-        vals = _bound_values(ps, z, cfg)
-        return np.array([chi.evaluate_vector(vals) for chi in constraints])
+    def factor(values):
+        """The pivoted QR of J^T at the values, or None if J is not finite."""
+        jac = jacobian(values)
+        if not _finite(jac):
+            return None
+        return PivotedQR([jac[a * nvars:(a + 1) * nvars] for a in range(k)])
 
-    def jacobian(z):
-        vals = _bound_values(ps, z, cfg)
-        return np.array([[e.evaluate_vector(vals) for e in row] for row in jac])
+    constant_qr = None if jacobian.varying else factor(())
+
+    def project(z):
+        """The values at the on-shell point Newton reaches from z, or None."""
+        for _ in range(cfg.max_newton_iters):
+            values = z + params
+            r = residual(values)
+            if all(abs(v) <= cfg.tolerance for v in r):
+                return values if _finite(delta(values)) else None
+            if not _finite(r):
+                return None
+            qr = factor(values) if jacobian.varying else constant_qr
+            if qr is None:
+                return None
+            z = [a + b for a, b in zip(z, qr.transposed_solve([-v for v in r]))]
+        return None
 
     points = []
     for _ in range(cfg.point_count):
-        found = None
         for _attempt in range(cfg.max_retries):
-            z = rng.standard_normal(nvars)
             try:
-                for _it in range(cfg.max_newton_iters):
-                    r = residual(z)
-                    if np.max(np.abs(r)) <= cfg.tolerance:
-                        found = z
-                        break
-                    jac_z = jacobian(z)
-                    if not (np.isfinite(r).all() and np.isfinite(jac_z).all()):
-                        break
-                    step, *_ = np.linalg.lstsq(jac_z, -r, rcond=None)
-                    z = z + step
-            except (PoleAtPointError, FloatingPointError, np.linalg.LinAlgError):
+                found = project([rng.gauss(0.0, 1.0) for _ in range(nvars)])
+            except (PoleAtPointError, OverflowError):
                 continue
             if found is not None:
                 break
-        if found is None:
+        else:
             raise NoOnShellPointError(
                 f"no on-shell point after {cfg.max_retries} retries")
-        vals = _bound_values(ps, found, cfg)
-        points.append(dict(zip(ps.symbols, vals)))
+        points.append(dict(zip(ps.symbols, found)))
     return points
 
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus numeric
-    full rank at sampled on-shell points.  Delta is built and inverted
-    once; the resulting context rides along on the classification."""
+    full rank at sampled on-shell points.  The constraint gradients and
+    Delta are built once and Delta is inverted once; the resulting
+    context rides along on the classification.  The rank is read off a
+    pivoted QR of Delta at each point, or once when no entry of Delta
+    depends on the point."""
     constraints = tuple(constraints)
-    delta = delta_matrix(constraints, ps)
+    gradients = constraint_gradients(constraints, ps)
+    delta = delta_matrix(constraints, ps, gradients)
     try:
         context = DiracContext(ps, constraints, delta, invert_matrix(delta))
     except SingularMatrixError:
         context = None
 
-    m = len(constraints) // 2
-    rank = 2 * m
-    for point in sample_on_shell(ConstraintSystem(ps, constraints, delta), cfg):
-        values = [point[s] for s in ps.symbols]
-        numeric = np.array([[delta.at(a, b).evaluate_vector(values)
-                             for b in range(2 * m)] for a in range(2 * m)])
-        sv = np.linalg.svd(numeric, compute_uv=False)
-        top = sv[0] if len(sv) else 0.0
-        rank = min(rank, int(np.sum(sv > RANK_TOLERANCE * max(top, 1e-300))))
+    k = len(constraints)
+    points = sample_on_shell(ConstraintSystem(ps, constraints, delta, gradients=gradients), cfg)
+    plan = _delta_plan(delta)
+    rank = k
+    for point in points if plan.varying else points[:1]:
+        numeric = plan([point[s] for s in ps.symbols])
+        qr = PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])  # the rows of Delta
+        rank = min(rank, qr.rank(RANK_TOLERANCE))
 
-    second_class = context is not None and rank == 2 * m
+    second_class = context is not None and rank == k
     return Classification(
         verdict="second_class" if second_class else "degenerate",
-        m=m,
+        m=k // 2,
         symbolic_det_nonzero=context is not None,
         on_shell_rank=rank,
-        dof_pairs=ps.n - m,
+        dof_pairs=ps.n - k // 2,
         context=context,
     )
 

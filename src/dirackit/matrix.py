@@ -9,7 +9,9 @@ fully deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import SingularMatrixError
 from .expr import RationalExpr
@@ -68,45 +70,55 @@ class ExprMatrix:
                    for i in range(self.rows) for j in range(i, self.cols))
 
 
-def _pivot_row(column_entries: list[RationalExpr], start: int) -> int | None:
-    best = None
-    best_size = None
-    for r in range(start, len(column_entries)):
-        e = column_entries[r]
-        if e.is_zero:
-            continue
-        size = len(e.num)
-        if best is None or size < best_size:
-            best, best_size = r, size
-    return best
+def _gauss_jordan(rows: list[list], one, is_zero, weight) -> None:
+    """Reduce the rows of [A | identity] to [identity | A^-1] in place.
+
+    The pivot in each column is the nonzero candidate of least weight,
+    ties going to the lowest row.  An exact-zero e or b leaves e or a as
+    it is, so that work is skipped.
+    """
+    size = len(rows)
+    for col in range(size):
+        piv = None
+        for r in range(col, size):
+            e = rows[r][col]
+            if not is_zero(e) and (piv is None or weight(e) < best):
+                piv, best = r, weight(e)
+        if piv is None:
+            raise SingularMatrixError(f"no nonzero pivot in column {col}")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv_pivot = one / rows[col][col]
+        rows[col] = [e if is_zero(e) else e * inv_pivot for e in rows[col]]
+        for r in range(size):
+            if r == col:
+                continue
+            factor = rows[r][col]
+            if is_zero(factor):
+                continue
+            rows[r] = [a if is_zero(b) else a - factor * b for a, b in zip(rows[r], rows[col])]
 
 
 def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
     """Exact inverse over the rational-function field.
 
     Raises SingularMatrixError when some column has no nonzero pivot,
-    i.e. the matrix is singular as a matrix of rational functions.
+    i.e. the matrix is singular as a matrix of rational functions.  A
+    matrix of constants is eliminated on Fractions by the same steps and
+    pivot rule (every nonzero constant has one term); a constant has one
+    normal form, so the entries are the ones the general path builds.
     """
     if mat.rows != mat.cols:
         raise ValueError("matrix must be square")
     size = mat.rows
     ps = mat.entries[0].ps
+    if all(e.num.is_constant and e.den.is_constant for e in mat.entries):
+        unit = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        rows = [[e.num.constant_value() for e in mat.row(i)] + unit[i] for i in range(size)]
+        _gauss_jordan(rows, Fraction(1), operator.not_, lambda v: 1)
+        return ExprMatrix.from_rows([[RationalExpr.constant(ps, v) for v in row[size:]]
+                                     for row in rows])
     identity = ExprMatrix.identity(size, ps)
     rows = [mat.row(i) + identity.row(i) for i in range(size)]  # [mat | identity]
-
-    for col in range(size):
-        piv = _pivot_row([rows[r][col] for r in range(size)], col)
-        if piv is None:
-            raise SingularMatrixError(f"no nonzero pivot in column {col}")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv_pivot = RationalExpr.constant(ps, 1) / rows[col][col]
-        # An exact-zero e or b leaves e or a as it is; skip that work.
-        rows[col] = [e if e.is_zero else e * inv_pivot for e in rows[col]]
-        for r in range(size):
-            if r == col:
-                continue
-            factor = rows[r][col]
-            if factor.is_zero:
-                continue
-            rows[r] = [a if b.is_zero else a - factor * b for a, b in zip(rows[r], rows[col])]
+    _gauss_jordan(rows, RationalExpr.constant(ps, 1), operator.attrgetter("is_zero"),
+                  lambda e: len(e.num))
     return ExprMatrix.from_rows([row[size:] for row in rows])

@@ -12,6 +12,7 @@ from dirackit import (
     PhaseSpace,
     SamplerConfig,
     classify_constraints,
+    constraint_gradients,
     delta_matrix,
     dof_count,
     make_context,
@@ -100,6 +101,29 @@ class TestSampler:
         system = ConstraintSystem(ps3, constraints, delta_matrix(constraints, ps3))
         for z in sample_on_shell(system, SamplerConfig(seed=3, point_count=2)):
             assert abs(z["x1"]) <= 1e-10 and abs(z["x2"]) <= 1e-10
+
+    @pytest.mark.parametrize("texts", [("x1", "2*x1"),
+                                       ("x1^2 + x2^2 - 1", "3*x1^2 + 3*x2^2 - 3")])
+    def test_dependent_constraints(self, ps3, texts):
+        # J has rank 1: the step solves the independent equation only.
+        constraints = tuple(E(t, ps3) for t in texts)
+        system = ConstraintSystem(ps3, constraints, delta_matrix(constraints, ps3))
+        for z in sample_on_shell(system, SamplerConfig(seed=4, point_count=4)):
+            for chi in constraints:
+                assert abs(chi.evaluate(z)) <= 1e-10
+
+    def test_overflow_counts_as_failed_attempt(self):
+        ps = PhaseSpace(1)
+        ctx = make_context(ps, [E("x1^200 - 1", ps), E("p1", ps)])
+        for z in sample_on_shell(ctx, SamplerConfig(seed=1, point_count=8)):
+            assert abs(abs(z["x1"]) - 1.0) <= 1e-12
+
+    def test_gradients_given_or_not(self, sphere_ctx):
+        cfg = SamplerConfig(seed=6, point_count=4, parameter_bindings={"r": 1.0})
+        gradients = constraint_gradients(sphere_ctx.constraints, sphere_ctx.ps)
+        with_gradients = ConstraintSystem(sphere_ctx.ps, sphere_ctx.constraints,
+                                          sphere_ctx.delta, gradients=gradients)
+        assert sample_on_shell(with_gradients, cfg) == sample_on_shell(sphere_ctx, cfg)
 
     def test_missing_parameter_binding(self, sphere_ctx):
         with pytest.raises(ValidationError):

@@ -83,6 +83,26 @@ class TestExitCodes:
                         "max_retries = 3\nmax_newton_iters = 20\n")
         assert main(["analyze", str(path)]) == 4
 
+    @pytest.mark.parametrize("command", ["analyze", "classify", "verdict"])
+    def test_float_overflow_is_a_failed_attempt(self, tmp_path, capsys, command):
+        # Newton steps from small x1 overshoot, and x1^200 overflows a float.
+        path = tmp_path / "overflow.system"
+        path.write_text("[system]\nn = 1\n[constraints]\nchi1 = x1^200 - 1\n"
+                        "chi2 = p1\n[sampler]\nseed = 1\n")
+        assert main([command, str(path)]) != 1
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constraints", [
+        "chi1 = x1 - 10^160\nchi2 = p1*x1^2\n",  # Delta = x1^2 overflows on shell
+        "chi1 = 10^400*x1\nchi2 = p1\n",  # a constant too large for a float
+    ])
+    def test_delta_beyond_floats_is_a_sampling_failure(self, tmp_path, capsys, constraints):
+        path = tmp_path / "overflow.system"
+        path.write_text(f"[system]\nn = 1\n[constraints]\n{constraints}"
+                        "[sampler]\nseed = 1\nmax_retries = 3\n")
+        assert main(["classify", str(path)]) == 4
+        assert "no on-shell point" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_binding(self, tmp_path, capsys, value):
         path = tmp_path / "sphere.system"

@@ -12,8 +12,9 @@ and seeded linear mixes, and the six printed Dirac brackets of a sphere
 Jacobi triple.  These brackets and reports are large and uncancelled, so
 their printed forms change with the order in which terms are summed.
 It also pins two closures that no shipped system reaches: one that is
-not closed, and one that stops at a non-polynomial bracket; a case with
-stderr lines other than `[timing]` pins those as well.
+not closed, and one that stops at a non-polynomial bracket; and
+`analyze` and `classify` on two dependent constraint sets (exit 3, on-shell
+rank 0).  A case with stderr lines other than `[timing]` pins those as well.
 
 Regenerate (only when an output change is intended) with
 
@@ -73,6 +74,20 @@ L1 = x2*p3 - x3*p2
 g1 = x1
 g2 = p1
 """
+# Dependent constraints: Delta is zero and the Jacobian has rank 1, so the
+# Newton step must be a least-squares solve that tolerates rank deficiency.
+DEPENDENT_LINEAR = """[system]
+n = 2
+[constraints]
+chi1 = x1
+chi2 = 2*x1
+"""
+DEPENDENT_CIRCLE = """[system]
+n = 2
+[constraints]
+chi1 = x1^2 + x2^2 - 1
+chi2 = 3*x1^2 + 3*x2^2 - 3
+"""
 
 
 def cases() -> dict[str, list[str]]:
@@ -121,6 +136,8 @@ def family_files() -> dict[str, str]:
         files[f"mix_m{m}_n{n}_s{seed}.system"] = mix_text(n, m, random.Random(seed))
     files["open_algebra.system"] = OPEN_ALGEBRA
     files["nonpolynomial_closure.system"] = NONPOLYNOMIAL_CLOSURE
+    files["dependent_linear.system"] = DEPENDENT_LINEAR
+    files["dependent_circle.system"] = DEPENDENT_CIRCLE
     return files
 
 
@@ -128,8 +145,10 @@ def family_cases() -> dict[str, tuple[str, list[str]]]:
     """Case name -> (generated file name, argv after the file)."""
     out = {}
     for name in family_files():
-        if name.startswith(("tower", "mix")):
+        if name.startswith(("tower", "mix", "dependent")):
             out[f"analyze {name} json"] = (name, ["--format", "json"])
+        if name.startswith("dependent"):
+            out[f"classify {name} json"] = (name, ["--format", "json"])
         if name.startswith("tower"):
             out[f"closure {name} poisson json"] = (
                 name, ["--mode", "poisson", "--format", "json"])

@@ -1,5 +1,6 @@
 """Exact matrix inversion over the rational-function field."""
 
+import operator
 import random
 
 import pytest
@@ -12,10 +13,11 @@ from dirackit import (
     invert_matrix,
     parse_expression,
 )
+from dirackit import matrix
 from dirackit.errors import SingularMatrixError
 from dirackit.sysfile import parse_system
 
-from conftest import random_polynomial, tower_text
+from conftest import linear_mix_constraints, random_polynomial, tower_text
 
 
 @pytest.fixture
@@ -111,3 +113,29 @@ def test_inversion_skips_exact_zero_products(monkeypatch):
     monkeypatch.undo()
     assert zero_operands == []
     assert is_identity(delta.matmul(inv), spec.ps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch, seed):
+    """A constant Delta (a linear mix) takes the Fraction path: it makes no
+    RationalExpr product, and its inverse has the very entries that the
+    elimination over RationalExprs gives."""
+    rng = random.Random(seed)
+    ps = PhaseSpace(5)
+    mat = delta_matrix(linear_mix_constraints(ps, rng.randint(1, 4), rng), ps)
+    size = mat.rows
+    unit = ExprMatrix.identity(size, ps)
+    rows = [mat.row(i) + unit.row(i) for i in range(size)]
+    matrix._gauss_jordan(rows, RationalExpr.constant(ps, 1),
+                         operator.attrgetter("is_zero"), lambda e: len(e.num))
+    products = []
+    original = RationalExpr.__mul__
+    monkeypatch.setattr(RationalExpr, "__mul__",
+                        lambda a, b: products.append(1) or original(a, b))
+    inv = invert_matrix(mat)
+    assert not products
+    for i in range(size):
+        for j in range(size):
+            general = rows[i][size + j]
+            assert (inv.at(i, j).num, inv.at(i, j).den) == (general.num, general.den)
+            assert str(inv.at(i, j)) == str(general)

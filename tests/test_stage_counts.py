@@ -1,6 +1,9 @@
 """`dirackit analyze` runs each stage of the analysis exactly once."""
 
+import contextlib
 import functools
+import io
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -8,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from dirackit.brackets import DiracContext
+from dirackit.expr import RationalExpr
 from dirackit.cli import main
 
-from conftest import replace_everywhere
+from conftest import mix_text, replace_everywhere, tower_text
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 STAGES = (
@@ -64,3 +68,48 @@ def test_analyze_sphere_runs_each_stage_exactly_once(stage_calls, contexts, caps
     assert stage_calls == {attr: 1 for _, attr in STAGES}
     (ctx,) = contexts
     assert ctx.delta_inv is not ctx.delta
+
+
+@pytest.fixture
+def classify_partials(monkeypatch):
+    """RationalExpr.diff_index calls made inside classify_constraints, per
+    (expression, variable); the expressions are kept alive so that ids
+    are not reused."""
+    calls = Counter()
+    seen = []
+    inside = [0]
+    original = sys.modules["dirackit.analysis"].classify_constraints
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    replace_everywhere(monkeypatch, original, counted)
+    diff_index = RationalExpr.diff_index
+
+    def counted_diff(self, index):
+        if inside[0]:
+            seen.append(self)
+            calls[id(self), index] += 1
+        return diff_index(self, index)
+
+    monkeypatch.setattr(RationalExpr, "diff_index", counted_diff)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    mix_text(10, 10, random.Random(4)),
+    tower_text(2, sampler_seed=2),
+    (SYSTEMS / "sphere.system").read_text(encoding="utf-8"),
+], ids=["mix_m10_n10", "tower_k2", "sphere"])
+def test_classify_differentiates_each_constraint_once(classify_partials, tmp_path, text):
+    """Delta and the sampler's Jacobian read one set of constraint gradients."""
+    path = tmp_path / "case.system"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert classify_partials and max(classify_partials.values()) == 1

@@ -146,7 +146,7 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str,
     nvars = 2 * ps.n
     k = len(ctx.constraints)
     params = _parameter_values(ps, cfg)
-    gradients = ctx.gradients or constraint_gradients(ctx.constraints, ps)
+    gradients = constraint_gradients(ctx.constraints, ps)
     residual = _Plan(k, enumerate(ctx.constraints))
     jacobian = _Plan(k * nvars, ((a * nvars + j, d) for a, grad in enumerate(gradients)
                                  for j, d in grad.items()))
@@ -195,21 +195,19 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str,
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus numeric
-    full rank at sampled on-shell points.  The constraint gradients and
-    Delta are built once and Delta is inverted once; the resulting
-    context rides along on the classification.  The rank is read off a
-    pivoted QR of Delta at each point, or once when no entry of Delta
-    depends on the point."""
+    full rank at sampled on-shell points.  Delta is built once and
+    inverted once; the resulting context rides along on the
+    classification.  The rank is read off a pivoted QR of Delta at each
+    point, or once when no entry of Delta depends on the point."""
     constraints = tuple(constraints)
-    gradients = constraint_gradients(constraints, ps)
-    delta = delta_matrix(constraints, ps, gradients)
+    delta = delta_matrix(constraints, ps)
     try:
         context = DiracContext(ps, constraints, delta, invert_matrix(delta))
     except SingularMatrixError:
         context = None
 
     k = len(constraints)
-    points = sample_on_shell(ConstraintSystem(ps, constraints, delta, gradients=gradients), cfg)
+    points = sample_on_shell(ConstraintSystem(ps, constraints, delta), cfg)
     plan = _delta_plan(delta)
     rank = k
     for point in points if plan.varying else points[:1]:

@@ -15,7 +15,7 @@ rational functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     NotSecondClassError,
@@ -28,29 +28,24 @@ from .matrix import ExprMatrix, invert_matrix
 from .phase_space import PhaseSpace
 
 
-def _bracket(f_has, f_diff, g_has, g_diff, ps: PhaseSpace) -> RationalExpr:
-    """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) over the pairs whose
-    two partials can both be nonzero: a skipped term is an exact zero,
-    and adding or subtracting one leaves num and den as they are."""
-    acc = RationalExpr.zero(ps)
-    for i in range(1, ps.n + 1):
-        xi = ps.coordinate_index(i)
-        pi = ps.momentum_index(i)
-        if f_has(xi) and g_has(pi):
-            acc = acc + f_diff(xi) * g_diff(pi)
-        if f_has(pi) and g_has(xi):
-            acc = acc - f_diff(pi) * g_diff(xi)
-    return acc
-
-
 def _support(e: RationalExpr) -> set[int]:
     return e.num.symbols_used() | e.den.symbols_used()
 
 
 def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> RationalExpr:
-    """Each partial is taken when a term needs it, at most once."""
-    return _bracket(_support(f).__contains__, f.diff_index,
-                    _support(g).__contains__, g.diff_index, ps)
+    """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) over the pairs whose
+    two partials can both be nonzero: a skipped term is an exact zero,
+    and adding or subtracting one leaves num and den as they are."""
+    f_has, g_has = _support(f), _support(g)
+    acc = RationalExpr.zero(ps)
+    for i in range(1, ps.n + 1):
+        xi = ps.coordinate_index(i)
+        pi = ps.momentum_index(i)
+        if xi in f_has and pi in g_has:
+            acc = acc + f.diff_index(xi) * g.diff_index(pi)
+        if pi in f_has and xi in g_has:
+            acc = acc - f.diff_index(pi) * g.diff_index(xi)
+    return acc
 
 
 def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, RationalExpr], ...]:
@@ -60,23 +55,16 @@ def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, Rationa
                  for chi in constraints)
 
 
-def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace,
-                 gradients=None) -> ExprMatrix:
-    """Constraint bracket matrix Delta_ab = {chi_a, chi_b}; exactly skew.
-
-    Each entry is poisson_bracket(chi_a, chi_b) term for term, read from
-    the constraint gradients (computed here unless given)."""
+def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> ExprMatrix:
+    """Constraint bracket matrix Delta_ab = {chi_a, chi_b}; exactly skew."""
     k = len(constraints)
     if k < 2 or k % 2 != 0:
         raise OddConstraintCountError(f"need an even number >= 2 of constraints, got {k}")
-    if gradients is None:
-        gradients = constraint_gradients(constraints, ps)
     zero = RationalExpr.zero(ps)
     entries = [[zero] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            v = _bracket(gradients[a].__contains__, gradients[a].__getitem__,
-                         gradients[b].__contains__, gradients[b].__getitem__, ps)
+            v = poisson_bracket(constraints[a], constraints[b], ps)
             entries[a][b] = v
             entries[b][a] = -v
     return ExprMatrix.from_rows(entries)
@@ -84,12 +72,10 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace,
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """A constraint set with its bracket matrix Delta, which may be singular,
-    and optionally its `constraint_gradients`."""
+    """A constraint set with its bracket matrix Delta, which may be singular."""
     ps: PhaseSpace
     constraints: tuple[RationalExpr, ...]
     delta: ExprMatrix
-    gradients: tuple | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -10,6 +10,7 @@ the identity is not.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .errors import (
     ReportNotClosedError,
 )
 from .expr import RationalExpr
+from .matrix import row_reduce
 from .phase_space import PhaseSpace
 from .poly import Polynomial, coefficient_rows
 
@@ -76,26 +78,12 @@ class Verdict:
 def _solve_exact(rows: list[list[Fraction]],
                  rhs: list[list[Fraction]]) -> list[list[Fraction] | None]:
     """Solve A x = b exactly over the rationals for each column b of rhs in
-    one elimination; None for a column with no solution.  Free unknowns are
-    set to zero; the pivot columns depend on A alone, so each x is what a
-    lone solve gives.  Pivot ties go to the lowest row."""
-    nrows = len(rows)
+    one row_reduce of [A | rhs]; None for a column with no solution.  Free
+    unknowns are set to zero; the pivot columns depend on A alone, so each
+    x is what a lone solve gives.  The pivot is the first nonzero entry."""
     ncols = len(rows[0])
     a = [list(r) + list(b) for r, b in zip(rows, rhs)]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        scale = a[r][c]
-        a[r] = [v / scale if v else v for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w if w else v for v, w in zip(a[i], a[r])]
-        pivots.append(c)
+    pivots = row_reduce(a, ncols, Fraction(1), operator.not_, lambda v: 1)
     solutions = []
     for j in range(ncols, len(a[0])):
         x = [Fraction(0)] * ncols

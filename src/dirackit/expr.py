@@ -23,7 +23,7 @@ from .poly import Polynomial, reduce_by
 
 
 class RationalExpr:
-    __slots__ = ("ps", "num", "den")
+    __slots__ = ("ps", "num", "den", "_partials")
 
     def __init__(self, ps: PhaseSpace, num: Polynomial, den: Polynomial):
         if den.is_zero:
@@ -39,6 +39,7 @@ class RationalExpr:
         self.ps = ps
         self.num = num
         self.den = den
+        self._partials = None
 
     # -- constructors -------------------------------------------------
 
@@ -124,6 +125,14 @@ class RationalExpr:
         return self.diff_index(self.ps.index_of(var))
 
     def diff_index(self, index: int) -> "RationalExpr":
+        """The partial along variable `index`, computed once per expression."""
+        if self._partials is None:
+            self._partials = {}
+        if index not in self._partials:
+            self._partials[index] = self._partial(index)
+        return self._partials[index]
+
+    def _partial(self, index: int) -> "RationalExpr":
         dn = self.num.derivative(index)
         dd = self.den.derivative(index)
         if dd.is_zero:

@@ -1,10 +1,10 @@
 """Dense matrices of rational expressions with exact inversion.
 
-Inversion is Gauss-Jordan elimination over the rational-function field.
-Pivot choice: among the nonzero candidates in the current column, take
-the entry whose numerator has the fewest monomials; ties go to the
-lowest row index.  This keeps intermediate expression swell down and is
-fully deterministic.
+Inversion is Gauss-Jordan elimination over the rational-function field
+by `row_reduce`, which closure's exact solves share.  Pivot choice: among
+the nonzero candidates in the current column, take the entry whose
+numerator has the fewest monomials; ties go to the lowest row index.
+This keeps intermediate expression swell down and is fully deterministic.
 """
 
 from __future__ import annotations
@@ -70,32 +70,32 @@ class ExprMatrix:
                    for i in range(self.rows) for j in range(i, self.cols))
 
 
-def _gauss_jordan(rows: list[list], one, is_zero, weight) -> None:
-    """Reduce the rows of [A | identity] to [identity | A^-1] in place.
-
-    The pivot in each column is the nonzero candidate of least weight,
-    ties going to the lowest row.  An exact-zero e or b leaves e or a as
-    it is, so that work is skipped.
-    """
-    size = len(rows)
-    for col in range(size):
+def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
+    """Reduce rows in place to reduced row echelon form over their first
+    ncols columns (the later ones ride along); return the pivot columns.
+    Each pivot is the column's nonzero candidate of least weight, ties to
+    the lowest row; a column without one is skipped.  An exact-zero e or
+    b leaves e or a as it is, so that work is skipped."""
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
         piv = None
-        for r in range(col, size):
+        for r in range(top, len(rows)):
             e = rows[r][col]
             if not is_zero(e) and (piv is None or weight(e) < best):
                 piv, best = r, weight(e)
         if piv is None:
-            raise SingularMatrixError(f"no nonzero pivot in column {col}")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv_pivot = one / rows[col][col]
-        rows[col] = [e if is_zero(e) else e * inv_pivot for e in rows[col]]
-        for r in range(size):
-            if r == col:
-                continue
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv_pivot = one / rows[top][col]
+        rows[top] = [e if is_zero(e) else e * inv_pivot for e in rows[top]]
+        for r in range(len(rows)):
             factor = rows[r][col]
-            if is_zero(factor):
+            if r == top or is_zero(factor):
                 continue
-            rows[r] = [a if is_zero(b) else a - factor * b for a, b in zip(rows[r], rows[col])]
+            rows[r] = [a if is_zero(b) else a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return pivots
 
 
 def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
@@ -114,11 +114,15 @@ def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
     if all(e.num.is_constant and e.den.is_constant for e in mat.entries):
         unit = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
         rows = [[e.num.constant_value() for e in mat.row(i)] + unit[i] for i in range(size)]
-        _gauss_jordan(rows, Fraction(1), operator.not_, lambda v: 1)
-        return ExprMatrix.from_rows([[RationalExpr.constant(ps, v) for v in row[size:]]
-                                     for row in rows])
-    identity = ExprMatrix.identity(size, ps)
-    rows = [mat.row(i) + identity.row(i) for i in range(size)]  # [mat | identity]
-    _gauss_jordan(rows, RationalExpr.constant(ps, 1), operator.attrgetter("is_zero"),
-                  lambda e: len(e.num))
-    return ExprMatrix.from_rows([row[size:] for row in rows])
+        pivots = row_reduce(rows, size, Fraction(1), operator.not_, lambda v: 1)
+        inverse = [[RationalExpr.constant(ps, v) for v in row[size:]] for row in rows]
+    else:
+        identity = ExprMatrix.identity(size, ps)
+        rows = [mat.row(i) + identity.row(i) for i in range(size)]
+        pivots = row_reduce(rows, size, RationalExpr.constant(ps, 1),
+                            operator.attrgetter("is_zero"), lambda e: len(e.num))
+        inverse = [row[size:] for row in rows]
+    missing = sorted(set(range(size)).difference(pivots))
+    if missing:
+        raise SingularMatrixError(f"no nonzero pivot in column {missing[0]}")
+    return ExprMatrix.from_rows(inverse)

@@ -54,6 +54,13 @@ def _split_kv(line: str, lineno: int):
     return key, value
 
 
+def _claim(seen: set, key: str, where: str) -> None:
+    """A key may appear once in a section; a repeat is rejected, not last-wins."""
+    if key in seen:
+        raise ValidationError(f"{where} key {key!r} given twice")
+    seen.add(key)
+
+
 def load_system(path: str) -> SystemSpec:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
@@ -86,9 +93,12 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
     n = None
     parameters: tuple[str, ...] = ()
     bindings: dict[str, float] = {}
+    seen: set[str] = set()
     for lineno, line in sections["system"]:
-        if line.startswith("bind "):
-            key, value = _split_kv(line[5:], lineno)
+        bind = line.startswith("bind ")
+        key, value = _split_kv(line[5:] if bind else line, lineno)
+        _claim(seen, f"bind {key}" if bind else key, f"{source}:{lineno}: [system]")
+        if bind:
             try:
                 bindings[key] = float(value)
             except ValueError:
@@ -98,7 +108,6 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
                 raise ValidationError(
                     f"{source}:{lineno}: binding {value!r} is not a finite number")
             continue
-        key, value = _split_kv(line, lineno)
         if key == "n":
             try:
                 n = int(value)
@@ -159,16 +168,20 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
         name = line[4:].strip()
         if name not in constraint_names:
             raise ValidationError(f"{source}:{lineno}: unknown constraint {name!r}")
+        if not constraints[constraint_names.index(name)].is_polynomial:
+            raise ValidationError(f"{source}:{lineno}: on-shell rule {name!r} is not a polynomial")
         on_shell.append(name)
 
     sampler_kwargs = {"parameter_bindings": bindings}
     keys = {"seed": int, "points": int, "tolerance": float,
             "max_newton_iters": int, "max_retries": int}
     rename = {"points": "point_count"}
+    seen = set()
     for lineno, line in sections.get("sampler", []):
         key, value = _split_kv(line, lineno)
         if key not in keys:
             raise ValidationError(f"{source}:{lineno}: unknown [sampler] key {key!r}")
+        _claim(seen, key, f"{source}:{lineno}: [sampler]")
         try:
             sampler_kwargs[rename.get(key, key)] = keys[key](value)
         except ValueError:

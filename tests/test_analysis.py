@@ -12,7 +12,6 @@ from dirackit import (
     PhaseSpace,
     SamplerConfig,
     classify_constraints,
-    constraint_gradients,
     delta_matrix,
     dof_count,
     make_context,
@@ -117,13 +116,6 @@ class TestSampler:
         ctx = make_context(ps, [E("x1^200 - 1", ps), E("p1", ps)])
         for z in sample_on_shell(ctx, SamplerConfig(seed=1, point_count=8)):
             assert abs(abs(z["x1"]) - 1.0) <= 1e-12
-
-    def test_gradients_given_or_not(self, sphere_ctx):
-        cfg = SamplerConfig(seed=6, point_count=4, parameter_bindings={"r": 1.0})
-        gradients = constraint_gradients(sphere_ctx.constraints, sphere_ctx.ps)
-        with_gradients = ConstraintSystem(sphere_ctx.ps, sphere_ctx.constraints,
-                                          sphere_ctx.delta, gradients=gradients)
-        assert sample_on_shell(with_gradients, cfg) == sample_on_shell(sphere_ctx, cfg)
 
     def test_missing_parameter_binding(self, sphere_ctx):
         with pytest.raises(ValidationError):

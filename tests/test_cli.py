@@ -53,6 +53,26 @@ class TestLoadSystem:
         with pytest.raises(ValidationError):
             load_system(str(path))
 
+    @pytest.mark.parametrize("system, sampler, line, key", [
+        ("n = 3\nn = 2\n", "", 3, "n"),
+        ("n = 2\nparameters = r\nparameters = s\nbind r = 1\n", "", 4, "parameters"),
+        ("n = 2\nparameters = r\nbind r = 1\nbind  r = 2\n", "", 5, "bind r"),
+        ("n = 2\n", "seed = 1\npoints = 4\nseed = 2\n", 9, "seed"),
+        ("n = 2\n", "tolerance = 1e-9\ntolerance = 1e-3\n", 8, "tolerance"),
+    ])
+    def test_duplicate_key(self, tmp_path, capsys, system, sampler, line, key):
+        """A repeated [system] or [sampler] key is rejected; the last one
+        does not silently win."""
+        path = tmp_path / "dupkey.system"
+        path.write_text("[system]\n" + system + "[constraints]\nchi1 = x1\nchi2 = p1\n"
+                        "[sampler]\n" + sampler)
+        with pytest.raises(ValidationError, match=f":{line}: .* key {key!r} given twice"):
+            load_system(str(path))
+        for command in ("analyze", "classify"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "given twice" in err and "internal error" not in err
+
     def test_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "syn.system"
         path.write_text("[system]\nn = 1\n[constraints]\nchi1 = x1 +\nchi2 = p1\n")
@@ -152,6 +172,19 @@ class TestExitCodes:
             "chi2 = p1*x1 + p2*x2 + p3*x3\n"
             "[primaries]\ng1 = x1\ng2 = p1\n")
         assert main(["closure", str(path), "--mode", "dirac"]) == 5
+
+    @pytest.mark.parametrize("command", ["analyze", "classify", "closure"])
+    def test_non_polynomial_onshell_rule(self, tmp_path, capsys, command):
+        """An [onshell] rule must be a polynomial; naming a rational
+        constraint is an input error at load, not a later exit 5."""
+        path = tmp_path / "rule.system"
+        path.write_text("[system]\nn = 2\n[constraints]\nchi1 = x1 - 1/x2\nchi2 = p1\n"
+                        "[primaries]\ng1 = x2\ng2 = p2\n[onshell]\nuse chi2\nuse chi1\n")
+        with pytest.raises(ValidationError, match=r":11: on-shell rule 'chi1' is not a polynomial"):
+            load_system(str(path))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'chi1' is not a polynomial" in err and "internal error" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "closure"])
     @pytest.mark.parametrize("sections, message", [

@@ -63,6 +63,13 @@ def test_rank_deficient_singular(ps):
     mat = ExprMatrix.from_rows([[a, a], [a, a]])
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat)
+    # Column 1 has no pivot and column 2 has one; the error names column 1,
+    # on the general path and on the Fraction path alike.
+    for texts in ((("x1", "x1", "1"), ("x1", "x1", "2"), ("x1", "x1", "p1")),
+                  (("1", "1", "2"), ("2", "2", "3"), ("3", "3", "5"))):
+        mat = ExprMatrix.from_rows([[E(t, ps) for t in row] for row in texts])
+        with pytest.raises(SingularMatrixError, match=r"^no nonzero pivot in column 1$"):
+            invert_matrix(mat)
 
 
 def test_non_square_rejected(ps):
@@ -126,8 +133,9 @@ def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch,
     size = mat.rows
     unit = ExprMatrix.identity(size, ps)
     rows = [mat.row(i) + unit.row(i) for i in range(size)]
-    matrix._gauss_jordan(rows, RationalExpr.constant(ps, 1),
-                         operator.attrgetter("is_zero"), lambda e: len(e.num))
+    assert matrix.row_reduce(rows, size, RationalExpr.constant(ps, 1),
+                             operator.attrgetter("is_zero"), lambda e: len(e.num)) \
+        == list(range(size))
     products = []
     original = RationalExpr.__mul__
     monkeypatch.setattr(RationalExpr, "__mul__",

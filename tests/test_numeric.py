@@ -1,5 +1,6 @@
 """The pure-Python numeric layer against numpy: the rank of a pivoted QR,
-the truncated least-squares step, and the import-free CLI."""
+the truncated least-squares step, and a package that imports only the
+standard library."""
 
 import math
 import os
@@ -109,10 +110,22 @@ def test_transposed_solve_is_the_least_squares_step(seed):
     assert np.allclose(step, expected, atol=1e-9)
 
 
+IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import dirackit
+for info in pkgutil.iter_modules(dirackit.__path__):
+    importlib.import_module("dirackit." + info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - {"dirackit"} - set(sys.stdlib_module_names)))
+"""
+
+
 def test_cli_import_leaves_numpy_out():
-    code = "import sys, dirackit.cli; print('numpy' in sys.modules)"
+    """Importing every dirackit module loads nothing from outside the
+    standard library (numpy included), as `dependencies = []` promises."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", IMPORT_EVERY_MODULE], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from dirackit.brackets import DiracContext
+from dirackit.brackets import DiracContext, dirac_bracket
 from dirackit.expr import RationalExpr
+from dirackit.parser import parse_expression
 from dirackit.cli import main
 
-from conftest import mix_text, replace_everywhere, tower_text
+from conftest import jacobi_triple, mix_text, replace_everywhere, tower_text
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 STAGES = (
@@ -71,33 +72,20 @@ def test_analyze_sphere_runs_each_stage_exactly_once(stage_calls, contexts, caps
 
 
 @pytest.fixture
-def classify_partials(monkeypatch):
-    """RationalExpr.diff_index calls made inside classify_constraints, per
-    (expression, variable); the expressions are kept alive so that ids
-    are not reused."""
+def partials(monkeypatch):
+    """Partials computed (not read from an expression's memo) while the
+    test runs, per (expression, variable); the expressions are kept alive
+    so that ids are not reused."""
     calls = Counter()
     seen = []
-    inside = [0]
-    original = sys.modules["dirackit.analysis"].classify_constraints
+    compute = RationalExpr._partial
 
-    @functools.wraps(original)
-    def counted(*args, **kwargs):
-        inside[0] += 1
-        try:
-            return original(*args, **kwargs)
-        finally:
-            inside[0] -= 1
+    def counted(self, index):
+        seen.append(self)
+        calls[id(self), index] += 1
+        return compute(self, index)
 
-    replace_everywhere(monkeypatch, original, counted)
-    diff_index = RationalExpr.diff_index
-
-    def counted_diff(self, index):
-        if inside[0]:
-            seen.append(self)
-            calls[id(self), index] += 1
-        return diff_index(self, index)
-
-    monkeypatch.setattr(RationalExpr, "diff_index", counted_diff)
+    monkeypatch.setattr(RationalExpr, "_partial", counted)
     return calls
 
 
@@ -106,10 +94,29 @@ def classify_partials(monkeypatch):
     tower_text(2, sampler_seed=2),
     (SYSTEMS / "sphere.system").read_text(encoding="utf-8"),
 ], ids=["mix_m10_n10", "tower_k2", "sphere"])
-def test_classify_differentiates_each_constraint_once(classify_partials, tmp_path, text):
-    """Delta and the sampler's Jacobian read one set of constraint gradients."""
+def test_classify_differentiates_each_constraint_once(partials, tmp_path, text):
+    """Delta, the sampler's Jacobian, the trace and the closure table of
+    one analyze compute each partial once."""
     path = tmp_path / "case.system"
     path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["analyze", str(path), "--format", "json"]) == 0
-    assert classify_partials and max(classify_partials.values()) == 1
+    assert partials and max(partials.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dirac_bracket_computes_each_partial_once(partials, sphere_ctx, seed):
+    """{f, chi_a}, {chi_b, g} and {f, g} differentiate f, g and each
+    constraint along shared variables; one dirac_bracket computes each
+    partial once.  The constraints are parsed afresh, so that none of
+    their partials is left over from building Delta; the outer bracket
+    also differentiates a rational inner one."""
+    ps = sphere_ctx.ps
+    ctx = DiracContext(ps, tuple(parse_expression(str(chi), ps) for chi in sphere_ctx.constraints),
+                       sphere_ctx.delta, sphere_ctx.delta_inv)
+    f, g, h = jacobi_triple(ps, random.Random(seed))
+    inner = dirac_bracket(g, h, ctx)
+    assert partials and max(partials.values()) == 1
+    partials.clear()
+    dirac_bracket(f, inner, ctx)
+    assert partials and max(partials.values()) == 1

@@ -18,6 +18,7 @@ from .brackets import (
     constraint_gradients,
     delta_matrix,
     dirac_bracket,
+    invert_delta,
     poisson_bracket,
 )
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import RationalExpr
-from .matrix import ExprMatrix, invert_matrix
+from .matrix import ExprMatrix
 from .numeric import PivotedQR
 from .parser import parse_expression
 from .phase_space import PhaseSpace
@@ -131,7 +132,8 @@ def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
-def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str, float]]:
+def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
+                    delta_values: list | None = None) -> list[dict[str, float]]:
     """Newton-project standard-normal seeds onto the constraint surface.
 
     Deterministic for a fixed config: one `random.Random(seed)` stream,
@@ -140,7 +142,9 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str,
     through a pivoted QR of J^T truncated at its numeric rank: 2m
     equations under-determine 2n unknowns, and they may be dependent.
     An attempt fails on a pole, a float overflow, a non-finite residual
-    or Jacobian, or a converged point where Delta is not finite.
+    or Jacobian, or a converged point where Delta is not finite.  Delta
+    is evaluated once per converged point; given a list, delta_values
+    receives its row-major values at each returned point, in order.
     """
     ps = ctx.ps
     nvars = 2 * ps.n
@@ -163,12 +167,14 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str,
     constant_qr = None if jacobian.varying else factor(())
 
     def project(z):
-        """The values at the on-shell point Newton reaches from z, or None."""
+        """The values at the on-shell point Newton reaches from z and the
+        values of Delta there, or None."""
         for _ in range(cfg.max_newton_iters):
             values = z + params
             r = residual(values)
             if all(abs(v) <= cfg.tolerance for v in r):
-                return values if _finite(delta(values)) else None
+                at = delta(values)
+                return (values, at) if _finite(at) else None
             if not _finite(r):
                 return None
             qr = factor(values) if jacobian.varying else constant_qr
@@ -189,7 +195,10 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig) -> list[dict[str,
         else:
             raise NoOnShellPointError(
                 f"no on-shell point after {cfg.max_retries} retries")
-        points.append(dict(zip(ps.symbols, found)))
+        values, at = found
+        points.append(dict(zip(ps.symbols, values)))
+        if delta_values is not None:
+            delta_values.append(at)
     return points
 
 
@@ -197,21 +206,20 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
     """Second-class test: symbolic invertibility of Delta plus numeric
     full rank at sampled on-shell points.  Delta is built once and
     inverted once; the resulting context rides along on the
-    classification.  The rank is read off a pivoted QR of Delta at each
-    point, or once when no entry of Delta depends on the point."""
+    classification.  The rank is read off a pivoted QR of each distinct
+    value of Delta the sampler computed at its points."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
-        context = DiracContext(ps, constraints, delta, invert_matrix(delta))
+        context = DiracContext(ps, constraints, delta, invert_delta(delta))
     except SingularMatrixError:
         context = None
 
     k = len(constraints)
-    points = sample_on_shell(ConstraintSystem(ps, constraints, delta), cfg)
-    plan = _delta_plan(delta)
+    at_points = []
+    sample_on_shell(ConstraintSystem(ps, constraints, delta), cfg, at_points)
     rank = k
-    for point in points if plan.varying else points[:1]:
-        numeric = plan([point[s] for s in ps.symbols])
+    for numeric in set(map(tuple, at_points)):  # a constant Delta has one value
         qr = PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])  # the rows of Delta
         rank = min(rank, qr.rank(RANK_TOLERANCE))
 
@@ -227,13 +235,14 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
 
 
 def trace_identity(ctx: DiracContext) -> TraceIdentity:
-    """Sum of {x_i, p_i}_D over all pairs; must equal n - m exactly."""
+    """Sum of {x_i, p_i}_D over all pairs, cancelled; must equal n - m exactly."""
     ps = ctx.ps
     total = RationalExpr.zero(ps)
     for i in range(1, ps.n + 1):
         xi = RationalExpr.symbol(ps, ps.coordinates[i - 1])
         pi = RationalExpr.symbol(ps, ps.momenta[i - 1])
         total = total + dirac_bracket(xi, pi, ctx)
+    total = total.cancel()
     expected = ps.n - ctx.m
     holds = (total - RationalExpr.constant(ps, expected)).is_zero
     return TraceIdentity(value=total, expected=expected, holds=holds)

@@ -10,7 +10,10 @@ set chi_1..chi_2m the Dirac bracket is
     {f, g}_D = {f, g} - {f, chi_a} * (Delta^-1)_ab * {chi_b, g}
 
 where Delta_ab = {chi_a, chi_b} must be invertible as a matrix of
-rational functions.
+rational functions.  The entries of a context's Delta^-1 are written
+over one factor table of their denominators (see `dirackit.expr`), so
+Dirac brackets add by lcm of those denominators, and each one is
+returned with every factor that divides its numerator cancelled.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
     SingularMatrixError,
     TooManyConstraintsError,
 )
-from .expr import RationalExpr
+from .expr import RationalExpr, over_factor_table
 from .matrix import ExprMatrix, invert_matrix
 from .phase_space import PhaseSpace
 
@@ -88,6 +91,12 @@ class DiracContext(ConstraintSystem):
     delta_inv: ExprMatrix
 
 
+def invert_delta(delta: ExprMatrix) -> ExprMatrix:
+    """Delta^-1, its entries written over the table of their denominators."""
+    inverse = invert_matrix(delta)
+    return ExprMatrix(inverse.rows, inverse.cols, over_factor_table(inverse.entries))
+
+
 def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     """Validate a second-class constraint set and cache Delta and its inverse."""
     constraints = tuple(constraints)
@@ -96,7 +105,7 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     if k > 2 * ps.n:
         raise TooManyConstraintsError(f"{k} constraints exceed 2n = {2 * ps.n}")
     try:
-        delta_inv = invert_matrix(delta)
+        delta_inv = invert_delta(delta)
     except SingularMatrixError as exc:
         raise NotSecondClassError(
             "constraint bracket matrix is symbolically singular") from exc
@@ -104,7 +113,8 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
 
 
 def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> RationalExpr:
-    """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order."""
+    """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order,
+    with the factors that divide its numerator cancelled."""
     k = len(ctx.constraints)
     for a in range(k):
         if f_chi[a].is_zero:
@@ -114,7 +124,7 @@ def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> Ration
             if entry.is_zero or chi_g[b].is_zero:
                 continue
             acc = acc - f_chi[a] * entry * chi_g[b]
-    return acc
+    return acc.cancel()
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:

@@ -6,11 +6,25 @@ coefficient under graded lex.  There is deliberately no polynomial gcd
 cancellation of num against den; equality of a/b and c/d is decided by
 expanding a*d - c*b to canonical polynomial form.  All values are
 immutable and all operations pure.
+
+A denominator is opaque unless the expression is written over a
+FactorTable: distinct primitive polynomials (the denominators of a Dirac
+context's inverse of Delta) of which den is a product of powers.  Such
+an expression also carries one exponent per factor.  Between operands
+over the same table (or a polynomial), `*` adds exponents, `+` and `-`
+scale each numerator by the powers the other has more of (the lcm of the
+denominators) instead of cross-multiplying, and a partial raises the
+exponent of each factor that depends on the variable by one instead of
+squaring den.  `cancel` divides the numerator by each factor as long as
+it divides exactly.  Every other operation, and any operand pair with an
+opaque non-polynomial side, uses the opaque arithmetic, whose results
+are opaque.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import (
     DivisionByZeroError,
@@ -22,8 +36,58 @@ from .phase_space import PhaseSpace
 from .poly import Polynomial, reduce_by
 
 
+class FactorTable:
+    """Distinct primitive polynomials with positive leading coefficients;
+    the denominators written over the table are products of their powers."""
+
+    __slots__ = ("factors", "supports", "zero", "_products")
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.supports = tuple(f.symbols_used() for f in self.factors)
+        self.zero = (0,) * len(self.factors)
+        self._products = {}
+
+    def product(self, exps: tuple[int, ...]) -> Polynomial:
+        """prod(factor ** e), expanded once per exponent vector.  A product
+        of primitive polynomials with positive leading coefficients is one
+        too, so it is already a denominator in normal form."""
+        p = self._products.get(exps)
+        if p is None:
+            p = Polynomial.constant(self.factors[0].nsyms, 1)
+            for f, e in zip(self.factors, exps):
+                if e:
+                    p = p * f ** e
+            self._products[exps] = p
+        return p
+
+
+def over_factor_table(entries) -> list["RationalExpr"]:
+    """The entries, each one with a non-constant denominator written over
+    one shared table of their distinct denominators."""
+    dens = list(dict.fromkeys(e.den for e in entries if not e.is_polynomial))
+    if not dens:
+        return list(entries)
+    table = FactorTable(dens)
+    return [e if e.is_polynomial else
+            _over(e.ps, e.num, table, tuple(int(d == e.den) for d in dens))
+            for e in entries]
+
+
+def _over(ps: PhaseSpace, num: Polynomial, table: FactorTable,
+          exps: tuple[int, ...]) -> "RationalExpr":
+    """num / prod(table.factors ** exps); a polynomial keeps no table."""
+    if num.is_zero or not any(exps):
+        return RationalExpr(ps, num, Polynomial.constant(ps.nsyms, 1))
+    e = object.__new__(RationalExpr)
+    e.ps, e.num, e.den = ps, num, table.product(exps)
+    e._table, e._exps, e._partials = table, exps, None
+    return e
+
+
 class RationalExpr:
-    __slots__ = ("ps", "num", "den", "_partials")
+    # _exps, one exponent per factor of _table, is set only when _table is.
+    __slots__ = ("ps", "num", "den", "_table", "_exps", "_partials")
 
     def __init__(self, ps: PhaseSpace, num: Polynomial, den: Polynomial):
         if den.is_zero:
@@ -39,6 +103,7 @@ class RationalExpr:
         self.ps = ps
         self.num = num
         self.den = den
+        self._table = None
         self._partials = None
 
     # -- constructors -------------------------------------------------
@@ -82,8 +147,36 @@ class RationalExpr:
         if self.ps is not other.ps and self.ps != other.ps:
             raise ValueError("operands belong to different phase spaces")
 
+    def _common_table(self, other: "RationalExpr") -> FactorTable | None:
+        """The table both operands can be written over, if any: a
+        polynomial can be written over every table."""
+        t, u = self._table, other._table
+        if t is u:
+            return t
+        if t is None:
+            return u if self.den.is_constant else None
+        if u is None:
+            return t if other.den.is_constant else None
+        return None
+
+    def _exps_over(self, table: FactorTable) -> tuple[int, ...]:
+        return table.zero if self._table is None else self._exps
+
+    def _with_num(self, num: Polynomial) -> "RationalExpr":
+        """num over this expression's denominator."""
+        if self._table is None:
+            return RationalExpr(self.ps, num, self.den)
+        return _over(self.ps, num, self._table, self._exps)
+
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
+        if (self._table or other._table) and (table := self._common_table(other)):
+            a, b = self._exps_over(table), other._exps_over(table)
+            if a == b:
+                return _over(self.ps, self.num + other.num, table, a)
+            lcm = tuple(map(max, a, b))
+            return _over(self.ps, self.num * table.product(tuple(map(sub, lcm, a)))
+                         + other.num * table.product(tuple(map(sub, lcm, b))), table, lcm)
         if self.den == other.den:
             return RationalExpr(self.ps, self.num + other.num, self.den)
         return RationalExpr(self.ps,
@@ -94,10 +187,13 @@ class RationalExpr:
         return self + (-other)
 
     def __neg__(self) -> "RationalExpr":
-        return RationalExpr(self.ps, -self.num, self.den)
+        return self._with_num(-self.num)
 
     def __mul__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
+        if (self._table or other._table) and (table := self._common_table(other)):
+            return _over(self.ps, self.num * other.num, table,
+                         tuple(map(add, self._exps_over(table), other._exps_over(table))))
         return RationalExpr(self.ps, self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RationalExpr") -> "RationalExpr":
@@ -114,7 +210,22 @@ class RationalExpr:
         return RationalExpr(self.ps, self.num ** k, self.den ** k)
 
     def scale(self, value) -> "RationalExpr":
-        return RationalExpr(self.ps, self.num.scale(value), self.den)
+        return self._with_num(self.num.scale(value))
+
+    def cancel(self) -> "RationalExpr":
+        """Divide each factor of the table out of num as often as it
+        divides exactly; an opaque expression is returned as it is."""
+        table = self._table
+        if table is None:
+            return self
+        num, exps = self.num, list(self._exps)
+        for i, f in enumerate(table.factors):
+            while exps[i]:
+                quotient = num.exact_quotient(f)
+                if quotient is None:
+                    break
+                num, exps[i] = quotient, exps[i] - 1
+        return self if num is self.num else _over(self.ps, num, table, tuple(exps))
 
     # -- calculus -----------------------------------------------------
 
@@ -134,12 +245,32 @@ class RationalExpr:
 
     def _partial(self, index: int) -> "RationalExpr":
         dn = self.num.derivative(index)
+        if self._table is not None:
+            return self._factored_partial(index, dn)
         dd = self.den.derivative(index)
         if dd.is_zero:
             return RationalExpr(self.ps, dn, self.den)
         return RationalExpr(self.ps,
                             dn * self.den - self.num * dd,
                             self.den * self.den)
+
+    def _factored_partial(self, index: int, dn: Polynomial) -> "RationalExpr":
+        """d(N / prod f_i^e_i) = (dN * prod_H f_i - N * sum_H e_i df_i
+        prod_{H - i} f_j) / prod f_i^(e_i + [i in H]), where H holds the
+        factors present that depend on the variable."""
+        table, exps = self._table, self._exps
+        hit = [i for i, e in enumerate(exps) if e and index in table.supports[i]]
+        num = dn
+        for i in hit:
+            num = num * table.factors[i]
+        for i in hit:
+            term = self.num * table.factors[i].derivative(index).scale(exps[i])
+            for j in hit:
+                if j != i:
+                    term = term * table.factors[j]
+            num = num - term
+        return _over(self.ps, num, table,
+                     tuple(e + (i in hit) for i, e in enumerate(exps)))
 
     # -- evaluation ---------------------------------------------------
 

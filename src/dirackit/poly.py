@@ -273,6 +273,42 @@ class Polynomial:
             num, den = num // g, den // g
         return _make(self.nsyms, num, den, out, self._lead + other._lead)
 
+    def exact_quotient(self, divisor: "Polynomial") -> "Polynomial | None":
+        """self / divisor when divisor divides self exactly, else None.
+
+        Division of the primitive parts: one divisor is a Groebner basis of
+        its ideal, so it divides exactly iff graded-lex division leaves no
+        remainder, and by Gauss's lemma every quotient coefficient is then
+        an integer.  The first leading monomial that the divisor's does
+        not divide, or the first coefficient that is not an integer, ends
+        the division.  Both extremes of a product are products of the
+        extremes, so the lowest monomials are checked first.
+        """
+        if not self._t:
+            return self
+        nsyms, dlead = self.nsyms, divisor._lead
+        if not _divides(nsyms, min(divisor._t), min(self._t)):
+            return None
+        dlc = divisor._t[dlead]
+        work, quotient = dict(self._t), {}
+        while work:
+            lm = max(work)
+            q, r = divmod(work[lm], dlc)
+            if r or not _divides(nsyms, dlead, lm):
+                return None
+            mono = lm - dlead
+            quotient[mono] = q
+            for k, v in divisor._t.items():
+                key = mono + k
+                s = work.get(key, 0) - q * v
+                if s:
+                    work[key] = s
+                else:
+                    del work[key]
+        content = _fraction(self._n, self._d) / _fraction(divisor._n, divisor._d)
+        return _make(nsyms, content.numerator, content.denominator, quotient,
+                     self._lead - dlead)
+
     def scale(self, factor) -> "Polynomial":
         f = Fraction(factor)
         if f == 0 or not self._t:

@@ -27,7 +27,10 @@ from dirackit.errors import (
     ValidationError,
 )
 
-from conftest import linear_mix_constraints, random_polynomial
+from dirackit import analysis
+from dirackit.sysfile import parse_system
+
+from conftest import linear_mix_constraints, random_polynomial, tower_text
 
 
 def E(text, ps):
@@ -155,6 +158,35 @@ class TestClassification:
         assert c.verdict == "second_class"
         assert c.dof_pairs == 2
 
+    def test_delta_is_evaluated_once_per_point(self, monkeypatch):
+        """The rank check reuses the values of Delta the sampler computed
+        to accept each point."""
+        spec = parse_system(tower_text(2, sampler_seed=3))
+        calls = [0]
+        plan_delta = analysis._delta_plan
+
+        class Counted:
+            def __init__(self, delta):
+                self.plan = plan_delta(delta)
+
+            def __call__(self, values):
+                calls[0] += 1
+                return self.plan(values)
+
+        monkeypatch.setattr(analysis, "_delta_plan", Counted)
+        c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
+        assert c.on_shell_rank == 4
+        assert calls[0] == spec.sampler.point_count
+
+    def test_delta_values_come_with_the_points(self, sphere_ctx):
+        cfg = SamplerConfig(seed=6, point_count=3, parameter_bindings={"r": 1.0})
+        at = []
+        points = sample_on_shell(sphere_ctx, cfg, at)
+        assert points == sample_on_shell(sphere_ctx, cfg)
+        assert len(at) == len(points)
+        for point, values in zip(points, at):
+            assert values == [e.evaluate(point) for e in sphere_ctx.delta.entries]
+
 
 class TestTraceIdentity:
     def test_canonical_pair(self, ps3):
@@ -168,6 +200,7 @@ class TestTraceIdentity:
         t = trace_identity(sphere_ctx)
         assert t.expected == 2
         assert t.holds
+        assert t.value_text == "2"
 
     def test_trivial_full_constraint_set(self):
         ps = PhaseSpace(2)

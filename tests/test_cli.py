@@ -274,6 +274,10 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "expected=2" in out and "holds=true" in out
 
+    def test_trace_prints_the_reduced_value(self, capsys):
+        assert main(["trace", SPHERE]) == 0
+        assert capsys.readouterr().out == "value=2 expected=2 holds=true\n"
+
     def test_closure_poisson_angular(self, capsys):
         assert main(["closure", ANGULAR, "--mode", "poisson",
                      "--format", "json"]) == 0

@@ -9,8 +9,9 @@ both the golden and the fresh output before they are compared.
 `golden/families.json` pins the exit code and the sha256 of stdout of
 `analyze` (and `closure --mode poisson` on the towers) on sphere towers
 and seeded linear mixes, and the six printed Dirac brackets of a sphere
-Jacobi triple.  These brackets and reports are large and uncancelled, so
-their printed forms change with the order in which terms are summed.
+Jacobi triple.  Dirac brackets and trace values print reduced (every
+factor of the context's denominator table that divides the numerator is
+cancelled), but the terms of a report are many, so a digest pins them.
 It also pins two closures that no shipped system reaches: one that is
 not closed, and one that stops at a non-polynomial bracket; and
 `analyze` and `classify` on two dependent constraint sets (exit 3, on-shell
@@ -19,6 +20,9 @@ rank 0).  A case with stderr lines other than `[timing]` pins those as well.
 Regenerate (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the file and name of every pinned case it adds, rewrites
+or drops.
 """
 
 import contextlib
@@ -234,12 +238,39 @@ def test_jacobi_brackets_match_golden(families, jacobi):
         assert _sha256(text) == families[name], name
 
 
+# What the digests stand for, spelled out.
+
+def test_jacobi_outer_brackets_are_over_the_squared_radius(jacobi):
+    squared = "x1^4 + 2*x1^2*x2^2 + 2*x1^2*x3^2 + x2^4 + 2*x2^2*x3^2 + x3^4"
+    for name in ("{f,{g,h}}", "{g,{h,f}}", "{h,{f,g}}"):
+        assert jacobi[f"jacobi {name}"].endswith(f")/({squared})"), name
+
+
+@pytest.mark.parametrize("k", TOWER_SIZES)
+def test_tower_trace_value_is_2k(tmp_path, k):
+    path = tmp_path / f"tower_k{k}.system"
+    path.write_text(family_files()[path.name], encoding="utf-8")
+    result = run_case(["trace", str(path)])
+    assert result == {"exit": 0, "stdout": f"value={2 * k} expected={2 * k} holds=true\n",
+                      "stderr": []}
+
+
+def write_golden(path: Path, data: dict) -> None:
+    """Write data to path, printing each case that differs from the file's."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for name in sorted(set(old) | set(data)):
+        if name not in data:
+            print(f"dropped {path.name}: {name}")
+        elif name not in old:
+            print(f"added {path.name}: {name}")
+        elif old[name] != data[name]:
+            print(f"changed {path.name}: {name}")
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(data)} cases to {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    data = {name: run_case(argv) for name, argv in sorted(cases().items())}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(data)} cases to {GOLDEN}", file=sys.stderr)
+    write_golden(GOLDEN, {name: run_case(argv) for name, argv in sorted(cases().items())})
     with tempfile.TemporaryDirectory() as workdir:
-        data = family_digests(Path(workdir))
-    FAMILIES.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(data)} cases to {FAMILIES}", file=sys.stderr)
+        write_golden(FAMILIES, family_digests(Path(workdir)))

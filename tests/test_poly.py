@@ -316,3 +316,20 @@ def test_terms_view_is_read_only(ps):
         p.terms[(1, 0, 0, 0, 0, 0, 0)] = Fraction(1)
     assert p.terms.get((9, 9), Fraction(0)) == 0
     assert (0,) * 7 not in p.terms
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_exact_quotient(case):
+    """A product divides back exactly; a perturbed one divides exactly iff
+    division by the one divisor (a Groebner basis of its ideal) leaves
+    no remainder."""
+    rng, nsyms, ta, tb = oracle_case(case)
+    a, b = Polynomial(nsyms, ta), Polynomial(nsyms, tb)
+    if b.is_zero:
+        b = Polynomial.constant(nsyms, Fraction(-3, 2))
+    assert (a * b).exact_quotient(b) == a
+    c = (a * b) + Polynomial(nsyms, random_terms(rng, nsyms, 2, 3))
+    q = c.exact_quotient(b)
+    assert (q is None) == (not reduce_by(c, [b]).is_zero)
+    if q is not None:
+        assert q * b == c

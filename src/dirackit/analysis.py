@@ -235,13 +235,31 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
 
 
 def trace_identity(ctx: DiracContext) -> TraceIdentity:
-    """Sum of {x_i, p_i}_D over all pairs, cancelled; must equal n - m exactly."""
-    ps = ctx.ps
+    """Sum over the pairs of Pi_D[x_i, p_i] = {x_i, p_i}_D, each one
+    cancelled, and the sum cancelled; must equal n - m exactly.
+
+    Pi_D[x_i, p_i] = 1 - sum_a u_a * sum_b (Delta^-1)_ab w_b, where
+    u_a = {x_i, chi_a} = dchi_a/dp_i and w_b = {chi_b, p_i} = dchi_b/dx_i
+    are read from the memoised partials; exact zeros are skipped.  With
+    an opaque (non-polynomial) operand the printed value depends on this
+    grouping, and it can differ from that of a sum of `dirac_bracket`s,
+    which subtracts term by term, while the two are equal."""
+    ps, chis = ctx.ps, ctx.constraints
+    inverse = [ctx.delta_inv.row(a) for a in range(len(chis))]
+    one = RationalExpr.constant(ps, 1)
     total = RationalExpr.zero(ps)
     for i in range(1, ps.n + 1):
-        xi = RationalExpr.symbol(ps, ps.coordinates[i - 1])
-        pi = RationalExpr.symbol(ps, ps.momenta[i - 1])
-        total = total + dirac_bracket(xi, pi, ctx)
+        u = [chi.diff_index(ps.momentum_index(i)) for chi in chis]
+        w = [chi.diff_index(ps.coordinate_index(i)) for chi in chis]
+        pair = one
+        for ua, row in zip(u, inverse):
+            if ua.is_zero:
+                continue
+            terms = [entry * wb for entry, wb in zip(row, w)
+                     if not (wb.is_zero or entry.is_zero)]
+            if terms:
+                pair = pair - ua * sum(terms[1:], terms[0])
+        total = total + pair.cancel()
     total = total.cancel()
     expected = ps.n - ctx.m
     holds = (total - RationalExpr.constant(ps, expected)).is_zero

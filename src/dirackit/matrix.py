@@ -1,10 +1,12 @@
 """Dense matrices of rational expressions with exact inversion.
 
-Inversion is Gauss-Jordan elimination over the rational-function field
-by `row_reduce`, which closure's exact solves share.  Pivot choice: among
-the nonzero candidates in the current column, take the entry whose
-numerator has the fewest monomials; ties go to the lowest row index.
-This keeps intermediate expression swell down and is fully deterministic.
+A symbolic matrix is inverted by Gauss-Jordan elimination over the
+rational-function field, `row_reduce`, which closure's exact solves
+share.  Pivot choice: among the nonzero candidates in the current
+column, take the entry whose numerator has the fewest monomials; ties go
+to the lowest row index.  This keeps intermediate expression swell down
+and is fully deterministic.  A matrix of constants is inverted
+fraction-free on Python ints instead (`_invert_integers`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import SingularMatrixError
 from .expr import RationalExpr
@@ -98,31 +101,62 @@ def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
     return pivots
 
 
+def _invert_integers(values: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular matrix of Fractions by one fraction-free
+    (Bareiss 1968) Gauss-Jordan pass over ints on [scale * A | I].
+
+    Each step replaces every row but the pivot row by
+    (p * row - f * pivot_row) // prev, which divides exactly, and drops
+    the eliminated column, whose entries are then 0 off the pivot row.
+    What is left at the end is d * (scale * A)^-1, where d, the last
+    pivot, is det(scale * A) up to the sign of the row swaps; so the
+    result is scale * adj / det, one Fraction per entry.  The pivot is the
+    first nonzero entry in the column, with a row swap, as in
+    Gauss-Jordan on Fractions (`row_reduce` with a constant weight); each
+    entry here is a nonzero multiple of the one there, so both meet the
+    same first column without a pivot."""
+    size = len(values)
+    scale = lcm(*(v.denominator for row in values for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row]
+            + [int(i == j) for j in range(size)] for i, row in enumerate(values)]
+    prev = 1
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][0]), None)
+        if piv is None:
+            raise SingularMatrixError(f"no nonzero pivot in column {col}")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p, tail = rows[col][0], rows[col][1:]
+        for r, row in enumerate(rows):
+            f = row[0]
+            rows[r] = tail if r == col else \
+                [(p * a - f * b) // prev for a, b in zip(row[1:], tail)]
+        prev = p
+    return [[Fraction(scale * v, prev) for v in row] for row in rows]
+
+
 def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
     """Exact inverse over the rational-function field.
 
     Raises SingularMatrixError when some column has no nonzero pivot,
-    i.e. the matrix is singular as a matrix of rational functions.  A
-    matrix of constants is eliminated on Fractions by the same steps and
-    pivot rule (every nonzero constant has one term); a constant has one
-    normal form, so the entries are the ones the general path builds.
+    i.e. the matrix is singular as a matrix of rational functions, and
+    names the first such column.  A matrix of constants is inverted on
+    ints by `_invert_integers`; an inverse is unique and a constant has
+    one normal form, so the entries are the ones elimination over
+    rational functions builds.
     """
     if mat.rows != mat.cols:
         raise ValueError("matrix must be square")
     size = mat.rows
     ps = mat.entries[0].ps
     if all(e.num.is_constant and e.den.is_constant for e in mat.entries):
-        unit = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-        rows = [[e.num.constant_value() for e in mat.row(i)] + unit[i] for i in range(size)]
-        pivots = row_reduce(rows, size, Fraction(1), operator.not_, lambda v: 1)
-        inverse = [[RationalExpr.constant(ps, v) for v in row[size:]] for row in rows]
-    else:
-        identity = ExprMatrix.identity(size, ps)
-        rows = [mat.row(i) + identity.row(i) for i in range(size)]
-        pivots = row_reduce(rows, size, RationalExpr.constant(ps, 1),
-                            operator.attrgetter("is_zero"), lambda e: len(e.num))
-        inverse = [row[size:] for row in rows]
+        values = [[e.num.constant_value() for e in mat.row(i)] for i in range(size)]
+        return ExprMatrix.from_rows([[RationalExpr.constant(ps, v) for v in row]
+                                     for row in _invert_integers(values)])
+    identity = ExprMatrix.identity(size, ps)
+    rows = [mat.row(i) + identity.row(i) for i in range(size)]
+    pivots = row_reduce(rows, size, RationalExpr.constant(ps, 1),
+                        operator.attrgetter("is_zero"), lambda e: len(e.num))
     missing = sorted(set(range(size)).difference(pivots))
     if missing:
         raise SingularMatrixError(f"no nonzero pivot in column {missing[0]}")
-    return ExprMatrix.from_rows(inverse)
+    return ExprMatrix.from_rows([row[size:] for row in rows])

@@ -10,9 +10,11 @@ from dirackit import (
     DiracContext,
     ExprMatrix,
     PhaseSpace,
+    RationalExpr,
     SamplerConfig,
     classify_constraints,
     delta_matrix,
+    dirac_bracket,
     dof_count,
     make_context,
     parse_expression,
@@ -23,6 +25,7 @@ from dirackit import (
 from dirackit.errors import (
     InvalidCountsError,
     NoOnShellPointError,
+    NotSecondClassError,
     PreconditionViolatedError,
     ValidationError,
 )
@@ -30,7 +33,8 @@ from dirackit.errors import (
 from dirackit import analysis
 from dirackit.sysfile import parse_system
 
-from conftest import linear_mix_constraints, random_polynomial, tower_text
+from conftest import (linear_mix_constraints, random_polynomial, random_rational_expr,
+                      tower_text)
 
 
 def E(text, ps):
@@ -227,6 +231,61 @@ class TestTraceIdentity:
                 mixed = linear_mix_constraints(ps, m, rng)
                 t = trace_identity(make_context(ps, mixed))
                 assert t.holds and t.expected == n - m
+
+
+def dirac_trace_text(ctx) -> str:
+    """The trace as a sum of Dirac brackets {x_i, p_i}_D, cancelled: the
+    reference for trace_identity, which reads Pi_D's diagonal."""
+    ps = ctx.ps
+    total = RationalExpr.zero(ps)
+    for x, p in zip(ps.coordinates, ps.momenta):
+        total = total + dirac_bracket(E(x, ps), E(p, ps), ctx)
+    return str(total.cancel())
+
+
+def _rational_pair_contexts(count: int):
+    """Seeded second-class pairs of random rational expressions."""
+    rng = random.Random(31)
+    ps = PhaseSpace(2)
+    contexts = []
+    while len(contexts) < count:
+        pair = [random_rational_expr(ps, rng, max_degree=2, max_terms=2) for _ in range(2)]
+        try:
+            contexts.append(make_context(ps, pair))
+        except NotSecondClassError:
+            continue
+    return contexts
+
+
+class TestTraceMatchesDiracBrackets:
+    def test_sphere_and_towers(self, sphere_ctx):
+        contexts = [sphere_ctx]
+        for k in (1, 2, 3):
+            spec = parse_system(tower_text(k, sampler_seed=1))
+            contexts.append(make_context(spec.ps, spec.constraints))
+        for ctx in contexts:
+            assert trace_identity(ctx).value_text == dirac_trace_text(ctx)
+
+    def test_seeded_mixes(self):
+        rng = random.Random(8)
+        for m, n in ((1, 1), (2, 3), (3, 3), (4, 6), (6, 6)):
+            ps = PhaseSpace(n)
+            ctx = make_context(ps, linear_mix_constraints(ps, m, rng))
+            assert trace_identity(ctx).value_text == dirac_trace_text(ctx)
+
+    @pytest.mark.parametrize("texts,printed", [
+        (["x1/(1+x2^2)", "p1"], "2"),
+        (["x1^2+x2^2-1", "(x1*p1+x2*p2)/(1+x3^2)"],
+         "(2*x1^2*x3^2 + 2*x2^2*x3^2 + 2*x1^2 + 2*x2^2)/(x1^2*x3^2 + x2^2*x3^2 + x1^2 + x2^2)"),
+        (["x1/(1+x2^2)", "p1*(1+x2^2)", "x3", "p3 + x1*x2/(2+x3^2)"], "1"),
+    ])
+    def test_non_polynomial_constraints(self, ps3, texts, printed):
+        ctx = make_context(ps3, [E(t, ps3) for t in texts])
+        assert trace_identity(ctx).value_text == dirac_trace_text(ctx) == printed
+
+    def test_seeded_rational_pairs(self):
+        for ctx in _rational_pair_contexts(20):
+            assert trace_identity(ctx).value_text == dirac_trace_text(ctx)
 
 
 class TestReductionCheck:

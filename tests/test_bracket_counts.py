@@ -1,8 +1,8 @@
 """The bracket layer does only the work that can be nonzero.
 
 A Dirac bracket table computes each item's brackets with the constraints
-once, and a Poisson bracket differentiates only along canonical pairs
-that both operands can depend on.
+once, a Poisson bracket differentiates only along canonical pairs that
+both operands can depend on, and the trace makes no bracket at all.
 """
 
 import contextlib
@@ -14,10 +14,11 @@ import sys
 import pytest
 
 from dirackit import RationalExpr, bracket_table, dirac_bracket, make_context
+from dirackit import brackets
 from dirackit.cli import main
 from dirackit.sysfile import parse_system
 
-from conftest import random_polynomial, replace_everywhere, tower_text
+from conftest import mix_text, random_polynomial, replace_everywhere, tower_text
 
 
 @pytest.fixture
@@ -85,3 +86,29 @@ def test_poisson_brackets_skip_pairs_outside_the_supports(counts, tmp_path):
         assert main(["analyze", str(path), "--format", "json"]) == 0
     assert counts["poisson"] > 0
     assert counts["diff_index"] < 4 * n * counts["poisson"]
+
+
+def test_mix_analyze_brackets_only_for_delta(counts, monkeypatch, tmp_path):
+    """An n = m = 10 mix: Delta's k(k - 1)/2 Poisson brackets are all the
+    brackets one analyze makes; the trace reads partials instead."""
+    path = tmp_path / "mix.system"
+    path.write_text(mix_text(10, 10, random.Random(4)), encoding="utf-8")
+    dirac_calls, delta_brackets = [], []
+    replace_everywhere(monkeypatch, dirac_bracket,
+                       lambda *args: dirac_calls.append(1) or dirac_bracket(*args))
+    delta_matrix = brackets.delta_matrix
+
+    def counted_delta(*args):
+        before = counts["poisson"]
+        try:
+            return delta_matrix(*args)
+        finally:
+            delta_brackets.append(counts["poisson"] - before)
+
+    replace_everywhere(monkeypatch, delta_matrix, counted_delta)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+    k = 20
+    assert counts["poisson"] == k * (k - 1) // 2 == 190
+    assert delta_brackets == [190]
+    assert dirac_calls == []

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -64,7 +65,7 @@ def test_rank_deficient_singular(ps):
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat)
     # Column 1 has no pivot and column 2 has one; the error names column 1,
-    # on the general path and on the Fraction path alike.
+    # on the general path and on the integer path alike.
     for texts in ((("x1", "x1", "1"), ("x1", "x1", "2"), ("x1", "x1", "p1")),
                   (("1", "1", "2"), ("2", "2", "3"), ("3", "3", "5"))):
         mat = ExprMatrix.from_rows([[E(t, ps) for t in row] for row in texts])
@@ -124,7 +125,7 @@ def test_inversion_skips_exact_zero_products(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch, seed):
-    """A constant Delta (a linear mix) takes the Fraction path: it makes no
+    """A constant Delta (a linear mix) is inverted on ints: it makes no
     RationalExpr product, and its inverse has the very entries that the
     elimination over RationalExprs gives."""
     rng = random.Random(seed)
@@ -147,3 +148,82 @@ def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch,
             general = rows[i][size + j]
             assert (inv.at(i, j).num, inv.at(i, j).den) == (general.num, general.den)
             assert str(inv.at(i, j)) == str(general)
+
+
+# -- the fraction-free inverse of a constant matrix -----------------------
+
+def _fraction_inverse(values):
+    """Gauss-Jordan on Fractions with the first-nonzero pivot rule: the
+    inverse, or the SingularMatrixError message it leads to."""
+    size = len(values)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(size)]
+            for i, row in enumerate(values)]
+    pivots = matrix.row_reduce(rows, size, Fraction(1), operator.not_, lambda v: 1)
+    missing = sorted(set(range(size)).difference(pivots))
+    if missing:
+        return f"no nonzero pivot in column {missing[0]}"
+    return [row[size:] for row in rows]
+
+
+def _constant_matrix(rng, size, fractions, skew):
+    def value():
+        v = rng.randint(-4, 4)
+        return Fraction(v, rng.randint(1, 6)) if fractions else Fraction(v)
+    values = [[value() for _ in range(size)] for _ in range(size)]
+    if skew:
+        values = [[values[i][j] if i < j else -values[j][i] if i > j else Fraction(0)
+                   for j in range(size)] for i in range(size)]
+    return values
+
+
+def _as_matrix(values, ps):
+    return ExprMatrix.from_rows([[RationalExpr.constant(ps, v) for v in row] for row in values])
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("size", range(1, 13))
+def test_constant_inverse_matches_fraction_elimination_and_sympy(size, fractions):
+    """Nonsingular seeded matrices, skew (even sizes; an odd skew matrix
+    is singular) and not skew, with int and with Fraction entries."""
+    import sympy
+
+    ps = PhaseSpace(1)
+    rng = random.Random(100 * size + fractions)
+    for skew in (False, True) if size % 2 == 0 else (False,):
+        while True:
+            values = _constant_matrix(rng, size, fractions, skew)
+            expected = _fraction_inverse(values)
+            if not isinstance(expected, str):
+                break
+        inverse = invert_matrix(_as_matrix(values, ps))
+        oracle = sympy.Matrix(values).inv()
+        for i in range(size):
+            for j in range(size):
+                entry = inverse.at(i, j)
+                assert entry.den.constant_value() == 1
+                assert entry.num.constant_value() == expected[i][j]
+                assert entry.num.constant_value() == Fraction(str(oracle[i, j]))
+
+
+@pytest.mark.parametrize("size", range(2, 13))
+def test_constant_singular_matrix_names_the_fraction_path_column(size):
+    """A seeded column that is a combination of the ones before it, not
+    the last one, is the first without a pivot; odd skew matrices are
+    singular as they are.  Both raise the Fraction path's message."""
+    ps = PhaseSpace(1)
+    rng = random.Random(size)
+    cases = []
+    if size % 2:
+        cases.append((_constant_matrix(rng, size, True, skew=True), None))
+    for fractions in (False, True):
+        values = _constant_matrix(rng, size, fractions, skew=False)
+        col = rng.randrange(size - 1)
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(col)]
+        for row in values:
+            row[col] = sum((w * v for w, v in zip(weights, row)), Fraction(0))
+        cases.append((values, col))
+    for values, col in cases:
+        message = _fraction_inverse(values)
+        assert col is None or message == f"no nonzero pivot in column {col}"
+        with pytest.raises(SingularMatrixError, match=f"^{message}$"):
+            invert_matrix(_as_matrix(values, ps))

@@ -29,7 +29,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .expr import RationalExpr
+from .expr import RationalExpr, add_products
 from .matrix import ExprMatrix
 from .numeric import PivotedQR
 from .parser import parse_expression
@@ -240,25 +240,20 @@ def trace_identity(ctx: DiracContext) -> TraceIdentity:
 
     Pi_D[x_i, p_i] = 1 - sum_a u_a * sum_b (Delta^-1)_ab w_b, where
     u_a = {x_i, chi_a} = dchi_a/dp_i and w_b = {chi_b, p_i} = dchi_b/dx_i
-    are read from the memoised partials; exact zeros are skipped.  With
+    are read from the memoised partials; both sums are `add_products`,
+    which skips exact zeros.  With
     an opaque (non-polynomial) operand the printed value depends on this
     grouping, and it can differ from that of a sum of `dirac_bracket`s,
     which subtracts term by term, while the two are equal."""
     ps, chis = ctx.ps, ctx.constraints
     inverse = [ctx.delta_inv.row(a) for a in range(len(chis))]
-    one = RationalExpr.constant(ps, 1)
-    total = RationalExpr.zero(ps)
+    one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
+    total = zero
     for i in range(1, ps.n + 1):
         u = [chi.diff_index(ps.momentum_index(i)) for chi in chis]
         w = [chi.diff_index(ps.coordinate_index(i)) for chi in chis]
-        pair = one
-        for ua, row in zip(u, inverse):
-            if ua.is_zero:
-                continue
-            terms = [entry * wb for entry, wb in zip(row, w)
-                     if not (wb.is_zero or entry.is_zero)]
-            if terms:
-                pair = pair - ua * sum(terms[1:], terms[0])
+        pair = add_products(one, [(-ua, add_products(zero, zip(row, w)))
+                                  for ua, row in zip(u, inverse) if not ua.is_zero])
         total = total + pair.cancel()
     total = total.cancel()
     expected = ps.n - ctx.m

@@ -26,29 +26,31 @@ from .errors import (
     SingularMatrixError,
     TooManyConstraintsError,
 )
-from .expr import RationalExpr, over_factor_table
+from .expr import RationalExpr, add_products, over_factor_table
 from .matrix import ExprMatrix, invert_matrix
 from .phase_space import PhaseSpace
 
 
-def _support(e: RationalExpr) -> set[int]:
-    return e.num.symbols_used() | e.den.symbols_used()
+def _support(e: RationalExpr) -> frozenset[int]:
+    """The symbols num or den mentions; each polynomial finds its own once."""
+    num = e.num.symbols_used()
+    return num if e.den.is_constant else num | e.den.symbols_used()
 
 
 def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> RationalExpr:
     """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) over the pairs whose
-    two partials can both be nonzero: a skipped term is an exact zero,
-    and adding or subtracting one leaves num and den as they are."""
+    two partials can both be nonzero, summed by `add_products`: a
+    skipped term is an exact zero."""
     f_has, g_has = _support(f), _support(g)
-    acc = RationalExpr.zero(ps)
+    pairs = []
     for i in range(1, ps.n + 1):
         xi = ps.coordinate_index(i)
         pi = ps.momentum_index(i)
         if xi in f_has and pi in g_has:
-            acc = acc + f.diff_index(xi) * g.diff_index(pi)
+            pairs.append((f.diff_index(xi), g.diff_index(pi)))
         if pi in f_has and xi in g_has:
-            acc = acc - f.diff_index(pi) * g.diff_index(xi)
-    return acc
+            pairs.append((-f.diff_index(pi), g.diff_index(xi)))
+    return add_products(RationalExpr.zero(ps), pairs)
 
 
 def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, RationalExpr], ...]:

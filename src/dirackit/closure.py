@@ -93,21 +93,29 @@ def _solve_exact(rows: list[list[Fraction]],
     return solutions
 
 
-def _check_polynomial(target: RationalExpr, basis: PrimarySet):
-    if not target.is_polynomial:
-        raise NonPolynomialInputError(f"target is not polynomial: {target}")
-    for name, e in zip(basis.names, basis.exprs):
-        if not e.is_polynomial:
-            raise NonPolynomialInputError(f"basis element {name} is not polynomial: {e}")
+def _checked(targets, basis: PrimarySet):
+    """The targets, each one checked to be a polynomial as it is drawn and
+    the basis right after the first, so that the first failure is the one
+    a target-by-target decomposition would meet."""
+    for i, target in enumerate(targets):
+        if not target.is_polynomial:
+            raise NonPolynomialInputError(f"target is not polynomial: {target}")
+        if i == 0:
+            for name, e in zip(basis.names, basis.exprs):
+                if not e.is_polynomial:
+                    raise NonPolynomialInputError(
+                        f"basis element {name} is not polynomial: {e}")
+        yield target
 
 
-def decompose_linear(targets: list[RationalExpr], basis: PrimarySet,
+def decompose_linear(targets, basis: PrimarySet,
                      allow_constant: bool) -> list[Decomposition | None]:
     """Write each target as sum(lambda_b * g_b) (+ lambda_0), exactly, in
     one elimination for all targets.  None for a target with no exact
-    rational combination; the caller records it as the residual."""
-    for target in targets:
-        _check_polynomial(target, basis)
+    rational combination; the caller records it as the residual.  The
+    targets may be any iterable: each one is drawn and checked before
+    the next is drawn."""
+    targets = list(_checked(targets, basis))
     k = len(basis)
     polys = [e.num for e in basis.exprs]
     if allow_constant:
@@ -145,13 +153,17 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
         keys += [(a, k) for a in range(k)]
         h, h_const = [[zero] * k for _ in range(k)], [zero] * k
     table = bracket_table(items, ctx_or_ps, mode)
-    # Reduce and check one bracket at a time, so that the first failure
-    # is the one a bracket-by-bracket decomposition would meet.
+    # Each bracket is reduced only when decompose_linear has checked the
+    # one before, so that the first failure is the one a bracket-by-bracket
+    # decomposition would meet.
     brackets = []
-    for a, b in keys:
-        brackets.append(_reduced(table.at(a, b), on_shell_rules))
-        _check_polynomial(brackets[-1], basis)
-    decompositions = decompose_linear(brackets, basis, allow_constant=True)
+
+    def reduced():
+        for a, b in keys:
+            brackets.append(_reduced(table.at(a, b), on_shell_rules))
+            yield brackets[-1]
+
+    decompositions = decompose_linear(reduced(), basis, allow_constant=True)
     residuals = {}
     notes = []
     for (a, b), bracket, dec in zip(keys, brackets, decompositions):

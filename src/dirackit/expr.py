@@ -33,7 +33,7 @@ from .errors import (
     ZeroDenominatorOnShellError,
 )
 from .phase_space import PhaseSpace
-from .poly import Polynomial, reduce_by
+from .poly import Polynomial, reduce_by, sum_of_products
 
 
 class FactorTable:
@@ -132,8 +132,9 @@ class RationalExpr:
 
     @property
     def is_polynomial(self) -> bool:
-        """True when the normalized denominator is exactly 1."""
-        return self.den.is_constant and self.den.constant_value() == 1
+        """True when the denominator is exactly 1: the normal form makes
+        every constant denominator 1."""
+        return self.den.is_constant
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
@@ -163,10 +164,15 @@ class RationalExpr:
         return table.zero if self._table is None else self._exps
 
     def _with_num(self, num: Polynomial) -> "RationalExpr":
-        """num over this expression's denominator."""
-        if self._table is None:
+        """num over this expression's denominator, which is already in
+        normal form: a nonzero num needs no normalization."""
+        if self._table is not None:
+            return _over(self.ps, num, self._table, self._exps)
+        if num.is_zero:
             return RationalExpr(self.ps, num, self.den)
-        return _over(self.ps, num, self._table, self._exps)
+        e = object.__new__(RationalExpr)
+        e.ps, e.num, e.den, e._table, e._partials = self.ps, num, self.den, None, None
+        return e
 
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
@@ -315,6 +321,30 @@ class RationalExpr:
 
     def __repr__(self) -> str:
         return f"<RationalExpr {self}>"
+
+
+def add_products(start: RationalExpr, pairs) -> RationalExpr:
+    """start + a_1*b_1 + a_2*b_2 + ..., skipping pairs with an exact zero.
+
+    When start and every operand are polynomials on start's phase space,
+    the sum is one pass of `poly.sum_of_products`; the result is
+    canonical, so it equals the fold.  Otherwise it folds acc + a*b left
+    to right, and opaque and factor-table results print as that fold
+    does.  A skipped product would leave num and den as they are, and
+    acc - a*b builds the same num and den as acc + (-a)*b.
+    """
+    ps = start.ps
+    pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
+    if start.is_polynomial and all(
+            a.ps is ps and b.ps is ps and a.is_polynomial and b.is_polynomial
+            for a, b in pairs):
+        one = start.den
+        return RationalExpr(ps, sum_of_products(
+            ps.nsyms, [(start.num, one)] + [(a.num, b.num) for a, b in pairs]), one)
+    acc = start
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
 
 
 def format_polynomial(poly: Polynomial, names) -> str:

@@ -79,7 +79,7 @@ def _make(nsyms: int, num: int, den: int, ints: dict[int, int], lead: int) -> "P
     p._d = den
     p._t = ints
     p._lead = lead
-    p._plan = None
+    p._plan = p._symbols = None
     return p
 
 
@@ -129,7 +129,7 @@ class Terms(Mapping):
 class Polynomial:
     # The content is _n/_d in lowest terms with _d > 0; the zero
     # polynomial has content 1, no terms and leading key 0.
-    __slots__ = ("nsyms", "_n", "_d", "_t", "_lead", "_plan")
+    __slots__ = ("nsyms", "_n", "_d", "_t", "_lead", "_plan", "_symbols")
 
     def __init__(self, nsyms: int, terms: Mapping[Monomial, Fraction] | None = None):
         coeffs = [(_pack(nsyms, m), Fraction(c)) for m, c in (terms or {}).items() if c != 0]
@@ -137,7 +137,8 @@ class Polynomial:
         p = _normalized(nsyms, 1, den, {k: c.numerator * (den // c.denominator)
                                         for k, c in coeffs})
         self.nsyms = nsyms
-        self._n, self._d, self._t, self._lead, self._plan = p._n, p._d, p._t, p._lead, None
+        self._n, self._d, self._t, self._lead = p._n, p._d, p._t, p._lead
+        self._plan = self._symbols = None
 
     # -- constructors -------------------------------------------------
 
@@ -147,7 +148,12 @@ class Polynomial:
 
     @staticmethod
     def constant(nsyms: int, value) -> "Polynomial":
-        num, den = (value, 1) if type(value) is int else Fraction(value).as_integer_ratio()
+        if type(value) is int:
+            num, den = value, 1
+        elif isinstance(value, Fraction):
+            num, den = value.as_integer_ratio()
+        else:
+            num, den = Fraction(value).as_integer_ratio()
         if num == 0:
             return Polynomial.zero(nsyms)
         return _make(nsyms, num, den, {0: 1}, 0)
@@ -205,12 +211,14 @@ class Polynomial:
         return [(_unpack(nsyms, k), _fraction(num * v, den))
                 for k, v in sorted(self._t.items(), reverse=True)]
 
-    def symbols_used(self) -> set[int]:
-        """Indices of the symbols that occur in some term."""
-        union = 0
-        for k in self._t:
-            union |= k
-        return {i for i, e in enumerate(_unpack(self.nsyms, union)) if e}
+    def symbols_used(self) -> frozenset[int]:
+        """Indices of the symbols that occur in some term, found once."""
+        if self._symbols is None:
+            union = 0
+            for k in self._t:
+                union |= k
+            self._symbols = frozenset(i for i, e in enumerate(_unpack(self.nsyms, union)) if e)
+        return self._symbols
 
     # -- arithmetic ---------------------------------------------------
 
@@ -257,16 +265,7 @@ class Polynomial:
             out = {self._lead + k: v for k, v in b.items()} if self._lead else b
         else:
             out = {}
-            get = out.get
-            items = list(b.items())
-            for k1, v1 in a.items():
-                for k2, v2 in items:
-                    k = k1 + k2
-                    s = get(k, 0) + v1 * v2
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+            _accumulate(out, a, b, 1)
         num, den = self._n * other._n, self._d * other._d
         if den != 1:
             g = math.gcd(num, den)
@@ -372,6 +371,55 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nsyms}, {dict(self.terms)!r})"
+
+
+def _accumulate(out: dict[int, int], a: dict[int, int], b: dict[int, int],
+                scale: int) -> None:
+    """out += scale * a * b over packed keys; a key whose sum is 0 is dropped."""
+    get = out.get
+    items = list(b.items())
+    for k1, v1 in a.items():
+        v1 *= scale
+        for k2, v2 in items:
+            k = k1 + k2
+            s = get(k, 0) + v1 * v2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+
+
+def sum_of_products(nsyms: int, pairs) -> Polynomial:
+    """sum(f * g for f, g in pairs) in one int dict, over one common
+    denominator (the lcm of the products' content denominators), with
+    one normalization at the end instead of one per product and per
+    partial sum.  The stored form is canonical, so the result is the one
+    folding `*` and `+` gives.  Each product's total degree is checked
+    as `*` checks it; pairs with a zero operand are skipped.
+    """
+    pairs = [(f, g) for f, g in pairs if f._t and g._t]
+    den = math.lcm(*(f._d * g._d for f, g in pairs))
+    shift = _layout(nsyms)[0]
+    out = {}
+    get = out.get
+    for f, g in pairs:
+        _check_degree((f._lead >> shift) + (g._lead >> shift))
+        scale = f._n * g._n * (den // (f._d * g._d))
+        if len(f._t) == 1:
+            f, g = g, f
+        if len(g._t) > 1:
+            _accumulate(out, f._t, g._t, scale)
+            continue
+        # A primitive single term has coefficient 1: it shifts the keys of f.
+        lead = g._lead
+        for k, v in f._t.items():
+            k += lead
+            s = get(k, 0) + v * scale
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return _normalized(nsyms, 1, den, out)
 
 
 def _divides(nsyms: int, a: int, b: int) -> bool:

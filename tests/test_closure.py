@@ -1,5 +1,6 @@
 """Closure analysis, structure constants, central charges, verdicts."""
 
+import collections
 import functools
 import random
 import sys
@@ -20,13 +21,18 @@ from dirackit import (
     load_system,
     make_context,
     parse_expression,
+    poisson_bracket,
 )
+from dirackit import closure as closure_module
+from dirackit.cli import main
 from dirackit.closure import Decomposition
 from dirackit.errors import (
     NonPolynomialInputError,
     NotSecondClassError,
     ReportNotClosedError,
+    ZeroDenominatorOnShellError,
 )
+from dirackit.sysfile import parse_system
 
 from conftest import fd_poisson, random_point, random_polynomial, replace_everywhere
 
@@ -246,6 +252,82 @@ class TestClosureAnalysis:
                                   on_shell_rules=rules)
         assert report.closed
         assert all(v == 0 for row in report.z for v in row)
+
+
+# The first bracket {g1, g2} = 1/(p1 + 1) and the primary g1 are both
+# rational: the bracket is checked first.
+NONPOLYNOMIAL_FIRST_BRACKET = """[system]
+n = 2
+[constraints]
+chi1 = x2
+chi2 = p2
+[primaries]
+g1 = x1/(p1 + 1)
+g2 = p1
+"""
+# {g1, g2} = 1 is polynomial, so the basis check comes next and stops at
+# g3; the later bracket {g3, g4} = -1/x2^2 would fail its on-shell
+# reduction (x2^2 reduces to 0), but it is never reduced.
+NONPOLYNOMIAL_PRIMARY = """[system]
+n = 2
+[constraints]
+chi1 = x2^2
+chi2 = p2
+[primaries]
+g1 = x1
+g2 = p1
+g3 = 1/x2
+g4 = p2
+[onshell]
+use chi1
+"""
+
+
+class TestFirstFailure:
+    """Closure checks each reduced bracket once, as decompose_linear draws
+    it, and the basis once, right after the first bracket: the first
+    failure, its message and its exit code stay those of a
+    bracket-by-bracket decomposition."""
+
+    @staticmethod
+    def run_closure(tmp_path, text, mode, capsys):
+        path = tmp_path / "closure.system"
+        path.write_text(text, encoding="utf-8")
+        code = main(["closure", str(path), "--mode", mode])
+        return code, capsys.readouterr().err.splitlines()[0]
+
+    @pytest.mark.parametrize("mode", ["poisson", "dirac"])
+    def test_non_polynomial_first_bracket(self, tmp_path, capsys, mode):
+        code, first = self.run_closure(tmp_path, NONPOLYNOMIAL_FIRST_BRACKET, mode, capsys)
+        assert (code, first) == (5, "error: target is not polynomial: (1)/(p1 + 1)")
+
+    @pytest.mark.parametrize("mode", ["poisson", "dirac"])
+    def test_non_polynomial_primary(self, tmp_path, capsys, mode):
+        code, first = self.run_closure(tmp_path, NONPOLYNOMIAL_PRIMARY, mode, capsys)
+        assert (code, first) == (5, "error: basis element g3 is not polynomial: (1)/(x2)")
+        spec = parse_system(NONPOLYNOMIAL_PRIMARY)
+        g3, g4 = spec.primaries.exprs[2:]
+        with pytest.raises(ZeroDenominatorOnShellError):
+            poisson_bracket(g3, g4, spec.ps).reduce_mod(spec.on_shell_rules())
+
+    def test_each_bracket_and_primary_checked_once(self, monkeypatch, ps3, angular_momenta):
+        reads = collections.Counter()
+        is_polynomial = RationalExpr.is_polynomial
+
+        def counted(self):
+            reads[id(self)] += 1
+            return is_polynomial.fget(self)
+
+        monkeypatch.setattr(RationalExpr, "is_polynomial", property(counted))
+        reduced = []
+        original = closure_module._reduced
+        monkeypatch.setattr(closure_module, "_reduced",
+                            lambda e, rules: reduced.append(original(e, rules)) or reduced[-1])
+        report = closure_analysis(angular_momenta, ps3, "poisson")
+        basis, brackets = reduced[:3], reduced[3:]
+        assert report.closed and len(brackets) == 3
+        assert all(a is b for a, b in zip(basis, angular_momenta.exprs))  # no rules
+        assert [reads[id(e)] for e in basis + brackets] == [1] * 6
 
 
 class TestVerdicts:

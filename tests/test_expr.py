@@ -1,6 +1,7 @@
 """Exact arithmetic, differentiation, evaluation, identity testing."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,8 @@ from dirackit.errors import (
     UnknownSymbolError,
     ZeroDenominatorOnShellError,
 )
+from dirackit.expr import FactorTable, _over
+from dirackit.poly import Polynomial
 
 from conftest import fd_partial, random_point, random_polynomial, random_rational_expr
 
@@ -130,6 +133,46 @@ class TestIsZero:
 
     def test_zero_over_nontrivial_denominator(self, ps):
         assert E("0/(x1-1)", ps).is_zero
+
+
+class TestConstantDenominatorIsOne:
+    """`is_polynomial` reads only `den.is_constant`: every constructor
+    must leave a constant denominator as exactly 1."""
+
+    @staticmethod
+    def assert_one(e):
+        one = Polynomial.constant(e.ps.nsyms, 1)
+        assert (e.den._n, e.den._d, e.den._t) == (one._n, one._d, one._t)
+        assert e.is_polynomial
+
+    def test_init_scales_a_constant_denominator(self, ps):
+        num = E("x1 + 2*p1", ps).num
+        for value in (Fraction(-3, 7), 5, Fraction(1, 4), -1):
+            e = RationalExpr(ps, num, Polynomial.constant(ps.nsyms, value))
+            self.assert_one(e)
+            assert e == E("x1 + 2*p1", ps).scale(1 / Fraction(value))
+        self.assert_one(RationalExpr(ps, Polynomial.zero(ps.nsyms),
+                                     Polynomial.constant(ps.nsyms, 9)))
+
+    def test_over_with_no_factor(self, ps):
+        table = FactorTable([E("x1^2 + p1^2", ps).num])
+        self.assert_one(_over(ps, E("x1 - 3", ps).num, table, (0,)))
+        self.assert_one(_over(ps, Polynomial.zero(ps.nsyms), table, (2,)))
+
+    def test_negative_power_of_a_constant(self, ps):
+        for text in ("-2/3", "5", "(x1 - x1 + 7/2)"):
+            for k in (1, 2, 3):
+                self.assert_one(E(text, ps).int_pow(-k))
+
+    def test_division_by_a_constant(self, ps):
+        self.assert_one(E("x1*p1", ps) / E("-5/2", ps))
+        self.assert_one(E("2/3", ps) / E("-6", ps))
+        self.assert_one(E("x1 - x1", ps) / E("x1 + 1", ps))
+
+    def test_parse(self, ps):
+        for text in ("x1/(-4)", "(x1 + p1)/(2/3)", "r/(r - r + 6)", "1/(3*(1/2))"):
+            self.assert_one(E(text, ps))
+        assert not E("x1/(x1 + 1)", ps).is_polynomial
 
 
 class TestReduceModConstraints:

@@ -132,62 +132,89 @@ def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
 
+def constraint_blocks(gradients) -> list[tuple[list[int], list[int]]]:
+    """The connected components of "these constraints share a variable",
+    as (constraints, variables), each ascending, ordered by first
+    constraint.  Gradients are keyed by variables only: a shared parameter
+    joins nothing, and a constraint free of variables is a block alone."""
+    blocks = []
+    for a, grad in enumerate(gradients):
+        chis, variables, apart = [a], set(grad), []
+        for block in blocks:
+            if variables.isdisjoint(block[1]):
+                apart.append(block)
+            else:
+                chis += block[0]
+                variables |= block[1]
+        blocks = apart + [(chis, variables)]
+    return sorted((sorted(chis), sorted(variables)) for chis, variables in blocks)
+
+
 def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
                     delta_values: list | None = None) -> list[dict[str, float]]:
     """Newton-project standard-normal seeds onto the constraint surface.
 
     Deterministic for a fixed config: one `random.Random(seed)` stream,
-    points generated in order.  The Jacobian is read from the symbolic
-    constraint gradients.  The step is a least-squares solve of J s = -r
-    through a pivoted QR of J^T truncated at its numeric rank: 2m
-    equations under-determine 2n unknowns, and they may be dependent.
-    An attempt fails on a pole, a float overflow, a non-finite residual
-    or Jacobian, or a converged point where Delta is not finite.  Delta
-    is evaluated once per converged point; given a list, delta_values
-    receives its row-major values at each returned point, in order.
+    points generated in order.  Newton runs on one block of
+    `constraint_blocks` at a time, at most max_newton_iters steps each:
+    J is block-diagonal, so a block takes the steps Newton on the whole
+    system would, until it converges.  A step is a least-squares solve of
+    J s = -r through a pivoted QR of the block's J^T truncated at its
+    numeric rank, since its equations may be dependent.  An attempt fails
+    on a pole, a float overflow, a non-finite residual or Jacobian, a
+    block free of variables off tolerance, or a converged point where
+    Delta is not finite.  Delta is evaluated once per converged point;
+    given a list, delta_values receives its row-major values at each
+    returned point, in order.
     """
     ps = ctx.ps
-    nvars = 2 * ps.n
-    k = len(ctx.constraints)
     params = _parameter_values(ps, cfg)
     gradients = constraint_gradients(ctx.constraints, ps)
-    residual = _Plan(k, enumerate(ctx.constraints))
-    jacobian = _Plan(k * nvars, ((a * nvars + j, d) for a, grad in enumerate(gradients)
-                                 for j, d in grad.items()))
     delta = _delta_plan(ctx.delta)
     rng = random.Random(cfg.seed)
 
-    def factor(values):
-        """The pivoted QR of J^T at the values, or None if J is not finite."""
+    def factor(jacobian, width, values):
+        """The pivoted QR of a block's J^T at the values; None if J is not finite."""
         jac = jacobian(values)
         if not _finite(jac):
             return None
-        return PivotedQR([jac[a * nvars:(a + 1) * nvars] for a in range(k)])
+        return PivotedQR([jac[a:a + width] for a in range(0, len(jac), width)])
 
-    constant_qr = None if jacobian.varying else factor(())
+    blocks = []  # (variables, residual, Jacobian, the QR of a constant J)
+    for chis, variables in constraint_blocks(gradients):
+        width = len(variables)
+        residual = _Plan(len(chis), ((a, ctx.constraints[c]) for a, c in enumerate(chis)))
+        jacobian = _Plan(len(chis) * width, ((a * width + variables.index(v), d)
+                                             for a, c in enumerate(chis)
+                                             for v, d in gradients[c].items()))
+        blocks.append((variables, residual, jacobian, None if jacobian.varying or not width
+                       else factor(jacobian, width, ())))
 
-    def project(z):
-        """The values at the on-shell point Newton reaches from z and the
-        values of Delta there, or None."""
-        for _ in range(cfg.max_newton_iters):
-            values = z + params
-            r = residual(values)
-            if all(abs(v) <= cfg.tolerance for v in r):
-                at = delta(values)
-                return (values, at) if _finite(at) else None
-            if not _finite(r):
+    def project(values):
+        """The values at the on-shell point Newton reaches from them, updated
+        in place, and the values of Delta there, or None."""
+        for variables, residual, jacobian, constant_qr in blocks:
+            for _ in range(cfg.max_newton_iters):
+                r = residual(values)
+                if all(abs(v) <= cfg.tolerance for v in r):
+                    break
+                if not (_finite(r) and variables):
+                    return None
+                qr = factor(jacobian, len(variables), values) if jacobian.varying else constant_qr
+                if qr is None:
+                    return None
+                for i, step in zip(variables, qr.transposed_solve([-v for v in r])):
+                    values[i] += step
+            else:
                 return None
-            qr = factor(values) if jacobian.varying else constant_qr
-            if qr is None:
-                return None
-            z = [a + b for a, b in zip(z, qr.transposed_solve([-v for v in r]))]
-        return None
+        at = delta(values)
+        return (values, at) if _finite(at) else None
 
     points = []
     for _ in range(cfg.point_count):
         for _attempt in range(cfg.max_retries):
             try:
-                found = project([rng.gauss(0.0, 1.0) for _ in range(nvars)])
+                found = project([rng.gauss(0.0, 1.0) for _ in range(2 * ps.n)] + params)
             except (PoleAtPointError, OverflowError):
                 continue
             if found is not None:

@@ -40,7 +40,7 @@ def _support(e: RationalExpr) -> frozenset[int]:
 def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> RationalExpr:
     """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) over the pairs whose
     two partials can both be nonzero, summed by `add_products`: a
-    skipped term is an exact zero."""
+    skipped term is an exact zero, and with none left the bracket is."""
     f_has, g_has = _support(f), _support(g)
     pairs = []
     for i in range(1, ps.n + 1):
@@ -50,7 +50,8 @@ def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> Rationa
             pairs.append((f.diff_index(xi), g.diff_index(pi)))
         if pi in f_has and xi in g_has:
             pairs.append((-f.diff_index(pi), g.diff_index(xi)))
-    return add_products(RationalExpr.zero(ps), pairs)
+    zero = RationalExpr.zero(ps)
+    return add_products(zero, pairs) if pairs else zero
 
 
 def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, RationalExpr], ...]:

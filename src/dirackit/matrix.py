@@ -53,25 +53,6 @@ class ExprMatrix:
     def row(self, i: int) -> list[RationalExpr]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def matmul(self, other: "ExprMatrix") -> "ExprMatrix":
-        assert self.cols == other.rows
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.at(i, 0) * other.at(0, j)
-                for k in range(1, self.cols):
-                    acc = acc + self.at(i, k) * other.at(k, j)
-                out.append(acc)
-        return ExprMatrix(self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "ExprMatrix":
-        flat = tuple(self.at(j, i) for i in range(self.cols) for j in range(self.rows))
-        return ExprMatrix(self.cols, self.rows, flat)
-
-    def is_skew_symmetric(self) -> bool:
-        return all((self.at(i, j) + self.at(j, i)).is_zero
-                   for i in range(self.rows) for j in range(i, self.cols))
-
 
 def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
     """Reduce rows in place to reduced row echelon form over their first

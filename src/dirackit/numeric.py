@@ -5,8 +5,9 @@ uses: a Householder QR with column pivoting (Businger & Golub 1965),
 whose column norms are downdated after each step and recomputed when
 cancellation makes the downdate unreliable, as in LAPACK's xLAQP2, so a
 k-column factorization costs O(k^3) and not O(k^4).  The numeric rank is
-read off the diagonal of R; the sampler's Newton step solves J s = -r
-through the QR of J^T, truncated at its numeric rank.
+read off the diagonal of R; the sampler's Newton step on each
+constraint block solves J s = -r through the QR of that block's J^T,
+truncated at its numeric rank.
 """
 
 from __future__ import annotations

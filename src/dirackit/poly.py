@@ -39,11 +39,6 @@ SLOT_BITS = 32
 MAX_DEGREE = (1 << SLOT_BITS) - 1
 
 
-def grlex_key(mono: Monomial):
-    """Sort key for graded lex: total degree first, then lex on exponents."""
-    return (sum(mono), mono)
-
-
 @lru_cache(maxsize=None)
 def _layout(nsyms: int):
     """(bit offset of the degree slot, struct of the exponent slots, mask
@@ -184,11 +179,6 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         return _fraction(self._n * self._t.get(0, 0), self._d)
-
-    def leading_monomial(self) -> Monomial:
-        if not self._t:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return _unpack(self.nsyms, self._lead)
 
     def leading_coefficient(self) -> Fraction:
         return _fraction(self._n * self._t[self._lead], self._d)

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
-from dirackit.poly import Polynomial
+from dirackit import ExprMatrix, PhaseSpace, RationalExpr, make_context, parse_expression
+from dirackit.poly import Polynomial, _unpack
 
 FD_STEP = 1e-5
 
@@ -48,6 +48,43 @@ def replace_everywhere(monkeypatch, original, replacement):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, replacement)
+
+
+# -- helpers the library itself does not need ---------------------------
+
+def grlex_key(mono):
+    """Sort key for graded lex: total degree first, then lex on exponents."""
+    return (sum(mono), mono)
+
+
+def leading_monomial(poly: Polynomial):
+    """The graded-lex leading monomial, read from the key the polynomial
+    keeps for it."""
+    if poly.is_zero:
+        raise ValueError("the zero polynomial has no leading monomial")
+    return _unpack(poly.nsyms, poly._lead)
+
+
+def matmul(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
+    assert a.cols == b.rows
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.at(i, 0) * b.at(0, j)
+            for k in range(1, a.cols):
+                acc = acc + a.at(i, k) * b.at(k, j)
+            out.append(acc)
+    return ExprMatrix(a.rows, b.cols, tuple(out))
+
+
+def transpose(m: ExprMatrix) -> ExprMatrix:
+    return ExprMatrix(m.cols, m.rows,
+                      tuple(m.at(j, i) for i in range(m.cols) for j in range(m.rows)))
+
+
+def is_skew_symmetric(m: ExprMatrix) -> bool:
+    return all((m.at(i, j) + m.at(j, i)).is_zero
+               for i in range(m.rows) for j in range(i, m.cols))
 
 
 def random_polynomial(ps, rng: random.Random, max_degree=3, max_terms=4,

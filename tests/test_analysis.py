@@ -33,7 +33,7 @@ from dirackit.errors import (
 from dirackit import analysis
 from dirackit.sysfile import parse_system
 
-from conftest import (linear_mix_constraints, random_polynomial, random_rational_expr,
+from conftest import (linear_mix_constraints, matmul, random_polynomial, random_rational_expr,
                       tower_text)
 
 
@@ -150,7 +150,7 @@ class TestClassification:
         cfg = SamplerConfig(seed=2, point_count=4)
         c = classify_constraints(ps3, [E("x1", ps3), E("p1", ps3)], cfg)
         assert isinstance(c.context, DiracContext)
-        assert c.context.delta.matmul(c.context.delta_inv) == ExprMatrix.identity(2, ps3)
+        assert matmul(c.context.delta, c.context.delta_inv) == ExprMatrix.identity(2, ps3)
         assert classify_constraints(ps3, [E("x1", ps3), E("x2", ps3)], cfg).context is None
 
     def test_sphere(self):

@@ -145,3 +145,19 @@ def test_mix_analyze_multiplies_only_while_parsing(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["analyze", str(path), "--format", "json"]) == 0
     assert calls == {"all": 680, "parsing": 680}
+
+
+def test_brackets_without_a_shared_pair_skip_the_sum(monkeypatch):
+    """Of the 28 brackets of the k = 4 tower's Delta, the 24 between
+    different spheres have no canonical pair to sum over: each is zero
+    without a call of `add_products`."""
+    spec = parse_system(tower_text(4, sampler_seed=1))
+    sums = []
+    add_products = brackets.add_products
+    monkeypatch.setattr(brackets, "add_products",
+                        lambda *args: sums.append(args) or add_products(*args))
+    delta = brackets.delta_matrix(spec.constraints, spec.ps)
+    assert len(sums) == 4
+    for a in range(8):
+        for b in range(8):
+            assert (str(delta.at(a, b)) == "0") == (a // 2 != b // 2 or a == b)

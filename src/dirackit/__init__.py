@@ -38,7 +38,7 @@ from .closure import (
     trace_verdict,
 )
 from .expr import RationalExpr
-from .matrix import ExprMatrix, invert_matrix
+from .matrix import invert_matrix
 from .parser import parse_expression
 from .phase_space import PhaseSpace
 from .poly import Polynomial
@@ -49,7 +49,6 @@ __all__ = [
     "Classification",
     "ConstraintSystem",
     "DiracContext",
-    "ExprMatrix",
     "PhaseSpace",
     "Polynomial",
     "PrimarySet",

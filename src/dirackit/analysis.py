@@ -30,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .expr import RationalExpr, add_products
-from .matrix import ExprMatrix
 from .numeric import PivotedQR
 from .parser import parse_expression
 from .phase_space import PhaseSpace
@@ -124,8 +123,8 @@ class _Plan:
         return out
 
 
-def _delta_plan(delta: ExprMatrix) -> _Plan:
-    return _Plan(len(delta.entries), enumerate(delta.entries))
+def _delta_plan(delta) -> _Plan:
+    return _Plan(len(delta) ** 2, enumerate(e for row in delta for e in row))
 
 
 def _finite(values) -> bool:
@@ -273,14 +272,13 @@ def trace_identity(ctx: DiracContext) -> TraceIdentity:
     grouping, and it can differ from that of a sum of `dirac_bracket`s,
     which subtracts term by term, while the two are equal."""
     ps, chis = ctx.ps, ctx.constraints
-    inverse = [ctx.delta_inv.row(a) for a in range(len(chis))]
     one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
     total = zero
     for i in range(1, ps.n + 1):
         u = [chi.diff_index(ps.momentum_index(i)) for chi in chis]
         w = [chi.diff_index(ps.coordinate_index(i)) for chi in chis]
         pair = add_products(one, [(-ua, add_products(zero, zip(row, w)))
-                                  for ua, row in zip(u, inverse) if not ua.is_zero])
+                                  for ua, row in zip(u, ctx.delta_inv) if not ua.is_zero])
         total = total + pair.cancel()
     total = total.cancel()
     expected = ps.n - ctx.m

@@ -27,7 +27,7 @@ from .errors import (
     TooManyConstraintsError,
 )
 from .expr import RationalExpr, add_products, over_factor_table
-from .matrix import ExprMatrix, invert_matrix
+from .matrix import invert_matrix
 from .phase_space import PhaseSpace
 
 
@@ -61,27 +61,20 @@ def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, Rationa
                  for chi in constraints)
 
 
-def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> ExprMatrix:
-    """Constraint bracket matrix Delta_ab = {chi_a, chi_b}; exactly skew."""
+def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
+    """Constraint bracket matrix Delta_ab = {chi_a, chi_b} by rows; exactly skew."""
     k = len(constraints)
     if k < 2 or k % 2 != 0:
         raise OddConstraintCountError(f"need an even number >= 2 of constraints, got {k}")
-    zero = RationalExpr.zero(ps)
-    entries = [[zero] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            v = poisson_bracket(constraints[a], constraints[b], ps)
-            entries[a][b] = v
-            entries[b][a] = -v
-    return ExprMatrix.from_rows(entries)
+    return bracket_table(constraints, ps)
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """A constraint set with its bracket matrix Delta, which may be singular."""
+    """A constraint set with its bracket matrix Delta by rows; it may be singular."""
     ps: PhaseSpace
     constraints: tuple[RationalExpr, ...]
-    delta: ExprMatrix
+    delta: tuple
 
     @property
     def m(self) -> int:
@@ -90,14 +83,15 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class DiracContext(ConstraintSystem):
-    """A second-class constraint system with the inverse of its Delta."""
-    delta_inv: ExprMatrix
+    """A second-class constraint system with the rows of Delta^-1."""
+    delta_inv: tuple
 
 
-def invert_delta(delta: ExprMatrix) -> ExprMatrix:
-    """Delta^-1, its entries written over the table of their denominators."""
-    inverse = invert_matrix(delta)
-    return ExprMatrix(inverse.rows, inverse.cols, over_factor_table(inverse.entries))
+def invert_delta(delta) -> tuple:
+    """Delta^-1 by rows, its entries written over the table of their denominators."""
+    k = len(delta)
+    flat = over_factor_table([e for row in invert_matrix(delta) for e in row])
+    return tuple(tuple(flat[a * k:(a + 1) * k]) for a in range(k))
 
 
 def make_context(ps: PhaseSpace, constraints) -> DiracContext:
@@ -123,7 +117,7 @@ def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> Ration
         if f_chi[a].is_zero:
             continue
         for b in range(k):
-            entry = ctx.delta_inv.at(a, b)
+            entry = ctx.delta_inv[a][b]
             if entry.is_zero or chi_g[b].is_zero:
                 continue
             acc = acc - f_chi[a] * entry * chi_g[b]
@@ -131,14 +125,12 @@ def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> Ration
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
-    ps = ctx.ps
-    f_chi = [poisson_bracket(f, chi, ps) for chi in ctx.constraints]
-    chi_g = [poisson_bracket(chi, g, ps) for chi in ctx.constraints]
-    return _dirac_correct(poisson_bracket(f, g, ps), f_chi, chi_g, ctx)
+    return bracket_table([f, g], ctx, "dirac")[0][1]
 
 
-def bracket_table(items, ctx_or_ps, mode: str = "poisson") -> ExprMatrix:
-    """All pairwise brackets of items; exactly skew-symmetric by construction.
+def bracket_table(items, ctx_or_ps, mode: str = "poisson") -> tuple:
+    """All pairwise brackets of items, by rows; exactly skew-symmetric by
+    construction.
 
     In dirac mode each item's brackets with the constraints are computed
     once: the row {item, chi_a} for every item but the last, the column
@@ -168,4 +160,4 @@ def bracket_table(items, ctx_or_ps, mode: str = "poisson") -> ExprMatrix:
             v = bracket(a, b)
             entries[a][b] = v
             entries[b][a] = -v
-    return ExprMatrix.from_rows(entries)
+    return tuple(map(tuple, entries))

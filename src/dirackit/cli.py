@@ -114,6 +114,14 @@ def _verdict_dict(v) -> dict:
     return {"kind": v.kind, "witness": witness, "explanation": v.explanation}
 
 
+def _combination(coeffs, constant: str, names) -> str:
+    """The printed c1*g1 + ... + z, its zero terms left out; "0" if all are."""
+    terms = [f"{c}*{name}" for c, name in zip(coeffs, names) if c != "0"]
+    if constant != "0":
+        terms.append(constant)
+    return " + ".join(terms) or "0"
+
+
 def emit_report(report: dict, fmt: str):
     """Write the report to stdout; JSON is byte-stable for fixed inputs."""
     if fmt == "json":
@@ -142,21 +150,13 @@ def emit_report(report: dict, fmt: str):
         k = len(names)
         for a in range(k):
             for b in range(a + 1, k):
-                terms = [f"{cl['c'][a][b][i]}*{names[i]}"
-                         for i in range(k) if cl["c"][a][b][i] != "0"]
-                if cl["z"][a][b] != "0":
-                    terms.append(cl["z"][a][b])
-                rhs = " + ".join(terms) if terms else "0"
+                rhs = _combination(cl["c"][a][b], cl["z"][a][b], names)
                 lines.append(f"  {{{names[a]},{names[b]}}} = {rhs}")
         for key, expr in cl["residuals"].items():
             lines.append(f"  residual {{{key}}} = {expr}")
         if cl["h"] is not None:
             for a in range(k):
-                terms = [f"{cl['h'][a][i]}*{names[i]}"
-                         for i in range(k) if cl["h"][a][i] != "0"]
-                if cl["h_const"][a] != "0":
-                    terms.append(cl["h_const"][a])
-                rhs = " + ".join(terms) if terms else "0"
+                rhs = _combination(cl["h"][a], cl["h_const"][a], names)
                 lines.append(f"  {{{names[a]},H}} = {rhs}")
     if "verdict" in report and report["verdict"] is not None:
         v = report["verdict"]
@@ -231,7 +231,7 @@ def run_report(spec: SystemSpec, args) -> int:
 def cmd_bracket(spec: SystemSpec, f_text: str, g_text: str, mode: str) -> int:
     items = [parse_expression(f_text, spec.ps), parse_expression(g_text, spec.ps)]
     ctx_or_ps = make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
-    sys.stdout.write(str(bracket_table(items, ctx_or_ps, mode).at(0, 1)) + "\n")
+    sys.stdout.write(str(bracket_table(items, ctx_or_ps, mode)[0][1]) + "\n")
     return EXIT_OK
 
 

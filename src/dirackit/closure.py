@@ -160,7 +160,7 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
 
     def reduced():
         for a, b in keys:
-            brackets.append(_reduced(table.at(a, b), on_shell_rules))
+            brackets.append(_reduced(table[a][b], on_shell_rules))
             yield brackets[-1]
 
     decompositions = decompose_linear(reduced(), basis, allow_constant=True)

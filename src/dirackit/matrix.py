@@ -1,4 +1,4 @@
-"""Dense matrices of rational expressions with exact inversion.
+"""Exact inversion of a square matrix given by its rows.
 
 A symbolic matrix is inverted by Gauss-Jordan elimination over the
 rational-function field, `row_reduce`, which closure's exact solves
@@ -12,46 +12,11 @@ fraction-free on Python ints instead (`_invert_integers`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import SingularMatrixError
 from .expr import RationalExpr
-from .phase_space import PhaseSpace
-
-
-@dataclass(frozen=True)
-class ExprMatrix:
-    rows: int
-    cols: int
-    entries: tuple[RationalExpr, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-
-    @classmethod
-    def from_rows(cls, rows_of_entries) -> "ExprMatrix":
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0])
-        flat = tuple(e for row in rows_of_entries for e in row)
-        return cls(rows, cols, flat)
-
-    @classmethod
-    def identity(cls, size: int, ps: PhaseSpace) -> "ExprMatrix":
-        one = RationalExpr.constant(ps, 1)
-        zero = RationalExpr.zero(ps)
-        flat = tuple(one if i == j else zero for i in range(size) for j in range(size))
-        return cls(size, size, flat)
-
-    def at(self, i: int, j: int) -> RationalExpr:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[RationalExpr]:
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
 
 def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
@@ -115,29 +80,30 @@ def _invert_integers(values: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[Fraction(scale * v, prev) for v in row] for row in rows]
 
 
-def invert_matrix(mat: ExprMatrix) -> ExprMatrix:
-    """Exact inverse over the rational-function field.
+def invert_matrix(rows) -> tuple[tuple[RationalExpr, ...], ...]:
+    """Exact inverse over the rational-function field, as a tuple of rows.
 
-    Raises SingularMatrixError when some column has no nonzero pivot,
-    i.e. the matrix is singular as a matrix of rational functions, and
-    names the first such column.  A matrix of constants is inverted on
-    ints by `_invert_integers`; an inverse is unique and a constant has
-    one normal form, so the entries are the ones elimination over
-    rational functions builds.
+    Raises ValueError unless every row is as long as there are rows, and
+    SingularMatrixError when some column has no nonzero pivot, i.e. the
+    matrix is singular as a matrix of rational functions, naming the
+    first such column.  A matrix of constants is inverted on ints by
+    `_invert_integers`; an inverse is unique and a constant has one
+    normal form, so the entries are the ones elimination over rational
+    functions builds.
     """
-    if mat.rows != mat.cols:
+    size = len(rows)
+    if any(len(row) != size for row in rows):
         raise ValueError("matrix must be square")
-    size = mat.rows
-    ps = mat.entries[0].ps
-    if all(e.num.is_constant and e.den.is_constant for e in mat.entries):
-        values = [[e.num.constant_value() for e in mat.row(i)] for i in range(size)]
-        return ExprMatrix.from_rows([[RationalExpr.constant(ps, v) for v in row]
-                                     for row in _invert_integers(values)])
-    identity = ExprMatrix.identity(size, ps)
-    rows = [mat.row(i) + identity.row(i) for i in range(size)]
-    pivots = row_reduce(rows, size, RationalExpr.constant(ps, 1),
-                        operator.attrgetter("is_zero"), lambda e: len(e.num))
+    ps = rows[0][0].ps
+    if all(e.num.is_constant and e.den.is_constant for row in rows for e in row):
+        values = [[e.num.constant_value() for e in row] for row in rows]
+        return tuple(tuple(RationalExpr.constant(ps, v) for v in row)
+                     for row in _invert_integers(values))
+    one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
+    work = [[*row, *(one if i == j else zero for j in range(size))]
+            for i, row in enumerate(rows)]
+    pivots = row_reduce(work, size, one, operator.attrgetter("is_zero"), lambda e: len(e.num))
     missing = sorted(set(range(size)).difference(pivots))
     if missing:
         raise SingularMatrixError(f"no nonzero pivot in column {missing[0]}")
-    return ExprMatrix.from_rows([row[size:] for row in rows])
+    return tuple(tuple(row[size:]) for row in work)

@@ -1,13 +1,13 @@
 """Dense float linear algebra for the on-shell sampler and the rank check.
 
 A matrix is a list of columns of floats.  One factorization serves both
-uses: a Householder QR with column pivoting (Businger & Golub 1965),
-whose column norms are downdated after each step and recomputed when
-cancellation makes the downdate unreliable, as in LAPACK's xLAQP2, so a
-k-column factorization costs O(k^3) and not O(k^4).  The numeric rank is
-read off the diagonal of R; the sampler's Newton step on each
-constraint block solves J s = -r through the QR of that block's J^T,
-truncated at its numeric rank.
+uses: a Householder QR with column pivoting (Businger & Golub 1965).
+After each step the norms of the trailing columns are recomputed below
+the new row of R, which costs no more than the reflector update, so a
+k-column factorization costs O(k^3).  The numeric rank is read off the
+diagonal of R; the sampler's Newton step on each constraint block solves
+J s = -r through the QR of that block's J^T, truncated at its numeric
+rank.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from itertools import takewhile
 from operator import mul
 
 EPSILON = sys.float_info.epsilon
-_RECOMPUTE = math.sqrt(EPSILON)
 
 
 class PivotedQR:
@@ -37,12 +36,11 @@ class PivotedQR:
         m = len(cols[0]) if cols else 0
         perm = list(range(n))
         norms = [math.hypot(*c) for c in cols]  # norms of the unreduced parts
-        exact = norms[:]  # the same norms when last computed in full
         diag, reflectors = [], []
         for j in range(min(m, n)):
             p = max(range(j, n), key=norms.__getitem__)
             if p != j:
-                for seq in (cols, norms, exact, perm):
+                for seq in (cols, norms, perm):
                     seq[j], seq[p] = seq[p], seq[j]
             col = cols[j]
             alpha = math.hypot(*col[j:])
@@ -59,13 +57,7 @@ class PivotedQR:
                 s = tau * sum(map(mul, v, c[j:]))
                 if s:
                     c[j:] = [ci - s * vi for ci, vi in zip(c[j:], v)]
-                if norms[t]:
-                    ratio = abs(c[j]) / norms[t]
-                    rest = max(0.0, 1.0 - ratio * ratio)
-                    if rest * (norms[t] / exact[t]) ** 2 <= _RECOMPUTE:
-                        norms[t] = exact[t] = math.hypot(*c[j + 1:])
-                    else:
-                        norms[t] *= math.sqrt(rest)
+                norms[t] = math.hypot(*c[j + 1:])
             col[j] = alpha
             diag.append(alpha)
             reflectors.append((v, tau))

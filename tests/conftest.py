@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirackit import ExprMatrix, PhaseSpace, RationalExpr, make_context, parse_expression
+from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
 from dirackit.poly import Polynomial, _unpack
 
 FD_STEP = 1e-5
@@ -65,26 +65,33 @@ def leading_monomial(poly: Polynomial):
     return _unpack(poly.nsyms, poly._lead)
 
 
-def matmul(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
-    assert a.cols == b.rows
+def identity(size: int, ps) -> tuple:
+    one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
+    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
+
+
+def matmul(a, b) -> tuple:
+    """The product of two matrices given as tuples of rows."""
+    assert all(len(row) == len(b) for row in a)
     out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = a.at(i, 0) * b.at(0, j)
-            for k in range(1, a.cols):
-                acc = acc + a.at(i, k) * b.at(k, j)
-            out.append(acc)
-    return ExprMatrix(a.rows, b.cols, tuple(out))
+    for row in a:
+        entries = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + row[k] * b[k][j]
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
 
 
-def transpose(m: ExprMatrix) -> ExprMatrix:
-    return ExprMatrix(m.cols, m.rows,
-                      tuple(m.at(j, i) for i in range(m.cols) for j in range(m.rows)))
+def transpose(m) -> tuple:
+    return tuple(zip(*m))
 
 
-def is_skew_symmetric(m: ExprMatrix) -> bool:
-    return all((m.at(i, j) + m.at(j, i)).is_zero
-               for i in range(m.rows) for j in range(i, m.cols))
+def is_skew_symmetric(m) -> bool:
+    return all(len(row) == len(m) for row in m) and all(
+        (m[i][j] + m[j][i]).is_zero for i in range(len(m)) for j in range(i, len(m)))
 
 
 def random_polynomial(ps, rng: random.Random, max_degree=3, max_terms=4,

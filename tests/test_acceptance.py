@@ -88,11 +88,11 @@ def test_criterion_1_canonical_relations():
             for a in range(2 * n):
                 for b in range(2 * n):
                     if b == a + n:
-                        assert table.at(a, b) == one
+                        assert table[a][b] == one
                     elif a == b + n:
-                        assert table.at(a, b) == -one
+                        assert table[a][b] == -one
                     else:
-                        assert table.at(a, b).is_zero
+                        assert table[a][b].is_zero
 
 
 def test_criterion_2_trace_identity_family():

@@ -8,7 +8,6 @@ import pytest
 from dirackit import (
     ConstraintSystem,
     DiracContext,
-    ExprMatrix,
     PhaseSpace,
     RationalExpr,
     SamplerConfig,
@@ -33,8 +32,8 @@ from dirackit.errors import (
 from dirackit import analysis
 from dirackit.sysfile import parse_system
 
-from conftest import (linear_mix_constraints, matmul, random_polynomial, random_rational_expr,
-                      tower_text)
+from conftest import (identity, linear_mix_constraints, matmul, random_polynomial,
+                      random_rational_expr, tower_text)
 
 
 def E(text, ps):
@@ -150,7 +149,7 @@ class TestClassification:
         cfg = SamplerConfig(seed=2, point_count=4)
         c = classify_constraints(ps3, [E("x1", ps3), E("p1", ps3)], cfg)
         assert isinstance(c.context, DiracContext)
-        assert matmul(c.context.delta, c.context.delta_inv) == ExprMatrix.identity(2, ps3)
+        assert matmul(c.context.delta, c.context.delta_inv) == identity(2, ps3)
         assert classify_constraints(ps3, [E("x1", ps3), E("x2", ps3)], cfg).context is None
 
     def test_sphere(self):
@@ -189,7 +188,7 @@ class TestClassification:
         assert points == sample_on_shell(sphere_ctx, cfg)
         assert len(at) == len(points)
         for point, values in zip(points, at):
-            assert values == [e.evaluate(point) for e in sphere_ctx.delta.entries]
+            assert values == [e.evaluate(point) for row in sphere_ctx.delta for e in row]
 
 
 class TestTraceIdentity:

@@ -160,4 +160,4 @@ def test_brackets_without_a_shared_pair_skip_the_sum(monkeypatch):
     assert len(sums) == 4
     for a in range(8):
         for b in range(8):
-            assert (str(delta.at(a, b)) == "0") == (a // 2 != b // 2 or a == b)
+            assert (str(delta[a][b]) == "0") == (a // 2 != b // 2 or a == b)

@@ -97,20 +97,20 @@ class TestSparsePoissonBracket:
 class TestDeltaMatrix:
     def test_canonical_pair(self, ps3):
         delta = delta_matrix([E("x1", ps3), E("p1", ps3)], ps3)
-        assert delta.at(0, 1) == E("1", ps3)
-        assert delta.at(1, 0) == E("-1", ps3)
-        assert delta.at(0, 0).is_zero and delta.at(1, 1).is_zero
+        assert delta[0][1] == E("1", ps3)
+        assert delta[1][0] == E("-1", ps3)
+        assert delta[0][0].is_zero and delta[1][1].is_zero
 
     def test_sphere_pair(self, ps3):
         chi1 = E("x1^2 + x2^2 + x3^2", ps3)  # radius folded into a constant shift
         chi2 = E("p1*x1 + p2*x2 + p3*x3", ps3)
         delta = delta_matrix([chi1, chi2], ps3)
-        assert delta.at(0, 1) == E("2*x1^2 + 2*x2^2 + 2*x3^2", ps3)
+        assert delta[0][1] == E("2*x1^2 + 2*x2^2 + 2*x3^2", ps3)
         assert is_skew_symmetric(delta)
 
     def test_commuting_pair_is_zero(self, ps3):
         delta = delta_matrix([E("x1", ps3), E("x2", ps3)], ps3)
-        assert all(e.is_zero for e in delta.entries)
+        assert all(e.is_zero for row in delta for e in row)
 
     def test_odd_count_rejected(self, ps3):
         with pytest.raises(OddConstraintCountError):
@@ -140,9 +140,9 @@ class TestMakeContext:
         # delta * delta_inv = identity exactly
         prod = matmul(ctx.delta, ctx.delta_inv)
         one = RationalExpr.constant(ps, 1)
-        assert (prod.at(0, 0) - one).is_zero
-        assert prod.at(0, 1).is_zero
-        assert (prod.at(1, 1) - one).is_zero
+        assert (prod[0][0] - one).is_zero
+        assert prod[0][1].is_zero
+        assert (prod[1][1] - one).is_zero
 
 
 class TestDiracBracket:
@@ -195,22 +195,22 @@ class TestBracketTable:
         for a in range(2 * n):
             for b in range(2 * n):
                 if b == a + n:
-                    assert table.at(a, b) == E("1", ps3)
+                    assert table[a][b] == E("1", ps3)
                 elif a == b + n:
-                    assert table.at(a, b) == E("-1", ps3)
+                    assert table[a][b] == E("-1", ps3)
                 else:
-                    assert table.at(a, b).is_zero
+                    assert table[a][b].is_zero
 
     def test_single_item(self, ps3):
         table = bracket_table([E("x1^2", ps3)], ps3, "poisson")
-        assert table.rows == table.cols == 1
-        assert table.at(0, 0).is_zero
+        assert len(table) == len(table[0]) == 1
+        assert table[0][0].is_zero
 
     def test_dirac_mode(self, ps3):
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
         table = bracket_table([E("x2", ps3), E("p2", ps3)], ctx, "dirac")
-        assert table.at(0, 1) == E("1", ps3)
-        assert table.at(1, 0) == E("-1", ps3)
+        assert table[0][1] == E("1", ps3)
+        assert table[1][0] == E("-1", ps3)
 
     def test_dirac_entries_print_as_dirac_bracket(self, sphere_ctx):
         # Above the diagonal an entry is {items[a], items[b]}_D with the
@@ -225,8 +225,8 @@ class TestBracketTable:
             for a in range(len(items)):
                 for b in range(a + 1, len(items)):
                     expected = str(dirac_bracket(items[a], items[b], sphere_ctx))
-                    assert str(table.at(a, b)) == expected
-                    assert str(-table.at(b, a)) == expected
+                    assert str(table[a][b]) == expected
+                    assert str(-table[b][a]) == expected
 
     def test_dirac_mode_requires_context(self, ps3):
         with pytest.raises(ValueError):

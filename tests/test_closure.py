@@ -196,7 +196,7 @@ class TestClosureAnalysis:
                 for c in range(3):
                     recon = recon + angular_momenta.exprs[c].scale(report.c[a][b][c])
                 recon = recon + E("1", ps3).scale(report.z[a][b])
-                assert (table.at(a, b) - recon).is_zero
+                assert (table[a][b] - recon).is_zero
 
     def test_basis_permutation_consistency(self, ps3, angular_momenta):
         report = closure_analysis(angular_momenta, ps3, "poisson")

@@ -78,7 +78,7 @@ def cancelled_denominator_degree(e: RationalExpr) -> int:
 
 def test_tables_hold_one_factor_per_sphere():
     for make, count in ((sphere_context, 1), (tower_context, 2)):
-        entries = [e for e in make().delta_inv.entries if not e.is_polynomial]
+        entries = [e for row in make().delta_inv for e in row if not e.is_polynomial]
         assert len({id(e._table) for e in entries}) == 1
         assert len(entries[0]._table.factors) == count
 
@@ -86,7 +86,7 @@ def test_tables_hold_one_factor_per_sphere():
 def test_constant_delta_has_no_table():
     ps = PhaseSpace(4)
     ctx = make_context(ps, linear_mix_constraints(ps, 2, random.Random(1)))
-    assert all(e._table is None for e in ctx.delta_inv.entries)
+    assert all(e._table is None for row in ctx.delta_inv for e in row)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from dirackit import (
-    ExprMatrix,
     PhaseSpace,
     RationalExpr,
     delta_matrix,
@@ -18,8 +17,8 @@ from dirackit import matrix
 from dirackit.errors import SingularMatrixError
 from dirackit.sysfile import parse_system
 
-from conftest import (is_skew_symmetric, linear_mix_constraints, matmul, random_polynomial,
-                      tower_text, transpose)
+from conftest import (identity, is_skew_symmetric, linear_mix_constraints, matmul,
+                      random_polynomial, tower_text, transpose)
 
 
 @pytest.fixture
@@ -31,45 +30,45 @@ def E(text, ps):
     return parse_expression(text, ps)
 
 
-def is_identity(mat: ExprMatrix, ps) -> bool:
+def is_identity(mat, ps) -> bool:
     one = RationalExpr.constant(ps, 1)
-    return all((mat.at(i, j) - (one if i == j else RationalExpr.zero(ps))).is_zero
-               for i in range(mat.rows) for j in range(mat.cols))
+    return all((e - (one if i == j else RationalExpr.zero(ps))).is_zero
+               for i, row in enumerate(mat) for j, e in enumerate(row))
 
 
 def test_two_by_two_skew(ps):
     c = E("2*x1^2 + 2*x2^2 + 2*x3^2", ps)
     zero = RationalExpr.zero(ps)
-    mat = ExprMatrix.from_rows([[zero, c], [-c, zero]])
+    mat = ((zero, c), (-c, zero))
     inv = invert_matrix(mat)
-    assert inv.at(0, 1) == E("-1", ps) / c
-    assert inv.at(1, 0) == E("1", ps) / c
-    assert inv.at(0, 0).is_zero and inv.at(1, 1).is_zero
+    assert inv[0][1] == E("-1", ps) / c
+    assert inv[1][0] == E("1", ps) / c
+    assert inv[0][0].is_zero and inv[1][1].is_zero
     assert is_identity(matmul(mat, inv), ps)
 
 
 def test_identity_4x4(ps):
-    eye = ExprMatrix.identity(4, ps)
+    eye = identity(4, ps)
     assert is_identity(invert_matrix(eye), ps)
 
 
 def test_zero_matrix_singular(ps):
     zero = RationalExpr.zero(ps)
-    mat = ExprMatrix.from_rows([[zero, zero], [zero, zero]])
+    mat = ((zero, zero), (zero, zero))
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat)
 
 
 def test_rank_deficient_singular(ps):
     a = E("x1", ps)
-    mat = ExprMatrix.from_rows([[a, a], [a, a]])
+    mat = ((a, a), (a, a))
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat)
     # Column 1 has no pivot and column 2 has one; the error names column 1,
     # on the general path and on the integer path alike.
     for texts in ((("x1", "x1", "1"), ("x1", "x1", "2"), ("x1", "x1", "p1")),
                   (("1", "1", "2"), ("2", "2", "3"), ("3", "3", "5"))):
-        mat = ExprMatrix.from_rows([[E(t, ps) for t in row] for row in texts])
+        mat = [[E(t, ps) for t in row] for row in texts]
         with pytest.raises(SingularMatrixError, match=r"^no nonzero pivot in column 1$"):
             invert_matrix(mat)
 
@@ -77,7 +76,15 @@ def test_rank_deficient_singular(ps):
 def test_non_square_rejected(ps):
     zero = RationalExpr.zero(ps)
     with pytest.raises(ValueError):
-        invert_matrix(ExprMatrix.from_rows([[zero, zero]]))
+        invert_matrix([[zero, zero]])
+
+
+def test_ragged_rows_rejected(ps):
+    """Rows of different lengths are not a square matrix."""
+    zero, one = RationalExpr.zero(ps), RationalExpr.constant(ps, 1)
+    for rows in ([[one, zero], [one]], [[one], [zero, one]]):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            invert_matrix(rows)
 
 
 def test_random_polynomial_matrices_invert():
@@ -86,9 +93,8 @@ def test_random_polynomial_matrices_invert():
     done = 0
     while done < 10:
         size = rng.choice([2, 3])
-        entries = [[random_polynomial(ps, rng, max_degree=1, max_terms=2)
-                    for _ in range(size)] for _ in range(size)]
-        mat = ExprMatrix.from_rows(entries)
+        mat = [[random_polynomial(ps, rng, max_degree=1, max_terms=2)
+                for _ in range(size)] for _ in range(size)]
         try:
             inv = invert_matrix(mat)
         except SingularMatrixError:
@@ -101,9 +107,9 @@ def test_random_polynomial_matrices_invert():
 def test_transpose_and_skew_check(ps):
     c = E("x1*p2", ps)
     zero = RationalExpr.zero(ps)
-    mat = ExprMatrix.from_rows([[zero, c], [-c, zero]])
+    mat = ((zero, c), (-c, zero))
     assert is_skew_symmetric(mat)
-    assert transpose(mat).at(0, 1) == -c
+    assert transpose(mat)[0][1] == -c
 
 
 def test_inversion_skips_exact_zero_products(monkeypatch):
@@ -132,9 +138,9 @@ def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch,
     rng = random.Random(seed)
     ps = PhaseSpace(5)
     mat = delta_matrix(linear_mix_constraints(ps, rng.randint(1, 4), rng), ps)
-    size = mat.rows
-    unit = ExprMatrix.identity(size, ps)
-    rows = [mat.row(i) + unit.row(i) for i in range(size)]
+    size = len(mat)
+    unit = identity(size, ps)
+    rows = [list(mat[i] + unit[i]) for i in range(size)]
     assert matrix.row_reduce(rows, size, RationalExpr.constant(ps, 1),
                              operator.attrgetter("is_zero"), lambda e: len(e.num)) \
         == list(range(size))
@@ -147,8 +153,8 @@ def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch,
     for i in range(size):
         for j in range(size):
             general = rows[i][size + j]
-            assert (inv.at(i, j).num, inv.at(i, j).den) == (general.num, general.den)
-            assert str(inv.at(i, j)) == str(general)
+            assert (inv[i][j].num, inv[i][j].den) == (general.num, general.den)
+            assert str(inv[i][j]) == str(general)
 
 
 # -- the fraction-free inverse of a constant matrix -----------------------
@@ -178,7 +184,7 @@ def _constant_matrix(rng, size, fractions, skew):
 
 
 def _as_matrix(values, ps):
-    return ExprMatrix.from_rows([[RationalExpr.constant(ps, v) for v in row] for row in values])
+    return [[RationalExpr.constant(ps, v) for v in row] for row in values]
 
 
 @pytest.mark.parametrize("fractions", [False, True])
@@ -200,7 +206,7 @@ def test_constant_inverse_matches_fraction_elimination_and_sympy(size, fractions
         oracle = sympy.Matrix(values).inv()
         for i in range(size):
             for j in range(size):
-                entry = inverse.at(i, j)
+                entry = inverse[i][j]
                 assert entry.den.constant_value() == 1
                 assert entry.num.constant_value() == expected[i][j]
                 assert entry.num.constant_value() == Fraction(str(oracle[i, j]))

@@ -2,19 +2,16 @@
 the truncated least-squares step, and a package that imports only the
 standard library."""
 
-import math
 import os
 import random
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dirackit.analysis import RANK_TOLERANCE
-from dirackit import numeric
 from dirackit.numeric import PivotedQR
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,24 +71,6 @@ def test_rank_matches_numpy_on_skew_delta(seed):
 def test_rank_of_zero_and_exact_dependence():
     assert PivotedQR([[0.0, 0.0], [0.0, 0.0]]).rank(RANK_TOLERANCE) == 0
     assert PivotedQR([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]).rank(RANK_TOLERANCE) == 1
-
-
-def test_column_norms_are_downdated_not_recomputed(monkeypatch):
-    """A full column norm is taken once per column and once per pivot,
-    plus rare recomputations; recomputing every remaining norm at every
-    step would take about size^2 / 2 more, O(k^4) in all."""
-    calls = [0]
-
-    def hypot(*values):
-        calls[0] += 1
-        return math.hypot(*values)
-
-    monkeypatch.setattr(numeric, "math", types.SimpleNamespace(hypot=hypot, sqrt=math.sqrt))
-    rng = random.Random(5)
-    size = 12
-    a = with_singular_values(rng, [rng.uniform(1.0, 2.0) for _ in range(size)])
-    PivotedQR([list(col) for col in a.T])
-    assert calls[0] <= 3 * size
 
 
 @pytest.mark.parametrize("seed", range(10))

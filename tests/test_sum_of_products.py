@@ -170,7 +170,7 @@ class TestFold:
         ps = PhaseSpace(3, parameters=("r",))
         ctx = make_context(ps, [parse_expression("x1^2 + x2^2 + x3^2 - r^2", ps),
                                 parse_expression("p1*x1 + p2*x2 + p3*x3", ps)])
-        tables = [[ctx.delta_inv.row(a) for a in range(2)],
+        tables = [ctx.delta_inv,
                   [over_factor_table([random_rational_expr(ps, rng) for _ in range(2)])
                    for _ in range(2)]]
         one = RationalExpr.constant(ps, 1)

@@ -1,4 +1,5 @@
-"""Poisson and Dirac brackets on a phase space.
+"""Poisson and Dirac brackets: a PhaseSpace takes the first, a
+DiracContext the second, and `bracket_table` builds either table.
 
 The Poisson bracket of f and g is
 
@@ -125,33 +126,29 @@ def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> Ration
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
-    return bracket_table([f, g], ctx, "dirac")[0][1]
+    return bracket_table([f, g], ctx)[0][1]
 
 
-def bracket_table(items, ctx_or_ps, mode: str = "poisson") -> tuple:
+def bracket_table(items, space) -> tuple:
     """All pairwise brackets of items, by rows; exactly skew-symmetric by
-    construction.
+    construction.  The space picks the bracket: Poisson on a PhaseSpace,
+    Dirac in a DiracContext.
 
-    In dirac mode each item's brackets with the constraints are computed
+    In a context each item's brackets with the constraints are computed
     once: the row {item, chi_a} for every item but the last, the column
     {chi_b, item} for every item but the first."""
     items = list(items)
     if not items:
         raise ValueError("items must be nonempty")
-    if mode == "poisson":
-        ps = ctx_or_ps.ps if isinstance(ctx_or_ps, DiracContext) else ctx_or_ps
-        bracket = lambda a, b: poisson_bracket(items[a], items[b], ps)
-    elif mode == "dirac":
-        if not isinstance(ctx_or_ps, DiracContext):
-            raise ValueError("dirac mode requires a DiracContext")
-        ctx = ctx_or_ps
-        ps, chis = ctx.ps, ctx.constraints
+    if isinstance(space, DiracContext):
+        ps, chis = space.ps, space.constraints
         rows = [[poisson_bracket(f, chi, ps) for chi in chis] for f in items[:-1]]
         columns = [None] + [[poisson_bracket(chi, g, ps) for chi in chis] for g in items[1:]]
         bracket = lambda a, b: _dirac_correct(
-            poisson_bracket(items[a], items[b], ps), rows[a], columns[b], ctx)
+            poisson_bracket(items[a], items[b], ps), rows[a], columns[b], space)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        ps = space
+        bracket = lambda a, b: poisson_bracket(items[a], items[b], ps)
     k = len(items)
     zero = RationalExpr.zero(ps)
     entries = [[zero] * k for _ in range(k)]

@@ -85,17 +85,22 @@ def _residual_key(key, names) -> str:
     return f"{names[a]},{b if b == 'H' else names[b]}"
 
 
+def _printed(v):
+    """Nested tuples of coefficients as lists of strings; None stays JSON null."""
+    if v is None:
+        return None
+    return [_printed(x) for x in v] if isinstance(v, tuple) else str(v)
+
+
 def _closure_dict(report) -> dict:
     out = {
         "mode": report.mode,
         "closed": report.closed,
         "names": list(report.names),
-        "c": [[[str(v) for v in row] for row in plane] for plane in report.c],
-        "z": [[str(v) for v in row] for row in report.z],
-        "h": ([[str(v) for v in row] for row in report.h]
-              if report.h is not None else None),
-        "h_const": ([str(v) for v in report.h_const]
-                    if report.h_const is not None else None),
+        "c": _printed(report.c),
+        "z": _printed(report.z),
+        "h": _printed(report.h),
+        "h_const": _printed(report.h_const),
         "residuals": {k: str(v) for k, v in sorted(
             ((_residual_key(key, report.names), expr)
              for key, expr in report.residuals.items()))},
@@ -150,14 +155,14 @@ def emit_report(report: dict, fmt: str):
         k = len(names)
         for a in range(k):
             for b in range(a + 1, k):
-                rhs = _combination(cl["c"][a][b], cl["z"][a][b], names)
-                lines.append(f"  {{{names[a]},{names[b]}}} = {rhs}")
+                if cl["z"][a][b] is not None:
+                    rhs = _combination(cl["c"][a][b], cl["z"][a][b], names)
+                    lines.append(f"  {{{names[a]},{names[b]}}} = {rhs}")
         for key, expr in cl["residuals"].items():
             lines.append(f"  residual {{{key}}} = {expr}")
-        if cl["h"] is not None:
-            for a in range(k):
-                rhs = _combination(cl["h"][a], cl["h_const"][a], names)
-                lines.append(f"  {{{names[a]},H}} = {rhs}")
+        for a, row in enumerate(cl["h"] or ()):
+            if row is not None:
+                lines.append(f"  {{{names[a]},H}} = {_combination(row, cl['h_const'][a], names)}")
     if "verdict" in report and report["verdict"] is not None:
         v = report["verdict"]
         lines.append(f"verdict: {v['kind']}")
@@ -181,12 +186,17 @@ def _base_report(spec: SystemSpec, path: str) -> dict:
     }
 
 
+def _space(spec: SystemSpec, mode: str):
+    """The space whose brackets --mode names: a Dirac context or the phase space."""
+    return make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
+
+
 def run_report(spec: SystemSpec, args) -> int:
     """The one driver of the report commands analyze, classify and closure.
 
     analyze runs classify -> trace -> closure -> verdict, each stage once,
     passing each result on; classify stops after its first stage; closure
-    runs only the closure stage, in the mode it was given.
+    runs only the closure stage, in the space its --mode names.
     """
     command = args.command
     if command == "closure" and spec.primaries is None:
@@ -195,8 +205,7 @@ def run_report(spec: SystemSpec, args) -> int:
     timings = _Timings()
     report = _base_report(spec, args.file)
     if command == "closure":
-        mode = args.mode
-        ctx_or_ps = make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
+        space = _space(spec, args.mode)
     else:
         with timings.time("classify"):
             classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
@@ -205,14 +214,13 @@ def run_report(spec: SystemSpec, args) -> int:
         if classification.verdict != "second_class":
             print("error: constraint set is not second class", file=sys.stderr)
             return EXIT_NOT_SECOND_CLASS
-        mode, ctx_or_ps = "dirac", classification.context
+        space = classification.context
         with timings.time("trace"):
-            trace = trace_identity(ctx_or_ps)
+            trace = trace_identity(space)
         report["trace_identity"] = _trace_dict(trace)
     if command != "classify" and spec.primaries is not None:
         with timings.time("closure"):
-            closure = closure_analysis(spec.primaries, ctx_or_ps, mode,
-                                       on_shell_rules=spec.on_shell_rules())
+            closure = closure_analysis(spec.primaries, space, spec.on_shell_rules)
         report["closure"] = _closure_dict(closure)
     if command == "analyze":
         with timings.time("verdict"):
@@ -230,8 +238,7 @@ def run_report(spec: SystemSpec, args) -> int:
 
 def cmd_bracket(spec: SystemSpec, f_text: str, g_text: str, mode: str) -> int:
     items = [parse_expression(f_text, spec.ps), parse_expression(g_text, spec.ps)]
-    ctx_or_ps = make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
-    sys.stdout.write(str(bracket_table(items, ctx_or_ps, mode)[0][1]) + "\n")
+    sys.stdout.write(str(bracket_table(items, _space(spec, mode))[0][1]) + "\n")
     return EXIT_OK
 
 
@@ -297,9 +304,7 @@ def main(argv=None) -> int:
             return cmd_bracket(spec, args.f, args.g, args.mode)
         if args.command == "trace":
             return cmd_trace(spec)
-        if args.command == "verdict":
-            return cmd_verdict(spec)
-        return EXIT_INTERNAL
+        return cmd_verdict(spec)
     except NotSecondClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SECOND_CLASS

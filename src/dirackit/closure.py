@@ -2,10 +2,10 @@
 finite-dimensionality obstruction.
 
 Each bracket {g_a, g_b} is decomposed exactly as a rational-linear
-combination of the basis plus a constant (the central charge).  A
-nonzero central charge in a closed algebra rules out any
-finite-dimensional operator realization: commutators are traceless,
-the identity is not.
+combination of the basis plus a constant (the central charge), or
+else is a residual and has None for both.  A nonzero central charge in
+a closed algebra rules out any finite-dimensional operator realization:
+commutators are traceless, the identity is not.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .analysis import (
     classify_constraints,
     trace_identity,
 )
-from .brackets import bracket_table
+from .brackets import DiracContext, bracket_table
 from .errors import (
     NonPolynomialInputError,
     NotSecondClassError,
@@ -60,6 +60,7 @@ class AlgebraReport:
     mode: str
     names: tuple[str, ...]
     closed: bool
+    # Entries of a bracket that did not decompose are None.
     c: tuple  # k x k x k structure constants
     z: tuple  # k x k central charges
     h: tuple | None  # k x k Hamiltonian coefficients
@@ -108,41 +109,35 @@ def _checked(targets, basis: PrimarySet):
         yield target
 
 
-def decompose_linear(targets, basis: PrimarySet,
-                     allow_constant: bool) -> list[Decomposition | None]:
-    """Write each target as sum(lambda_b * g_b) (+ lambda_0), exactly, in
+def decompose_linear(targets, basis: PrimarySet) -> list[Decomposition | None]:
+    """Write each target as sum(lambda_b * g_b) + lambda_0, exactly, in
     one elimination for all targets.  None for a target with no exact
     rational combination; the caller records it as the residual.  The
     targets may be any iterable: each one is drawn and checked before
     the next is drawn."""
     targets = list(_checked(targets, basis))
     k = len(basis)
-    polys = [e.num for e in basis.exprs]
-    if allow_constant:
-        polys.append(Polynomial.constant(basis.exprs[0].ps.nsyms, 1))
-    columns = polys + [t.num for t in targets]
-    # With every polynomial zero there is no monomial; one zero row keeps the columns.
-    table = coefficient_rows(columns) or [[Fraction(0)] * len(columns)]
-    width = len(polys)
-    solutions = _solve_exact([row[:width] for row in table], [row[width:] for row in table])
-    return [None if x is None else
-            Decomposition(tuple(x[:k]), x[k] if allow_constant else Fraction(0))
-            for x in solutions]
+    polys = [e.num for e in basis.exprs] + [Polynomial.constant(basis.exprs[0].ps.nsyms, 1)]
+    # The constant column gives the table at least one monomial row.
+    table = coefficient_rows(polys + [t.num for t in targets])
+    solutions = _solve_exact([row[:k + 1] for row in table], [row[k + 1:] for row in table])
+    return [None if x is None else Decomposition(tuple(x[:k]), x[k]) for x in solutions]
 
 
-def _reduced(e: RationalExpr, rules: list[Polynomial] | None) -> RationalExpr:
+def _reduced(e: RationalExpr, rules: tuple[Polynomial, ...] | None) -> RationalExpr:
     return e.reduce_mod(rules) if rules else e
 
 
-def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
-                     on_shell_rules: list[Polynomial] | None = None) -> AlgebraReport:
+def closure_analysis(primaries: PrimarySet, space,
+                     on_shell_rules: tuple[Polynomial, ...] | None = None) -> AlgebraReport:
     """Decompose every pairwise bracket (and {g_a, H} when a Hamiltonian
-    is declared) into structure constants plus central charges."""
+    is declared), taken in space, into structure constants plus central
+    charges."""
     basis = PrimarySet(primaries.names,
                        tuple(_reduced(e, on_shell_rules) for e in primaries.exprs))
     k = len(primaries)
     zero = Fraction(0)
-    c = [[[zero] * k for _ in range(k)] for _ in range(k)]
+    c = [[(zero,) * k] * k for _ in range(k)]
     z = [[zero] * k for _ in range(k)]
     h = h_const = None
     # {g_a, H} is column k of the table when a Hamiltonian is declared.
@@ -151,8 +146,8 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
     if primaries.hamiltonian is not None:
         items.append(primaries.hamiltonian)
         keys += [(a, k) for a in range(k)]
-        h, h_const = [[zero] * k for _ in range(k)], [zero] * k
-    table = bracket_table(items, ctx_or_ps, mode)
+        h, h_const = [None] * k, [None] * k
+    table = bracket_table(items, space)
     # Each bracket is reduced only when decompose_linear has checked the
     # one before, so that the first failure is the one a bracket-by-bracket
     # decomposition would meet.
@@ -163,7 +158,7 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
             brackets.append(_reduced(table[a][b], on_shell_rules))
             yield brackets[-1]
 
-    decompositions = decompose_linear(reduced(), basis, allow_constant=True)
+    decompositions = decompose_linear(reduced(), basis)
     residuals = {}
     notes = []
     for (a, b), bracket, dec in zip(keys, brackets, decompositions):
@@ -172,6 +167,7 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
         elif dec is None:
             residuals[(a, b)] = bracket
             residuals[(b, a)] = -bracket
+            c[a][b] = c[b][a] = z[a][b] = z[b][a] = None
         elif b == k:
             h[a], h_const[a] = dec.coefficients, dec.constant
             if dec.constant != 0:
@@ -184,12 +180,12 @@ def closure_analysis(primaries: PrimarySet, ctx_or_ps, mode: str,
             z[a][b], z[b][a] = dec.constant, -dec.constant
 
     return AlgebraReport(
-        mode=mode,
+        mode="dirac" if isinstance(space, DiracContext) else "poisson",
         names=primaries.names,
         closed=not residuals,
-        c=tuple(tuple(tuple(row) for row in plane) for plane in c),
-        z=tuple(tuple(row) for row in z),
-        h=tuple(tuple(row) for row in h) if h is not None else None,
+        c=tuple(map(tuple, c)),
+        z=tuple(map(tuple, z)),
+        h=tuple(h) if h is not None else None,
         h_const=tuple(h_const) if h_const is not None else None,
         residuals=residuals,
         notes=tuple(notes),

@@ -78,7 +78,7 @@ def _over(ps: PhaseSpace, num: Polynomial, table: FactorTable,
           exps: tuple[int, ...]) -> "RationalExpr":
     """num / prod(table.factors ** exps); a polynomial keeps no table."""
     if num.is_zero or not any(exps):
-        return RationalExpr(ps, num, Polynomial.constant(ps.nsyms, 1))
+        return RationalExpr.from_polynomial(ps, num)
     e = object.__new__(RationalExpr)
     e.ps, e.num, e.den = ps, num, table.product(exps)
     e._table, e._exps, e._partials = table, exps, None
@@ -110,7 +110,11 @@ class RationalExpr:
 
     @classmethod
     def from_polynomial(cls, ps: PhaseSpace, poly: Polynomial) -> "RationalExpr":
-        return cls(ps, poly, Polynomial.constant(ps.nsyms, 1))
+        """poly over 1, a denominator already in normal form."""
+        e = object.__new__(cls)
+        e.ps, e.num, e.den = ps, poly, Polynomial.constant(ps.nsyms, 1)
+        e._table = e._partials = None
+        return e
 
     @classmethod
     def constant(cls, ps: PhaseSpace, value) -> "RationalExpr":
@@ -118,7 +122,7 @@ class RationalExpr:
 
     @classmethod
     def zero(cls, ps: PhaseSpace) -> "RationalExpr":
-        return cls.constant(ps, 0)
+        return cls.from_polynomial(ps, Polynomial.zero(ps.nsyms))
 
     @classmethod
     def symbol(cls, ps: PhaseSpace, name: str) -> "RationalExpr":
@@ -169,7 +173,7 @@ class RationalExpr:
         if self._table is not None:
             return _over(self.ps, num, self._table, self._exps)
         if num.is_zero:
-            return RationalExpr(self.ps, num, self.den)
+            return RationalExpr.from_polynomial(self.ps, num)
         e = object.__new__(RationalExpr)
         e.ps, e.num, e.den, e._table, e._partials = self.ps, num, self.den, None, None
         return e

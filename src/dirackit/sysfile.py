@@ -26,16 +26,10 @@ _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 @dataclass(frozen=True)
 class SystemSpec:
     ps: PhaseSpace
-    constraint_names: tuple[str, ...]
     constraints: tuple[RationalExpr, ...]
-    hamiltonian: RationalExpr | None
-    primaries: PrimarySet | None
-    on_shell_names: tuple[str, ...]
+    primaries: PrimarySet | None  # carries the [hamiltonian], if one is declared
+    on_shell_rules: tuple  # the [onshell] constraints as polynomials, in file order
     sampler: SamplerConfig
-
-    def on_shell_rules(self):
-        by_name = dict(zip(self.constraint_names, self.constraints))
-        return [by_name[n].as_polynomial() for n in self.on_shell_names]
 
 
 def _strip(line: str) -> str:
@@ -63,7 +57,10 @@ def _claim(seen: set, key: str, where: str) -> None:
 
 def load_system(path: str) -> SystemSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+        try:
+            raw = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     return parse_system(raw, source=str(path))
 
 
@@ -168,9 +165,10 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
         name = line[4:].strip()
         if name not in constraint_names:
             raise ValidationError(f"{source}:{lineno}: unknown constraint {name!r}")
-        if not constraints[constraint_names.index(name)].is_polynomial:
+        rule = constraints[constraint_names.index(name)]
+        if not rule.is_polynomial:
             raise ValidationError(f"{source}:{lineno}: on-shell rule {name!r} is not a polynomial")
-        on_shell.append(name)
+        on_shell.append(rule.as_polynomial())
 
     sampler_kwargs = {"parameter_bindings": bindings}
     keys = {"seed": int, "points": int, "tolerance": float,
@@ -190,10 +188,8 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
 
     return SystemSpec(
         ps=ps,
-        constraint_names=constraint_names,
         constraints=constraints,
-        hamiltonian=hamiltonian,
         primaries=primaries,
-        on_shell_names=tuple(on_shell),
+        on_shell_rules=tuple(on_shell),
         sampler=sampler,
     )

@@ -83,7 +83,7 @@ def test_criterion_1_canonical_relations():
         for n in range(1, 7):
             ps = PhaseSpace(n)
             items = [E(s, ps) for s in ps.coordinates + ps.momenta]
-            table = bracket_table(items, ps, "poisson")
+            table = bracket_table(items, ps)
             one = E("1", ps)
             for a in range(2 * n):
                 for b in range(2 * n):
@@ -171,7 +171,7 @@ def test_criterion_7_obstruction_logic():
             names=("L1", "L2", "L3"),
             exprs=(E("x2*p3 - x3*p2", ps), E("x3*p1 - x1*p3", ps),
                    E("x1*p2 - x2*p1", ps)))
-        report = closure_analysis(angular, ps, "poisson")
+        report = closure_analysis(angular, ps)
         assert report.closed
         assert all(v == 0 for row in report.z for v in row)
         assert finite_dim_obstruction(report).kind == "no_obstruction_detected"
@@ -185,7 +185,7 @@ def test_criterion_7_obstruction_logic():
             make_context(ps, linear_mix_constraints(ps, 2, rng)),
         ]
         for ctx in contexts:
-            rep = closure_analysis(canon, ctx, "dirac")
+            rep = closure_analysis(canon, ctx)
             assert rep.closed
             assert any(v != 0 for row in rep.z for v in row)
             assert finite_dim_obstruction(rep).kind == "infinite_dimensional"

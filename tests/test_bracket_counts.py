@@ -64,7 +64,7 @@ def tower_items(spheres: int, count: int):
 def test_two_item_dirac_table_costs_one_dirac_bracket(counts, spheres):
     ctx, (f, g) = tower_items(spheres, 2)
     counts["poisson"] = 0
-    bracket_table([f, g], ctx, "dirac")
+    bracket_table([f, g], ctx)
     assert counts["poisson"] == 4 * ctx.m + 1
     counts["poisson"] = 0
     dirac_bracket(f, g, ctx)
@@ -75,7 +75,7 @@ def test_two_item_dirac_table_costs_one_dirac_bracket(counts, spheres):
 def test_dirac_table_reuses_constraint_rows(counts, spheres, k):
     ctx, items = tower_items(spheres, k)
     counts["poisson"] = 0
-    bracket_table(items, ctx, "dirac")
+    bracket_table(items, ctx)
     assert counts["poisson"] <= 2 * (k - 1) * 2 * ctx.m + k * (k - 1) // 2
 
 

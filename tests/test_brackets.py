@@ -190,7 +190,7 @@ class TestDiracBracket:
 class TestBracketTable:
     def test_canonical_block_table(self, ps3):
         items = [E(s, ps3) for s in ps3.coordinates + ps3.momenta]
-        table = bracket_table(items, ps3, "poisson")
+        table = bracket_table(items, ps3)
         n = 3
         for a in range(2 * n):
             for b in range(2 * n):
@@ -202,13 +202,25 @@ class TestBracketTable:
                     assert table[a][b].is_zero
 
     def test_single_item(self, ps3):
-        table = bracket_table([E("x1^2", ps3)], ps3, "poisson")
+        table = bracket_table([E("x1^2", ps3)], ps3)
         assert len(table) == len(table[0]) == 1
         assert table[0][0].is_zero
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_space_picks_the_bracket(self, sphere_ctx, seed):
+        ps = sphere_ctx.ps
+        rng = random.Random(seed)
+        items = [random_polynomial(ps, rng, max_degree=2, max_terms=2) for _ in range(3)]
+        poisson = bracket_table(items, ps)
+        dirac = bracket_table(items, sphere_ctx)
+        for a in range(3):
+            for b in range(3):
+                assert poisson[a][b] == poisson_bracket(items[a], items[b], ps)
+                assert dirac[a][b] == dirac_bracket(items[a], items[b], sphere_ctx)
+
     def test_dirac_mode(self, ps3):
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
-        table = bracket_table([E("x2", ps3), E("p2", ps3)], ctx, "dirac")
+        table = bracket_table([E("x2", ps3), E("p2", ps3)], ctx)
         assert table[0][1] == E("1", ps3)
         assert table[1][0] == E("-1", ps3)
 
@@ -221,16 +233,12 @@ class TestBracketTable:
             items = [random_polynomial(ps, rng, max_degree=2, max_terms=2,
                                        variables_only=True) for _ in range(3)]
             items.append(random_rational_expr(ps, rng, max_degree=1, max_terms=2))
-            table = bracket_table(items, sphere_ctx, "dirac")
+            table = bracket_table(items, sphere_ctx)
             for a in range(len(items)):
                 for b in range(a + 1, len(items)):
                     expected = str(dirac_bracket(items[a], items[b], sphere_ctx))
                     assert str(table[a][b]) == expected
                     assert str(-table[b][a]) == expected
-
-    def test_dirac_mode_requires_context(self, ps3):
-        with pytest.raises(ValueError):
-            bracket_table([E("x1", ps3)], ps3, "dirac")
 
 
 class TestBracketAxioms:

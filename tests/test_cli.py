@@ -7,10 +7,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dirackit import load_system
+from dirackit import RationalExpr, load_system
 from dirackit.cli import main
 from dirackit.errors import ValidationError
 from dirackit.poly import MAX_DEGREE
+from dirackit.sysfile import parse_system
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 SPHERE = str(SYSTEMS / "sphere.system")
@@ -33,7 +34,14 @@ class TestLoadSystem:
         assert spec.ps.parameters == ("r",)
         assert spec.sampler.seed == 42
         assert spec.primaries is not None
-        assert spec.on_shell_names == ("chi1",)
+        assert spec.on_shell_rules == (spec.constraints[0].as_polynomial(),)
+
+    def test_onshell_rules_are_the_named_polynomials_in_file_order(self):
+        spec = parse_system("[system]\nn = 2\n[constraints]\nchi1 = x1\nchi2 = p1\n"
+                            "chi3 = x2^2 - 1\nchi4 = p2\n[onshell]\nuse chi3\nuse chi1\n")
+        chi1, _, chi3, _ = spec.constraints
+        assert spec.on_shell_rules == (chi3.as_polynomial(), chi1.as_polynomial())
+        assert str(RationalExpr.from_polynomial(spec.ps, spec.on_shell_rules[0])) == "x2^2 - 1"
 
     def test_undeclared_symbol(self, tmp_path):
         path = tmp_path / "bad.system"
@@ -92,6 +100,12 @@ class TestExitCodes:
         path = tmp_path / "bad.system"
         path.write_text("[system]\nn = 2\n[constraints]\nchi1 = y9\nchi2 = p1\n")
         assert main(["analyze", str(path)]) == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.system"
+        path.write_bytes(b"\xff\xfe[system]\nn = 1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_not_second_class(self, capsys):
         assert main(["analyze", DEGENERATE]) == 3
@@ -285,6 +299,18 @@ class TestOtherCommands:
         assert report["closure"]["closed"] is True
         assert all(v == "0" for row in report["closure"]["z"] for v in row)
         assert report["verdict"]["kind"] == "no_obstruction_detected"
+
+    def test_undecomposed_brackets_print_no_false_zero(self, capsys):
+        # {L2,H}_D = p1*p3 and {L3,H}_D = -p1*p2 fall outside the span.
+        assert main(["closure", ANGULAR, "--format", "json"]) == 0
+        closure = json.loads(capsys.readouterr().out)["closure"]
+        assert closure["residuals"] == {"L2,H": "p1*p3", "L3,H": "-p1*p2"}
+        assert closure["h"] == [["0", "0", "0"], None, None]
+        assert closure["h_const"] == ["0", None, None]
+        assert main(["analyze", ANGULAR]) == 0
+        out = capsys.readouterr().out
+        assert "  residual {L2,H} = p1*p3\n" in out and "  {L1,H} = 0\n" in out
+        assert "  {L2,H} = " not in out and "  {L3,H} = " not in out
 
     def test_closure_dirac_pair_elimination(self, capsys):
         assert main(["closure", PAIR, "--mode", "dirac", "--format", "json"]) == 0

@@ -61,35 +61,34 @@ def angular_momenta(ps3):
 class TestDecomposeLinear:
     def test_with_constant(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("x1*p2", ps3),))
-        (dec,) = decompose_linear([E("2*x1*p2 + 3", ps3)], basis, allow_constant=True)
+        (dec,) = decompose_linear([E("2*x1*p2 + 3", ps3)], basis)
         assert dec.coefficients == (Fraction(2),)
         assert dec.constant == 3
 
     def test_not_closed(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("x1", ps3),))
-        (dec,) = decompose_linear([E("x1^2", ps3)], basis, allow_constant=True)
+        (dec,) = decompose_linear([E("x1^2", ps3)], basis)
         assert dec is None
 
     def test_basis_element_itself(self, ps3, angular_momenta):
-        (dec,) = decompose_linear([angular_momenta.exprs[2]], angular_momenta,
-                                  allow_constant=False)
+        (dec,) = decompose_linear([angular_momenta.exprs[2]], angular_momenta)
         assert dec.coefficients == (0, 0, 1)
         assert dec.constant == 0
 
     def test_rational_coefficients(self, ps3):
         basis = PrimarySet(names=("g1", "g2"), exprs=(E("2*x1", ps3), E("3*p1", ps3)))
-        (dec,) = decompose_linear([E("x1 + p1", ps3)], basis, allow_constant=False)
+        (dec,) = decompose_linear([E("x1 + p1", ps3)], basis)
         assert dec.coefficients == (Fraction(1, 2), Fraction(1, 3))
 
     def test_non_polynomial_target(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("x1", ps3),))
         with pytest.raises(NonPolynomialInputError):
-            decompose_linear([E("1/x1", ps3)], basis, allow_constant=True)
+            decompose_linear([E("1/x1", ps3)], basis)
 
     def test_all_zero_polynomials(self, ps3):
         basis = PrimarySet(names=("g1",), exprs=(E("0", ps3),))
         zeros = [E("0", ps3), E("0", ps3)]
-        assert decompose_linear(zeros, basis, allow_constant=False) == [
+        assert decompose_linear(zeros, basis) == [
             Decomposition((Fraction(0),), Fraction(0))] * 2
 
     @pytest.mark.parametrize("seed", range(8))
@@ -105,17 +104,15 @@ class TestDecomposeLinear:
         # every basis element has degree <= 2
         outside = [t + E("x1^3", ps3) for t in inside]
         targets = [t for pair in zip(inside, outside) for t in pair]
-        for allow_constant in (True, False):
-            joint = decompose_linear(targets, basis, allow_constant)
-            assert joint == [decompose_linear([t], basis, allow_constant)[0] for t in targets]
-            for target, dec in zip(targets, joint):
-                if dec is None:
-                    continue
-                rebuilt = RationalExpr.constant(ps3, dec.constant)
-                for coeff, e in zip(dec.coefficients, exprs):
-                    rebuilt = rebuilt + e.scale(coeff)
-                assert rebuilt == target
-        joint = decompose_linear(targets, basis, allow_constant=True)
+        joint = decompose_linear(targets, basis)
+        assert joint == [decompose_linear([t], basis)[0] for t in targets]
+        for target, dec in zip(targets, joint):
+            if dec is None:
+                continue
+            rebuilt = RationalExpr.constant(ps3, dec.constant)
+            for coeff, e in zip(dec.coefficients, exprs):
+                rebuilt = rebuilt + e.scale(coeff)
+            assert rebuilt == target
         assert [dec is None for dec in joint] == [False, True] * 3
 
 
@@ -134,12 +131,12 @@ class TestClosureAnalysis:
         spec = load_system(str(SPHERE))
         # three pair brackets and three {L_a, H} brackets
         report = closure_analysis(spec.primaries, make_context(spec.ps, spec.constraints),
-                                  "dirac", on_shell_rules=spec.on_shell_rules())
+                                  on_shell_rules=spec.on_shell_rules)
         assert report.closed and report.h is not None
         assert len(calls) == 1
 
     def test_angular_momentum_poisson(self, ps3, angular_momenta):
-        report = closure_analysis(angular_momenta, ps3, "poisson")
+        report = closure_analysis(angular_momenta, ps3)
         assert report.closed
         # {L_a, L_b} = eps_abc L_c, cross-checked numerically below
         eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -163,7 +160,7 @@ class TestClosureAnalysis:
         names = tuple(ps3.coordinates + ps3.momenta)
         primaries = PrimarySet(names=names,
                                exprs=tuple(E(s, ps3) for s in names))
-        report = closure_analysis(primaries, ctx, "dirac")
+        report = closure_analysis(primaries, ctx)
         assert report.closed
         assert all(v == 0 for plane in report.c for row in plane for v in row)
         for i in range(3):
@@ -173,23 +170,40 @@ class TestClosureAnalysis:
 
     def test_single_element_trivially_closed(self, ps3):
         primaries = PrimarySet(names=("g1",), exprs=(E("x1^2", ps3),))
-        report = closure_analysis(primaries, ps3, "poisson")
+        report = closure_analysis(primaries, ps3)
         assert report.closed
         assert report.z[0][0] == 0
 
     def test_not_closed_records_residual(self, ps3):
         primaries = PrimarySet(names=("g1", "g2"),
                                exprs=(E("x1^2", ps3), E("p1^2", ps3)))
-        report = closure_analysis(primaries, ps3, "poisson")
+        report = closure_analysis(primaries, ps3)
         assert not report.closed
         assert (0, 1) in report.residuals
         # {x1^2, p1^2} = 4*x1*p1 is outside the span
         assert report.residuals[(0, 1)] == E("4*x1*p1", ps3)
 
+    def test_undecomposed_brackets_have_no_coefficients(self, ps3):
+        # {x1^2, p1^2} = {x1^2, H} = 4*x1*p1 is outside the span; {p1^2, H} = 0
+        primaries = PrimarySet(names=("g1", "g2"), exprs=(E("x1^2", ps3), E("p1^2", ps3)),
+                               hamiltonian=E("p1^2 + x2", ps3))
+        report = closure_analysis(primaries, ps3)
+        assert set(report.residuals) == {(0, 1), (1, 0), (0, "H")}
+        assert report.c[0][1] is report.c[1][0] is None
+        assert report.z[0][1] is report.z[1][0] is None
+        assert report.h[0] is report.h_const[0] is None
+        assert report.h[1] == (0, 0) and report.h_const[1] == 0
+        assert report.c[0][0] == (0, 0) and report.z[0][0] == 0
+
+    def test_mode_follows_the_space(self, ps3, angular_momenta):
+        ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
+        assert closure_analysis(angular_momenta, ps3).mode == "poisson"
+        assert closure_analysis(angular_momenta, ctx).mode == "dirac"
+
     def test_reconstruction_identity(self, ps3, angular_momenta):
         from dirackit import bracket_table
-        report = closure_analysis(angular_momenta, ps3, "poisson")
-        table = bracket_table(list(angular_momenta.exprs), ps3, "poisson")
+        report = closure_analysis(angular_momenta, ps3)
+        table = bracket_table(list(angular_momenta.exprs), ps3)
         for a in range(3):
             for b in range(3):
                 recon = E("0", ps3)
@@ -199,12 +213,12 @@ class TestClosureAnalysis:
                 assert (table[a][b] - recon).is_zero
 
     def test_basis_permutation_consistency(self, ps3, angular_momenta):
-        report = closure_analysis(angular_momenta, ps3, "poisson")
+        report = closure_analysis(angular_momenta, ps3)
         perm = (2, 0, 1)
         permuted = PrimarySet(
             names=tuple(angular_momenta.names[i] for i in perm),
             exprs=tuple(angular_momenta.exprs[i] for i in perm))
-        report_p = closure_analysis(permuted, ps3, "poisson")
+        report_p = closure_analysis(permuted, ps3)
         for a in range(3):
             for b in range(3):
                 for c in range(3):
@@ -219,7 +233,7 @@ class TestClosureAnalysis:
             exprs=(E("x2*p3 - x3*p2", ps3), E("x3*p1 - x1*p3", ps3),
                    E("x1*p2 - x2*p1", ps3)),
             hamiltonian=ham)
-        report = closure_analysis(primaries, ps3, "poisson")
+        report = closure_analysis(primaries, ps3)
         assert report.closed
         assert all(v == 0 for row in report.h for v in row)
         assert all(v == 0 for v in report.h_const)
@@ -228,7 +242,7 @@ class TestClosureAnalysis:
         # {x1, H} with H = p1 gives the constant 1: recorded, flagged
         primaries = PrimarySet(names=("g1",), exprs=(E("x1", ps3),),
                                hamiltonian=E("p1", ps3))
-        report = closure_analysis(primaries, ps3, "poisson")
+        report = closure_analysis(primaries, ps3)
         assert report.closed
         assert report.h_const[0] == 1
         assert report.notes
@@ -239,7 +253,7 @@ class TestClosureAnalysis:
         primaries = PrimarySet(names=names, exprs=tuple(E(s, ps) for s in names))
         # without rules the Dirac brackets stay rational
         with pytest.raises(NonPolynomialInputError):
-            closure_analysis(primaries, sphere_ctx, "dirac")
+            closure_analysis(primaries, sphere_ctx)
 
     def test_sphere_angular_momenta_closed(self, sphere_ctx):
         ps = sphere_ctx.ps
@@ -248,8 +262,7 @@ class TestClosureAnalysis:
             exprs=(E("x2*p3 - x3*p2", ps), E("x3*p1 - x1*p3", ps),
                    E("x1*p2 - x2*p1", ps)))
         rules = [sphere_ctx.constraints[0].as_polynomial()]
-        report = closure_analysis(primaries, sphere_ctx, "dirac",
-                                  on_shell_rules=rules)
+        report = closure_analysis(primaries, sphere_ctx, on_shell_rules=rules)
         assert report.closed
         assert all(v == 0 for row in report.z for v in row)
 
@@ -308,7 +321,7 @@ class TestFirstFailure:
         spec = parse_system(NONPOLYNOMIAL_PRIMARY)
         g3, g4 = spec.primaries.exprs[2:]
         with pytest.raises(ZeroDenominatorOnShellError):
-            poisson_bracket(g3, g4, spec.ps).reduce_mod(spec.on_shell_rules())
+            poisson_bracket(g3, g4, spec.ps).reduce_mod(spec.on_shell_rules)
 
     def test_each_bracket_and_primary_checked_once(self, monkeypatch, ps3, angular_momenta):
         reads = collections.Counter()
@@ -323,7 +336,7 @@ class TestFirstFailure:
         original = closure_module._reduced
         monkeypatch.setattr(closure_module, "_reduced",
                             lambda e, rules: reduced.append(original(e, rules)) or reduced[-1])
-        report = closure_analysis(angular_momenta, ps3, "poisson")
+        report = closure_analysis(angular_momenta, ps3)
         basis, brackets = reduced[:3], reduced[3:]
         assert report.closed and len(brackets) == 3
         assert all(a is b for a, b in zip(basis, angular_momenta.exprs))  # no rules
@@ -335,26 +348,26 @@ class TestVerdicts:
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
         names = tuple(ps3.coordinates + ps3.momenta)
         primaries = PrimarySet(names=names, exprs=tuple(E(s, ps3) for s in names))
-        report = closure_analysis(primaries, ctx, "dirac")
+        report = closure_analysis(primaries, ctx)
         verdict = finite_dim_obstruction(report)
         assert verdict.kind == "infinite_dimensional"
         assert verdict.witness["central_charge"] != 0
 
     def test_traceless_algebra_no_obstruction(self, ps3, angular_momenta):
-        report = closure_analysis(angular_momenta, ps3, "poisson")
+        report = closure_analysis(angular_momenta, ps3)
         verdict = finite_dim_obstruction(report)
         assert verdict.kind == "no_obstruction_detected"
         assert "necessary" in verdict.explanation
 
     def test_single_element_no_obstruction(self, ps3):
         primaries = PrimarySet(names=("g1",), exprs=(E("x1^2", ps3),))
-        verdict = finite_dim_obstruction(closure_analysis(primaries, ps3, "poisson"))
+        verdict = finite_dim_obstruction(closure_analysis(primaries, ps3))
         assert verdict.kind == "no_obstruction_detected"
 
     def test_unclosed_report_rejected(self, ps3):
         primaries = PrimarySet(names=("g1", "g2"),
                                exprs=(E("x1^2", ps3), E("p1^2", ps3)))
-        report = closure_analysis(primaries, ps3, "poisson")
+        report = closure_analysis(primaries, ps3)
         with pytest.raises(ReportNotClosedError):
             finite_dim_obstruction(report)
 

@@ -1,13 +1,27 @@
-"""Every dirackit function and method that the benchmark's tracer wraps
+"""The benchmark still runs on the library as it is.
+
+Every dirackit function and method that the benchmark's tracer wraps
 still exists.  The tracer patches them by name at run time, so a rename
 or a deleted function would otherwise only show as a failed traced run.
-The tracer's tables are read from its source, without importing it."""
+The tracer's tables are read from its source, without importing it.
+
+One pass of each workload in `BENCHMARK.json` runs through the
+benchmark's own input generator and output checks, so that a change to
+an API the benchmark calls fails here rather than in a benchmark run."""
 
 import ast
+import contextlib
 import importlib
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SCHEMA = ROOT / "src" / "dirackit" / "report_schema.json"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _table(name: str) -> tuple:
@@ -33,3 +47,16 @@ def test_every_traced_method_resolves():
                if not callable(getattr(getattr(importlib.import_module(module), cls, None),
                                        name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_one_pass_passes_the_benchmark_checks(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    bench = workloads.build(name, 1, tmp_path)
+    checker = checks.Checker(SCHEMA, seed=1)
+    bench.record(bench.run_pass(lambda label: contextlib.nullcontext()), checker)
+    checker.finish()
+    assert checker.attempted > 0
+    assert checker.failed == 0, capsys.readouterr().err

@@ -111,18 +111,15 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
 
 
 def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> RationalExpr:
-    """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order,
-    with the factors that divide its numerator cancelled."""
-    k = len(ctx.constraints)
-    for a in range(k):
-        if f_chi[a].is_zero:
-            continue
-        for b in range(k):
-            entry = ctx.delta_inv[a][b]
-            if entry.is_zero or chi_g[b].is_zero:
-                continue
-            acc = acc - f_chi[a] * entry * chi_g[b]
-    return acc.cancel()
+    """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order by
+    `add_products` with a pair skipped before its product when one of its
+    three factors is an exact zero, and the factors that divide the sum's
+    numerator cancelled."""
+    k, inv = len(ctx.constraints), ctx.delta_inv
+    return add_products(acc, [(f_chi[a] * inv[a][b], -chi_g[b])
+                              for a in range(k) if not f_chi[a].is_zero
+                              for b in range(k)
+                              if not (inv[a][b].is_zero or chi_g[b].is_zero)]).cancel()
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:

@@ -28,6 +28,7 @@ from operator import add, sub
 
 from .errors import (
     DivisionByZeroError,
+    NonPolynomialInputError,
     PoleAtPointError,
     UnknownSymbolError,
     ZeroDenominatorOnShellError,
@@ -142,7 +143,6 @@ class RationalExpr:
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
-            from .errors import NonPolynomialInputError
             raise NonPolynomialInputError(f"not a polynomial: {self}")
         return self.num
 
@@ -335,10 +335,13 @@ def add_products(start: RationalExpr, pairs) -> RationalExpr:
     canonical, so it equals the fold.  Otherwise it folds acc + a*b left
     to right, and opaque and factor-table results print as that fold
     does.  A skipped product would leave num and den as they are, and
-    acc - a*b builds the same num and den as acc + (-a)*b.
+    acc - a*b builds the same num and den as acc + (-a)*b.  With no pair
+    left the sum is start itself.
     """
     ps = start.ps
     pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
+    if not pairs:
+        return start
     if start.is_polynomial and all(
             a.ps is ps and b.ps is ps and a.is_polynomial and b.is_polynomial
             for a, b in pairs):

@@ -1,6 +1,7 @@
 """Phase space declaration: canonical pairs plus named parameters.
 
-The symbol order is fixed once and for all:
+The variable names are fixed: x1..xn and p1..pn.  The symbol order is
+fixed once and for all:
 
     x_1 > x_2 > ... > x_n > p_1 > ... > p_n > parameters
 
@@ -13,38 +14,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import UnknownSymbolError, ValidationError
 
 
 @dataclass(frozen=True)
 class PhaseSpace:
     n: int
     parameters: tuple[str, ...] = ()
-    coordinates: tuple[str, ...] = ()
-    momenta: tuple[str, ...] = ()
-    _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    coordinates: tuple[str, ...] = field(init=False, compare=False)
+    momenta: tuple[str, ...] = field(init=False, compare=False)
+    symbols: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("phase space needs n >= 1")
-        if not self.coordinates:
-            object.__setattr__(self, "coordinates",
-                               tuple(f"x{i}" for i in range(1, self.n + 1)))
-        if not self.momenta:
-            object.__setattr__(self, "momenta",
-                               tuple(f"p{i}" for i in range(1, self.n + 1)))
-        if len(self.coordinates) != self.n or len(self.momenta) != self.n:
-            raise ValidationError("need exactly n coordinate and n momentum names")
         if not isinstance(self.parameters, tuple):
             object.__setattr__(self, "parameters", tuple(self.parameters))
-        names = self.symbols
+        coordinates = tuple(f"x{i}" for i in range(1, self.n + 1))
+        momenta = tuple(f"p{i}" for i in range(1, self.n + 1))
+        names = coordinates + momenta + self.parameters
         if len(set(names)) != len(names):
             raise ValidationError("variable and parameter names must be pairwise distinct")
+        object.__setattr__(self, "coordinates", coordinates)
+        object.__setattr__(self, "momenta", momenta)
+        object.__setattr__(self, "symbols", names)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(names)})
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return self.coordinates + self.momenta + self.parameters
 
     @property
     def nsyms(self) -> int:
@@ -54,7 +49,6 @@ class PhaseSpace:
         try:
             return self._index[name]
         except KeyError:
-            from .errors import UnknownSymbolError
             raise UnknownSymbolError(name) from None
 
     def is_variable(self, name: str) -> bool:

@@ -7,6 +7,7 @@ ambiguity between configuration parsing and expression parsing.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ class SystemSpec:
     primaries: PrimarySet | None  # carries the [hamiltonian], if one is declared
     on_shell_rules: tuple  # the [onshell] constraints as polynomials, in file order
     sampler: SamplerConfig
+    input_digest: str  # "sha256:" and the hex SHA-256 of the UTF-8 text
 
 
 def _strip(line: str) -> str:
@@ -56,7 +58,9 @@ def _claim(seen: set, key: str, where: str) -> None:
 
 
 def load_system(path: str) -> SystemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read the file once, with no newline translation, so its text
+    encodes back to exactly the bytes read, and a pipe is read only once."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             raw = fh.read()
         except UnicodeDecodeError as exc:
@@ -192,4 +196,5 @@ def parse_system(text: str, source: str = "<string>") -> SystemSpec:
         primaries=primaries,
         on_shell_rules=tuple(on_shell),
         sampler=sampler,
+        input_digest="sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )

@@ -95,15 +95,20 @@ def is_skew_symmetric(m) -> bool:
 
 
 def random_polynomial(ps, rng: random.Random, max_degree=3, max_terms=4,
-                      variables_only=False) -> RationalExpr:
-    """Random polynomial expression with small rational coefficients."""
+                      variables_only=False, symbols=None) -> RationalExpr:
+    """Random polynomial expression with small rational coefficients.
+    Its monomials draw on the named symbols, by default on every symbol
+    (every variable with variables_only)."""
     nsyms = ps.nsyms
-    active = 2 * ps.n if variables_only else nsyms
+    if symbols is None:
+        active = range(2 * ps.n if variables_only else nsyms)
+    else:
+        active = [ps.index_of(s) for s in symbols]
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = [0] * nsyms
         for _ in range(rng.randint(0, max_degree)):
-            mono[rng.randrange(active)] += 1
+            mono[active[rng.randrange(len(active))]] += 1
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if coeff != 0:
             key = tuple(mono)

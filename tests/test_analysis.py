@@ -32,8 +32,8 @@ from dirackit.errors import (
 from dirackit import analysis
 from dirackit.sysfile import parse_system
 
-from conftest import (identity, linear_mix_constraints, matmul, random_polynomial,
-                      random_rational_expr, tower_text)
+from conftest import (fd_poisson, identity, linear_mix_constraints, matmul, random_point,
+                      random_polynomial, random_rational_expr, tower_text)
 
 
 def E(text, ps):
@@ -314,15 +314,15 @@ class TestReductionCheck:
     def test_random_functions(self, ps3):
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
         rng = random.Random(70)
-        reduced = PhaseSpace(2, coordinates=("x2", "x3"), momenta=("p2", "p3"))
-        done = 0
-        while done < 100:
-            f_red = random_polynomial(reduced, rng)
-            g_red = random_polynomial(reduced, rng)
-            f = E(str(f_red), ps3) if not f_red.is_zero else E("0", ps3)
-            g = E(str(g_red), ps3) if not g_red.is_zero else E("0", ps3)
+        kept = ("x2", "x3", "p2", "p3")
+        point = random_point(ps3, random.Random(71))
+        for _ in range(100):
+            f = random_polynomial(ps3, rng, symbols=kept)
+            g = random_polynomial(ps3, rng, symbols=kept)
             assert reduction_check(ctx, {1}, f, g)
-            done += 1
+            # An oracle that does not go through poisson_bracket.
+            assert abs(dirac_bracket(f, g, ctx).evaluate(point)
+                       - fd_poisson(f, g, ps3, point)) <= 1e-6
 
 
 class TestDofCount:

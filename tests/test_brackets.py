@@ -19,9 +19,10 @@ from dirackit.errors import (
     OddConstraintCountError,
     TooManyConstraintsError,
 )
+from dirackit.sysfile import parse_system
 
 from conftest import (fd_poisson, is_skew_symmetric, matmul, random_point, random_polynomial,
-                      random_rational_expr)
+                      random_rational_expr, tower_text)
 
 
 def E(text, ps):
@@ -239,6 +240,27 @@ class TestBracketTable:
                     expected = str(dirac_bracket(items[a], items[b], sphere_ctx))
                     assert str(table[a][b]) == expected
                     assert str(-table[b][a]) == expected
+
+
+    def test_dirac_table_makes_no_product_with_an_exact_zero(self, monkeypatch):
+        # The Dirac correction skips a pair before multiplying when
+        # {f, chi_a}, (Delta^-1)_ab or {chi_b, g} is an exact zero.
+        spec = parse_system(tower_text(2, sampler_seed=1))
+        ctx = make_context(spec.ps, spec.constraints)
+        items = list(spec.primaries.exprs) + [spec.primaries.hamiltonian]
+        zero_operands = []
+        multiply = RationalExpr.__mul__
+
+        def recording(self, other):
+            if self.is_zero or other.is_zero:
+                zero_operands.append((str(self), str(other)))
+            return multiply(self, other)
+
+        monkeypatch.setattr(RationalExpr, "__mul__", recording)
+        table = bracket_table(items, ctx)
+        monkeypatch.undo()
+        assert zero_operands == []
+        assert str(table[0][1]) == str(dirac_bracket(items[0], items[1], ctx))
 
 
 class TestBracketAxioms:

@@ -1,6 +1,10 @@
 """System file loading, CLI commands, exit codes, report schema."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +17,7 @@ from dirackit.errors import ValidationError
 from dirackit.poly import MAX_DEGREE
 from dirackit.sysfile import parse_system
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 SPHERE = str(SYSTEMS / "sphere.system")
 TRIVIAL = str(SYSTEMS / "trivial.system")
@@ -249,6 +254,31 @@ class TestAnalyze:
         main(["analyze", SPHERE, "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_input_reports_the_digest_of_its_bytes(self):
+        data = Path(SPHERE).read_bytes()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "dirackit.cli", "analyze", "/dev/stdin", "--format", "json"],
+            input=data, capture_output=True, env=env, check=True).stdout
+        report = json.loads(out)
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+        assert report["trace_identity"]["holds"] is True
+
+    def test_crlf_file_reports_the_digest_of_its_bytes(self, tmp_path, capsys):
+        data = Path(SPHERE).read_bytes().replace(b"\n", b"\r\n")
+        path = tmp_path / "sphere_crlf.system"
+        path.write_bytes(data)
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+        assert main(["analyze", SPHERE, "--format", "json"]) == 0
+        lf = json.loads(capsys.readouterr().out)
+        assert report["input_digest"] != lf["input_digest"]
+        assert report["classification"] == lf["classification"]
+        assert report["trace_identity"] == lf["trace_identity"]
 
     def test_schema_validates_all_reportable_systems(self, capsys):
         s = schema()

@@ -85,3 +85,8 @@ class ValidationError(DiracKitError):
 
 class DegreeOverflowError(DiracKitError):
     """A monomial's total degree exceeds the polynomial kernel's limit."""
+
+
+class ExpansionBudgetError(DiracKitError):
+    """A power would expand past the polynomial kernel's term or
+    coefficient-size budget."""

@@ -5,29 +5,52 @@
     factor := "-" factor | base ("^" integer)?
     base   := number | identifier | "(" expr ")"
     number := integer ("/" integer)?     -- a literal rational
+    integer := [0-9]+                    -- ASCII digits only
     identifier := [A-Za-z][A-Za-z0-9_]*  -- declared variable or parameter
 
 Implicit multiplication is rejected.  "^" binds tighter than unary
 minus.  A rational literal requires the "/" to sit directly between the
 two integers with no whitespace ("1/2" is the literal, "1 / 2" is a
 division; both denote the same value).
+
+Polynomial input is built without rational-expression arithmetic.  A
+number or a symbol raised to a power k >= 0 is one term: a coefficient
+(an int or a Fraction) and a packed monomial key (see `dirackit.poly`).
+A product of terms multiplies the coefficients and adds the keys, with
+the degree check of `Polynomial.__mul__`.  A sum collects its terms in
+one {key: coefficient} dict, normalized once into a `Polynomial` when
+the sum ends.  `Polynomial` arithmetic is used only where a sum in
+parentheses is multiplied, divided by a constant or raised to a power.
+Polynomials have one stored form per value, so the result is the one
+any order of the same operations gives.
+
+A `RationalExpr` is made only at a "/" by a non-constant or at a
+negative power.  From there the enclosing products and sums fold left
+to right in `RationalExpr` arithmetic, which takes no gcd, so a rational
+result keeps the numerator and denominator that fold builds:
+"(x1^2-1)/(x1-1)" prints as written.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
-from .errors import ExpressionSyntaxError, UnknownSymbolError
+from .errors import DivisionByZeroError, ExpressionSyntaxError, UnknownSymbolError
 from .expr import RationalExpr
 from .phase_space import PhaseSpace
+from .poly import SLOT_BITS, Polynomial, _check_degree, _check_power, _layout, _normalized
 
 _TOKEN = re.compile(r"""
-    (?P<number>\d+(?:/\d+)?)
+    (?P<number>[0-9]+(?:/[0-9]+)?)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
   | (?P<ws>\s+)
 """, re.VERBOSE)
+
+# A term is a (coefficient, packed key) pair; zero is always (0, 0).
+_ZERO = (0, 0)
 
 
 def _tokenize(text: str):
@@ -48,10 +71,20 @@ def _tokenize(text: str):
     return tokens
 
 
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ExpressionSyntaxError("integer literal too long", pos) from None
+
+
 class _Parser:
+    """Each grammar rule returns a term, a `Polynomial` or a `RationalExpr`."""
+
     def __init__(self, text: str, ps: PhaseSpace):
-        self.text = text
         self.ps = ps
+        self.nsyms = ps.nsyms
+        self.shift = _layout(ps.nsyms)[0]
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -62,6 +95,10 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def at(self, ops: str) -> bool:
+        kind, value, _ = self.tokens[self.i]
+        return kind == "op" and value in ops
 
     def expect_op(self, op: str):
         kind, value, pos = self.peek()
@@ -75,40 +112,52 @@ class _Parser:
         if kind != "end":
             raise ExpressionSyntaxError(f"trailing input {value!r}", pos,
                                         expected="end of expression")
+        return self.rational(e)
+
+    def expr(self):
+        e = self.term()
+        if not self.at("+-"):
+            return e
+        if isinstance(e, RationalExpr):
+            return self.fold(e)
+        terms = {}
+        self.collect(terms, e)
+        while self.at("+-"):
+            minus = self.advance()[1] == "-"
+            e = self.term()
+            if isinstance(e, RationalExpr):
+                acc = self.rational(self.finish(terms))
+                return self.fold(acc - e if minus else acc + e)
+            self.collect(terms, self.neg(e) if minus else e)
+        return self.finish(terms)
+
+    def fold(self, e):
+        """The rest of a sum whose value so far is e, folded left to right
+        in RationalExpr arithmetic."""
+        while self.at("+-"):
+            op = self.advance()[1]
+            rhs = self.rational(self.term())
+            e = e + rhs if op == "+" else e - rhs
         return e
 
-    def expr(self) -> RationalExpr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = e + rhs if value == "+" else e - rhs
-            else:
-                return e
-
-    def term(self) -> RationalExpr:
+    def term(self):
         e = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = e * rhs if value == "*" else e / rhs
-            else:
-                return e
+        while self.at("*/"):
+            op = self.advance()[1]
+            rhs = self.factor()
+            e = self.mul(e, rhs) if op == "*" else self.div(e, rhs)
+        return e
 
-    def factor(self) -> RationalExpr:
+    def factor(self):
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.factor()
+            return self.neg(self.factor())
         e = self.base()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            e = e.int_pow(self.integer())
+            e = self.power(e, self.integer())
         return e
 
     def integer(self) -> int:
@@ -121,18 +170,24 @@ class _Parser:
         if kind != "number" or "/" in value:
             raise ExpressionSyntaxError("bad exponent", pos, expected="an integer")
         self.advance()
-        return sign * int(value)
+        return sign * _integer(value, pos)
 
-    def base(self) -> RationalExpr:
+    def base(self):
         kind, value, pos = self.advance()
         if kind == "number":
-            if "/" in value and int(value.split("/")[1]) == 0:
+            num, _, den = value.partition("/")
+            if not den:
+                return _integer(num, pos), 0
+            den = _integer(den, pos)
+            if den == 0:
                 raise ExpressionSyntaxError("rational literal with zero denominator", pos)
-            return RationalExpr.constant(self.ps, Fraction(value))
+            return Fraction(_integer(num, pos), den), 0
         if kind == "ident":
-            if value not in self.ps.symbols:
-                raise UnknownSymbolError(value, pos)
-            return RationalExpr.symbol(self.ps, value)
+            try:
+                index = self.ps.index_of(value)
+            except UnknownSymbolError:
+                raise UnknownSymbolError(value, pos) from None
+            return 1, 1 << self.shift | 1 << SLOT_BITS * (self.nsyms - 1 - index)
         if kind == "op" and value == "(":
             e = self.expr()
             self.expect_op(")")
@@ -140,6 +195,74 @@ class _Parser:
         shown = value if value else "end of input"
         raise ExpressionSyntaxError(f"unexpected {shown!r}", pos,
                                     expected="a number, identifier, or '('")
+
+    # -- values -------------------------------------------------------
+
+    def polynomial(self, v) -> Polynomial:
+        if type(v) is not tuple:
+            return v
+        c, key = v
+        return _normalized(self.nsyms, c.numerator, c.denominator, {key: 1} if c else {})
+
+    def rational(self, v) -> RationalExpr:
+        if isinstance(v, RationalExpr):
+            return v
+        return RationalExpr.from_polynomial(self.ps, self.polynomial(v))
+
+    def collect(self, terms: dict, v) -> None:
+        """terms += v, for a term or a Polynomial v."""
+        get = terms.get
+        if type(v) is tuple:
+            c, key = v
+            terms[key] = get(key, 0) + c
+            return
+        num, den = v._n, v._d
+        for key, c in v._t.items():
+            terms[key] = get(key, 0) + (num * c if den == 1 else Fraction(num * c, den))
+
+    def finish(self, terms: dict) -> Polynomial:
+        """The sum of the collected terms, normalized once."""
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        return _normalized(self.nsyms, 1, den, {key: c.numerator * (den // c.denominator)
+                                                for key, c in terms.items() if c})
+
+    def neg(self, v):
+        if type(v) is tuple:
+            return -v[0], v[1]
+        return -v
+
+    def mul(self, a, b):
+        if type(a) is tuple and type(b) is tuple:
+            (ca, ka), (cb, kb) = a, b
+            if not (ca and cb):
+                return _ZERO
+            _check_degree((ka >> self.shift) + (kb >> self.shift))
+            return ca * cb, ka + kb
+        if isinstance(a, RationalExpr) or isinstance(b, RationalExpr):
+            return self.rational(a) * self.rational(b)
+        return self.polynomial(a) * self.polynomial(b)
+
+    def div(self, a, b):
+        if type(b) is Polynomial and b.is_constant:
+            b = b.constant_value(), 0
+        if type(b) is not tuple or b[1] or isinstance(a, RationalExpr):
+            return self.rational(a) / self.rational(b)
+        c = b[0]
+        if not c:
+            raise DivisionByZeroError("division by a canonically zero expression")
+        if type(a) is tuple:
+            return Fraction(a[0], c), a[1]
+        return a.scale(1 / Fraction(c))
+
+    def power(self, v, k: int):
+        if k < 0 or isinstance(v, RationalExpr):
+            return self.rational(v).int_pow(k)
+        if type(v) is not tuple:
+            return v ** k
+        c, key = v
+        _check_degree((key >> self.shift) * k)
+        _check_power(1, max(abs(c.numerator), c.denominator), k)
+        return c ** k, key * k
 
 
 def parse_expression(text: str, ps: PhaseSpace) -> RationalExpr:

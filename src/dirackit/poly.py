@@ -19,6 +19,16 @@ units.  The total degree of every monomial is limited to MAX_DEGREE
 it raise DegreeOverflowError (an input error, CLI exit 2) before any
 slot can carry into its neighbour.
 
+A power is bounded before it is expanded, so that input such as
+`(x1 + x2)^100000` or `2^4294967295` fails at once instead of exhausting
+memory.  p**k with k >= 2 raises ExpansionBudgetError (CLI exit 2) when
+p has t >= 2 terms and the C(t + k - 1, k) terms p**k can have are more
+than MAX_POWER_TERMS, or when k * ceil(log2 c) is more than
+MAX_POWER_BITS, where c bounds the numerator and the denominator of
+every coefficient of p.  The second bound is the bit length of c**k:
+unit coefficients never grow, and the first bound keeps the multinomial
+coefficients small.
+
 The public view of the terms, `Polynomial.terms`, is a read-only map
 from exponent tuples to Fractions.
 """
@@ -31,12 +41,14 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeOverflowError
+from .errors import DegreeOverflowError, ExpansionBudgetError
 
 Monomial = tuple[int, ...]
 
 SLOT_BITS = 32
 MAX_DEGREE = (1 << SLOT_BITS) - 1
+MAX_POWER_TERMS = 10_000
+MAX_POWER_BITS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +63,20 @@ def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise DegreeOverflowError(
             f"total degree {degree} exceeds the limit of {MAX_DEGREE}")
+
+
+def _check_power(terms: int, size: int, k: int) -> None:
+    """Refuse the k-th power of a base with `terms` terms whose largest
+    coefficient numerator or denominator is `size`, before expanding it."""
+    if k < 2:
+        return
+    if math.comb(terms + k - 1, k) > MAX_POWER_TERMS:
+        raise ExpansionBudgetError(
+            f"a {terms}-term polynomial to the power {k} can have more than "
+            f"{MAX_POWER_TERMS} terms")
+    if k * (size - 1).bit_length() > MAX_POWER_BITS:
+        raise ExpansionBudgetError(
+            f"a power {k} can have coefficients of more than {MAX_POWER_BITS} bits")
 
 
 def _pack(nsyms: int, mono: Monomial) -> int:
@@ -310,6 +336,13 @@ class Polynomial:
         if k < 0:
             raise ValueError("negative power on a bare polynomial")
         _check_degree(self.total_degree() * k)
+        _check_power(len(self._t), max(abs(self._n) * max(map(abs, self._t.values()), default=1),
+                                       self._d), k)
+        if len(self._t) == 1:
+            # The primitive part of one term is its monomial: only the
+            # content and the key are raised.
+            return _make(self.nsyms, self._n ** k, self._d ** k, {self._lead * k: 1},
+                         self._lead * k)
         result = Polynomial.constant(self.nsyms, 1)
         base = self
         while k:

@@ -11,11 +11,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
+from dirackit.errors import ExpressionSyntaxError, UnknownSymbolError
+from dirackit.parser import _tokenize
 from dirackit.poly import Polynomial, _unpack
 
 FD_STEP = 1e-5
+
+# Property tests run the same examples on every run, and a bounded number.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=400)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -63,6 +71,114 @@ def leading_monomial(poly: Polynomial):
     if poly.is_zero:
         raise ValueError("the zero polynomial has no leading monomial")
     return _unpack(poly.nsyms, poly._lead)
+
+
+class _FoldParser:
+    """The parser as a recursive fold over RationalExpr arithmetic: every
+    number and symbol becomes a RationalExpr, and every operator applies
+    RationalExpr's own operation left to right."""
+
+    def __init__(self, text: str, ps: PhaseSpace):
+        self.ps = ps
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, value, pos = self.peek()
+        if kind == "op" and value == op:
+            return self.advance()
+        raise ExpressionSyntaxError("unexpected token", pos, expected=repr(op))
+
+    def parse(self) -> RationalExpr:
+        e = self.expr()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise ExpressionSyntaxError(f"trailing input {value!r}", pos,
+                                        expected="end of expression")
+        return e
+
+    def expr(self) -> RationalExpr:
+        e = self.term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                rhs = self.term()
+                e = e + rhs if value == "+" else e - rhs
+            else:
+                return e
+
+    def term(self) -> RationalExpr:
+        e = self.factor()
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value in "*/":
+                self.advance()
+                rhs = self.factor()
+                e = e * rhs if value == "*" else e / rhs
+            else:
+                return e
+
+    def factor(self) -> RationalExpr:
+        kind, value, pos = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return -self.factor()
+        e = self.base()
+        kind, value, pos = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            e = e.int_pow(self.integer())
+        return e
+
+    def integer(self) -> int:
+        sign = 1
+        kind, value, pos = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            sign = -1
+            kind, value, pos = self.peek()
+        if kind != "number" or "/" in value:
+            raise ExpressionSyntaxError("bad exponent", pos, expected="an integer")
+        self.advance()
+        return sign * int(value)
+
+    def base(self) -> RationalExpr:
+        kind, value, pos = self.advance()
+        if kind == "number":
+            if "/" in value and int(value.split("/")[1]) == 0:
+                raise ExpressionSyntaxError("rational literal with zero denominator", pos)
+            return RationalExpr.constant(self.ps, Fraction(value))
+        if kind == "ident":
+            if value not in self.ps.symbols:
+                raise UnknownSymbolError(value, pos)
+            return RationalExpr.symbol(self.ps, value)
+        if kind == "op" and value == "(":
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        shown = value if value else "end of input"
+        raise ExpressionSyntaxError(f"unexpected {shown!r}", pos,
+                                    expected="a number, identifier, or '('")
+
+
+def fold_parse(text: str, ps: PhaseSpace) -> RationalExpr:
+    """Reference for `parse_expression`: the same grammar and errors,
+    evaluated by the recursive RationalExpr fold."""
+    parser = _FoldParser(text, ps)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply",
+                                    parser.peek()[2]) from None
 
 
 def identity(size: int, ps) -> tuple:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from dirackit import RationalExpr, bracket_table, dirac_bracket, make_context
-from dirackit import brackets, sysfile
+from dirackit import brackets
 from dirackit.cli import main
 from dirackit.poly import Polynomial
 from dirackit.sysfile import parse_system
@@ -117,34 +117,20 @@ def test_mix_analyze_brackets_only_for_delta(counts, monkeypatch, tmp_path):
 
 def test_mix_analyze_multiplies_only_while_parsing(monkeypatch, tmp_path):
     """Delta and the trace of an n = m = 10 mix are sums of products of
-    constant partials, each one pass of `poly.sum_of_products`: every
-    `Polynomial.__mul__` of one analyze is made while the file is parsed.
-    Summed product by product, the same analyze made 12,000."""
+    constant partials, each one pass of `poly.sum_of_products`, and the
+    parser builds the file's linear constraints from terms: one analyze
+    makes no `Polynomial.__mul__` call.  Summed product by product, the
+    same analyze made 12,000; parsed through rational-expression
+    products, its file alone made 680."""
     path = tmp_path / "mix.system"
     path.write_text(mix_text(10, 10, random.Random(4)), encoding="utf-8")
-    calls = {"all": 0, "parsing": 0}
-    parsing = [False]
+    calls = []
     mul = Polynomial.__mul__
-
-    def counted_mul(self, other):
-        calls["all"] += 1
-        calls["parsing"] += parsing[0]
-        return mul(self, other)
-
-    load_system = sysfile.load_system
-
-    def counted_load(*args):
-        parsing[0] = True
-        try:
-            return load_system(*args)
-        finally:
-            parsing[0] = False
-
-    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
-    replace_everywhere(monkeypatch, load_system, counted_load)
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["analyze", str(path), "--format", "json"]) == 0
-    assert calls == {"all": 680, "parsing": 680}
+    assert calls == []
 
 
 def test_brackets_without_a_shared_pair_skip_the_sum(monkeypatch):

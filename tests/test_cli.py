@@ -14,7 +14,7 @@ import pytest
 from dirackit import RationalExpr, load_system
 from dirackit.cli import main
 from dirackit.errors import ValidationError
-from dirackit.poly import MAX_DEGREE
+from dirackit.poly import MAX_DEGREE, Polynomial
 from dirackit.sysfile import parse_system
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -178,6 +178,18 @@ class TestExitCodes:
                         f"chi1 = x1^{MAX_DEGREE + 1}\nchi2 = p1\n")
         assert main(["analyze", str(path)]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_power_past_the_expansion_budget(self, tmp_path, capsys, monkeypatch):
+        """Refused before it is expanded: no multiplication may run."""
+        def refuse(self, other):
+            raise AssertionError("a power was expanded")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        path = tmp_path / "power.system"
+        path.write_text("[system]\nn = 2\n[constraints]\n"
+                        "chi1 = (x1 + x2)^100000\nchi2 = p1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "more than 10000 terms" in capsys.readouterr().err
 
     def test_closure_without_primaries(self, capsys):
         assert main(["closure", TRIVIAL]) == 2

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dirackit import PhaseSpace, parse_expression
-from dirackit.errors import DegreeOverflowError
-from dirackit.poly import MAX_DEGREE, Polynomial, reduce_by
+from dirackit.errors import DegreeOverflowError, ExpansionBudgetError
+from dirackit.poly import MAX_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, Polynomial, reduce_by
 
 from conftest import grlex_key, leading_monomial
 
@@ -145,6 +145,43 @@ class TestDegreeLimit:
         assert str(e) == f"2*x2^{MAX_DEGREE}"
         with pytest.raises(DegreeOverflowError):
             parse_expression(f"x2^{MAX_DEGREE}*x3", ps)
+
+
+class TestPowerBudget:
+    def test_terms_at_the_cap(self):
+        """(t terms)^2 can have C(t + 1, 2) terms: 9,870 for t = 140,
+        10,011 for t = 141."""
+        assert MAX_POWER_TERMS == 10_000
+        base = Polynomial(141, {tuple(int(i == j) for i in range(141)): 1 for j in range(141)})
+        head = Polynomial(141, {tuple(int(i == j) for i in range(141)): 1 for j in range(140)})
+        assert len(head ** 2) == 9870
+        with pytest.raises(ExpansionBudgetError, match="more than 10000 terms"):
+            base ** 2
+
+    @pytest.mark.parametrize("c, k", [(2, MAX_POWER_BITS), (3, MAX_POWER_BITS // 2),
+                                      (Fraction(1, 3), MAX_POWER_BITS // 2)])
+    def test_coefficient_bits_at_the_cap(self, c, k):
+        """k * ceil(log2 c) may reach MAX_POWER_BITS, not pass it."""
+        assert Polynomial.constant(1, c) ** k == Polynomial.constant(1, c ** k)
+        with pytest.raises(ExpansionBudgetError, match="bits"):
+            Polynomial.constant(1, c) ** (k + 1)
+
+    @pytest.mark.parametrize("text", ["10^400", "x1^200", f"x1^{MAX_DEGREE}",
+                                      "(x1 + 1)^100", "(-1)^100001"])
+    def test_powers_within_the_budget_parse(self, ps, text):
+        assert not parse_expression(text, ps).is_zero
+
+    @pytest.mark.parametrize("text", ["(x1 + x2)^100000", "2^4294967295",
+                                      "(x1 + x2)^-100000", "(2*x1)^-4294967295"])
+    def test_power_past_the_budget_is_refused_before_expanding(self, ps, monkeypatch, text):
+        """With `*` made to raise, the refusal has to come before any
+        multiplication; negative powers are refused through int_pow."""
+        def refuse(self, other):
+            raise AssertionError("a power was expanded")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        with pytest.raises(ExpansionBudgetError):
+            parse_expression(text, ps)
 
 
 # -- oracle: a plain {exponent tuple: Fraction} kernel ----------------------

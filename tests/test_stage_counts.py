@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from dirackit import sysfile
 from dirackit.brackets import DiracContext, dirac_bracket
 from dirackit.expr import RationalExpr
 from dirackit.parser import parse_expression
 from dirackit.cli import main
+from dirackit.poly import Polynomial
 
 from conftest import jacobi_triple, mix_text, replace_everywhere, tower_text
 
@@ -120,3 +122,23 @@ def test_dirac_bracket_computes_each_partial_once(partials, sphere_ctx, seed):
     partials.clear()
     dirac_bracket(f, inner, ctx)
     assert partials and max(partials.values()) == 1
+
+
+def test_parsing_linear_constraints_makes_no_product_or_rational_sum(monkeypatch):
+    """The 20 constraints of an n = m = 10 mix are sums of `(c)*x` terms:
+    the parser builds them from coefficients and monomial keys, with no
+    `Polynomial.__mul__` and no `RationalExpr` product or sum.  Parsed as
+    a fold of `RationalExpr` operations they made 680 polynomial products."""
+    calls = Counter()
+    for cls, name in ((Polynomial, "__mul__"), (RationalExpr, "__mul__"),
+                      (RationalExpr, "__add__")):
+        original = getattr(cls, name)
+
+        def counted(self, other, _original=original, _key=f"{cls.__name__}.{name}"):
+            calls[_key] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(cls, name, counted)
+    spec = sysfile.parse_system(mix_text(10, 10, random.Random(4)))
+    assert len(spec.constraints) == 20
+    assert calls == {}

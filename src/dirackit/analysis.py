@@ -19,7 +19,6 @@ from .brackets import (
     constraint_gradients,
     delta_matrix,
     dirac_bracket,
-    invert_delta,
     poisson_bracket,
 )
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import RationalExpr, add_products
+from .matrix import invert_matrix
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace
 
@@ -237,7 +237,7 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
-        context = DiracContext(ps, constraints, delta, invert_delta(delta))
+        context = DiracContext(ps, constraints, delta, invert_matrix(delta))
     except SingularMatrixError:
         context = None
 
@@ -267,10 +267,10 @@ def trace_identity(ctx: DiracContext) -> TraceIdentity:
     Pi_D[x_i, p_i] = 1 - sum_a u_a * sum_b (Delta^-1)_ab w_b, where
     u_a = {x_i, chi_a} = dchi_a/dp_i and w_b = {chi_b, p_i} = dchi_b/dx_i
     are read from the memoised partials; both sums are `add_products`,
-    which skips exact zeros.  With
-    an opaque (non-polynomial) operand the printed value depends on this
-    grouping, and it can differ from that of a sum of `dirac_bracket`s,
-    which subtracts term by term, while the two are equal."""
+    which skips exact zeros.  A value over atoms that share a factor may
+    cancel differently under another grouping, so with non-polynomial
+    constraints it can print otherwise than a sum of `dirac_bracket`s
+    while the two are equal."""
     ps, chis = ctx.ps, ctx.constraints
     one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
     total = zero

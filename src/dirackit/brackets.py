@@ -11,10 +11,10 @@ set chi_1..chi_2m the Dirac bracket is
     {f, g}_D = {f, g} - {f, chi_a} * (Delta^-1)_ab * {chi_b, g}
 
 where Delta_ab = {chi_a, chi_b} must be invertible as a matrix of
-rational functions.  The entries of a context's Delta^-1 are written
-over one factor table of their denominators (see `dirackit.expr`), so
-Dirac brackets add by lcm of those denominators, and each one is
-returned with every factor that divides its numerator cancelled.
+rational functions.  The denominators of Delta^-1's entries are products
+of powers of atoms (see `dirackit.expr`), so the corrections are summed
+over the lcm of their denominators, and each Dirac bracket is returned
+with every atom that divides its numerator cancelled.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrixError,
     TooManyConstraintsError,
 )
-from .expr import RationalExpr, add_products, over_factor_table
+from .expr import RationalExpr, add_products
 from .matrix import invert_matrix
 from .phase_space import PhaseSpace
 
@@ -88,13 +88,6 @@ class DiracContext(ConstraintSystem):
     delta_inv: tuple
 
 
-def invert_delta(delta) -> tuple:
-    """Delta^-1 by rows, its entries written over the table of their denominators."""
-    k = len(delta)
-    flat = over_factor_table([e for row in invert_matrix(delta) for e in row])
-    return tuple(tuple(flat[a * k:(a + 1) * k]) for a in range(k))
-
-
 def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     """Validate a second-class constraint set and cache Delta and its inverse."""
     constraints = tuple(constraints)
@@ -103,7 +96,7 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     if k > 2 * ps.n:
         raise TooManyConstraintsError(f"{k} constraints exceed 2n = {2 * ps.n}")
     try:
-        delta_inv = invert_delta(delta)
+        delta_inv = invert_matrix(delta)
     except SingularMatrixError as exc:
         raise NotSecondClassError(
             "constraint bracket matrix is symbolically singular") from exc
@@ -113,7 +106,7 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
 def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> RationalExpr:
     """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order by
     `add_products` with a pair skipped before its product when one of its
-    three factors is an exact zero, and the factors that divide the sum's
+    three factors is an exact zero, and the atoms that divide the sum's
     numerator cancelled."""
     k, inv = len(ctx.constraints), ctx.delta_inv
     return add_products(acc, [(f_chi[a] * inv[a][b], -chi_g[b])

@@ -1,30 +1,30 @@
 """Exact rational expressions over a phase space.
 
-A RationalExpr is a pair of polynomials num/den bound to a PhaseSpace.
-Normal form: den is nonzero, has content 1 and a positive leading
-coefficient under graded lex.  There is deliberately no polynomial gcd
-cancellation of num against den; equality of a/b and c/d is decided by
-expanding a*d - c*b to canonical polynomial form.  All values are
-immutable and all operations pure.
+A RationalExpr is a numerator polynomial over a denominator that is a
+product of powers of atoms: interned primitive polynomials with a
+positive leading coefficient.  The expression keeps the sorted
+(atom, exponent) pairs in `atoms` and their expanded product in `den`.
+A `/` by a non-constant makes the primitive part of the divisor's
+numerator an atom; `*` adds exponents; `+` and `-` scale each numerator
+by the powers the other side has more of, so a sum is written over the
+lcm of the denominators; a partial raises the exponent of each atom
+that depends on the variable by one.  Distinct atoms are treated as
+coprime and no polynomial gcd is ever taken, so equality of a/b and c/d
+is decided by expanding a*d - c*b.  `cancel` divides the numerator by
+each atom as long as it divides exactly.  All values are immutable and
+all operations pure.
 
-A denominator is opaque unless the expression is written over a
-FactorTable: distinct primitive polynomials (the denominators of a Dirac
-context's inverse of Delta) of which den is a product of powers.  Such
-an expression also carries one exponent per factor.  Between operands
-over the same table (or a polynomial), `*` adds exponents, `+` and `-`
-scale each numerator by the powers the other has more of (the lcm of the
-denominators) instead of cross-multiplying, and a partial raises the
-exponent of each factor that depends on the variable by one instead of
-squaring den.  `cancel` divides the numerator by each factor as long as
-it divides exactly.  Every other operation, and any operand pair with an
-opaque non-polynomial side, uses the opaque arithmetic, whose results
-are opaque.
+Atoms are interned once per process by value and ordered by value (their
+terms in descending graded lex, the greatest atom first), never by the
+order in which they were interned, so a printed form does not depend on
+what the process computed before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from functools import lru_cache
+from operator import add
 
 from .errors import (
     DivisionByZeroError,
@@ -37,85 +37,109 @@ from .phase_space import PhaseSpace
 from .poly import Polynomial, reduce_by, sum_of_products
 
 
-class FactorTable:
-    """Distinct primitive polynomials with positive leading coefficients;
-    the denominators written over the table are products of their powers."""
+class _Atom:
+    """An interned primitive polynomial with a positive leading coefficient."""
 
-    __slots__ = ("factors", "supports", "zero", "_products")
+    __slots__ = ("poly", "key", "support")
 
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        self.supports = tuple(f.symbols_used() for f in self.factors)
-        self.zero = (0,) * len(self.factors)
-        self._products = {}
+    def __init__(self, poly: Polynomial):
+        self.poly = poly
+        self.key = tuple(sorted(poly._t.items(), reverse=True))
+        self.support = poly.symbols_used()
 
-    def product(self, exps: tuple[int, ...]) -> Polynomial:
-        """prod(factor ** e), expanded once per exponent vector.  A product
-        of primitive polynomials with positive leading coefficients is one
-        too, so it is already a denominator in normal form."""
-        p = self._products.get(exps)
-        if p is None:
-            p = Polynomial.constant(self.factors[0].nsyms, 1)
-            for f, e in zip(self.factors, exps):
-                if e:
-                    p = p * f ** e
-            self._products[exps] = p
-        return p
+    def __lt__(self, other: "_Atom") -> bool:
+        return self.key > other.key
 
 
-def over_factor_table(entries) -> list["RationalExpr"]:
-    """The entries, each one with a non-constant denominator written over
-    one shared table of their distinct denominators."""
-    dens = list(dict.fromkeys(e.den for e in entries if not e.is_polynomial))
-    if not dens:
-        return list(entries)
-    table = FactorTable(dens)
-    return [e if e.is_polynomial else
-            _over(e.ps, e.num, table, tuple(int(d == e.den) for d in dens))
-            for e in entries]
+_ATOMS: dict[Polynomial, _Atom] = {}
+_PRODUCTS: dict[tuple, Polynomial] = {}
 
 
-def _over(ps: PhaseSpace, num: Polynomial, table: FactorTable,
-          exps: tuple[int, ...]) -> "RationalExpr":
-    """num / prod(table.factors ** exps); a polynomial keeps no table."""
-    if num.is_zero or not any(exps):
-        return RationalExpr.from_polynomial(ps, num)
-    e = object.__new__(RationalExpr)
-    e.ps, e.num, e.den = ps, num, table.product(exps)
-    e._table, e._exps, e._partials = table, exps, None
-    return e
+def _atom(poly: Polynomial) -> _Atom:
+    atom = _ATOMS.get(poly)
+    if atom is None:
+        atom = _ATOMS[poly] = _Atom(poly)
+    return atom
+
+
+def _product(atoms: tuple) -> Polynomial:
+    """prod(atom ** e) over nonempty atoms, expanded once per tuple.  A
+    product of primitive polynomials with positive leading coefficients
+    is one too, so it is a denominator in normal form."""
+    p = _PRODUCTS.get(atoms)
+    if p is None:
+        factors = [atom.poly if e == 1 else atom.poly ** e for atom, e in atoms]
+        p = factors[0]
+        for f in factors[1:]:
+            p = p * f
+        _PRODUCTS[atoms] = p
+    return p
+
+
+@lru_cache(maxsize=None)
+def _one(nsyms: int) -> Polynomial:
+    return Polynomial.constant(nsyms, 1)
+
+
+def _times(num: Polynomial, atoms: tuple) -> Polynomial:
+    return num * _product(atoms) if atoms else num
+
+
+def _combine(a: tuple, b: tuple, op) -> tuple:
+    """The atoms of both, an atom in both with exponent op(e_a, e_b):
+    `add` for a product, `max` for the lcm of a sum."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for atom, e in b:
+        exps[atom] = op(exps.get(atom, 0), e)
+    return tuple(sorted(exps.items()))
+
+
+def _missing(lcm: tuple, atoms: tuple) -> tuple:
+    """The powers by which atoms falls short of lcm, a multiple of it."""
+    if atoms == lcm:
+        return ()
+    have = dict(atoms)
+    return tuple((atom, e - have.get(atom, 0)) for atom, e in lcm if e > have.get(atom, 0))
 
 
 class RationalExpr:
-    # _exps, one exponent per factor of _table, is set only when _table is.
-    __slots__ = ("ps", "num", "den", "_table", "_exps", "_partials")
+    __slots__ = ("ps", "num", "den", "atoms", "_partials")
 
     def __init__(self, ps: PhaseSpace, num: Polynomial, den: Polynomial):
+        """num / den for a nonzero polynomial den; a non-constant den's
+        primitive part becomes one atom."""
         if den.is_zero:
             raise DivisionByZeroError("denominator is the zero polynomial")
-        if num.is_zero:
-            den = Polynomial.constant(ps.nsyms, 1)
+        n, d = den.signed_content()
+        if (n, d) != (1, 1):
+            inv = Fraction(d, n)
+            num, den = num.scale(inv), den.scale(inv)
+        self._set(ps, num, () if den.is_constant else ((_atom(den), 1),))
+
+    def _set(self, ps: PhaseSpace, num: Polynomial, atoms: tuple) -> None:
+        if num.is_zero or not atoms:
+            atoms, den = (), _one(ps.nsyms)
         else:
-            n, d = den.signed_content()
-            if (n, d) != (1, 1):
-                inv = Fraction(d, n)
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.ps = ps
-        self.num = num
-        self.den = den
-        self._table = None
-        self._partials = None
+            den = _product(atoms)
+        self.ps, self.num, self.den, self.atoms, self._partials = ps, num, den, atoms, None
+
+    @classmethod
+    def _build(cls, ps: PhaseSpace, num: Polynomial, atoms: tuple) -> "RationalExpr":
+        """num / prod(atom ** e); a zero num or no atom is a polynomial."""
+        e = object.__new__(cls)
+        e._set(ps, num, atoms)
+        return e
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_polynomial(cls, ps: PhaseSpace, poly: Polynomial) -> "RationalExpr":
         """poly over 1, a denominator already in normal form."""
-        e = object.__new__(cls)
-        e.ps, e.num, e.den = ps, poly, Polynomial.constant(ps.nsyms, 1)
-        e._table = e._partials = None
-        return e
+        return cls._build(ps, poly, ())
 
     @classmethod
     def constant(cls, ps: PhaseSpace, value) -> "RationalExpr":
@@ -137,9 +161,8 @@ class RationalExpr:
 
     @property
     def is_polynomial(self) -> bool:
-        """True when the denominator is exactly 1: the normal form makes
-        every constant denominator 1."""
-        return self.den.is_constant
+        """True when there is no atom; the denominator is then exactly 1."""
+        return not self.atoms
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
@@ -152,90 +175,53 @@ class RationalExpr:
         if self.ps is not other.ps and self.ps != other.ps:
             raise ValueError("operands belong to different phase spaces")
 
-    def _common_table(self, other: "RationalExpr") -> FactorTable | None:
-        """The table both operands can be written over, if any: a
-        polynomial can be written over every table."""
-        t, u = self._table, other._table
-        if t is u:
-            return t
-        if t is None:
-            return u if self.den.is_constant else None
-        if u is None:
-            return t if other.den.is_constant else None
-        return None
-
-    def _exps_over(self, table: FactorTable) -> tuple[int, ...]:
-        return table.zero if self._table is None else self._exps
-
-    def _with_num(self, num: Polynomial) -> "RationalExpr":
-        """num over this expression's denominator, which is already in
-        normal form: a nonzero num needs no normalization."""
-        if self._table is not None:
-            return _over(self.ps, num, self._table, self._exps)
-        if num.is_zero:
-            return RationalExpr.from_polynomial(self.ps, num)
-        e = object.__new__(RationalExpr)
-        e.ps, e.num, e.den, e._table, e._partials = self.ps, num, self.den, None, None
-        return e
-
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
-        if (self._table or other._table) and (table := self._common_table(other)):
-            a, b = self._exps_over(table), other._exps_over(table)
-            if a == b:
-                return _over(self.ps, self.num + other.num, table, a)
-            lcm = tuple(map(max, a, b))
-            return _over(self.ps, self.num * table.product(tuple(map(sub, lcm, a)))
-                         + other.num * table.product(tuple(map(sub, lcm, b))), table, lcm)
-        if self.den == other.den:
-            return RationalExpr(self.ps, self.num + other.num, self.den)
-        return RationalExpr(self.ps,
-                            self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+        a, b = self.atoms, other.atoms
+        if a == b:
+            return RationalExpr._build(self.ps, self.num + other.num, a)
+        lcm = _combine(a, b, max)
+        return RationalExpr._build(self.ps, _times(self.num, _missing(lcm, a))
+                                   + _times(other.num, _missing(lcm, b)), lcm)
 
     def __sub__(self, other: "RationalExpr") -> "RationalExpr":
         return self + (-other)
 
     def __neg__(self) -> "RationalExpr":
-        return self._with_num(-self.num)
+        return RationalExpr._build(self.ps, -self.num, self.atoms)
 
     def __mul__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
-        if (self._table or other._table) and (table := self._common_table(other)):
-            return _over(self.ps, self.num * other.num, table,
-                         tuple(map(add, self._exps_over(table), other._exps_over(table))))
-        return RationalExpr(self.ps, self.num * other.num, self.den * other.den)
+        return RationalExpr._build(self.ps, self.num * other.num,
+                                   _combine(self.atoms, other.atoms, add))
 
     def __truediv__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
         if other.is_zero:
             raise DivisionByZeroError("division by a canonically zero expression")
-        return RationalExpr(self.ps, self.num * other.den, self.den * other.num)
+        return self * RationalExpr(self.ps, other.den, other.num)
 
     def int_pow(self, k: int) -> "RationalExpr":
         if k < 0:
             if self.is_zero:
                 raise DivisionByZeroError("zero to a negative power")
-            return RationalExpr(self.ps, self.den ** (-k), self.num ** (-k))
-        return RationalExpr(self.ps, self.num ** k, self.den ** k)
+            return RationalExpr(self.ps, self.den, self.num).int_pow(-k)
+        return RationalExpr._build(self.ps, self.num ** k,
+                                   tuple((atom, e * k) for atom, e in self.atoms if k))
 
     def scale(self, value) -> "RationalExpr":
-        return self._with_num(self.num.scale(value))
+        return RationalExpr._build(self.ps, self.num.scale(value), self.atoms)
 
     def cancel(self) -> "RationalExpr":
-        """Divide each factor of the table out of num as often as it
-        divides exactly; an opaque expression is returned as it is."""
-        table = self._table
-        if table is None:
-            return self
-        num, exps = self.num, list(self._exps)
-        for i, f in enumerate(table.factors):
-            while exps[i]:
-                quotient = num.exact_quotient(f)
-                if quotient is None:
-                    break
-                num, exps[i] = quotient, exps[i] - 1
-        return self if num is self.num else _over(self.ps, num, table, tuple(exps))
+        """Divide each atom out of num, greatest atom first, as often as
+        it divides exactly."""
+        num, atoms = self.num, []
+        for atom, e in self.atoms:
+            while e and (quotient := num.exact_quotient(atom.poly)) is not None:
+                num, e = quotient, e - 1
+            if e:
+                atoms.append((atom, e))
+        return self if num is self.num else RationalExpr._build(self.ps, num, tuple(atoms))
 
     # -- calculus -----------------------------------------------------
 
@@ -254,33 +240,21 @@ class RationalExpr:
         return self._partials[index]
 
     def _partial(self, index: int) -> "RationalExpr":
-        dn = self.num.derivative(index)
-        if self._table is not None:
-            return self._factored_partial(index, dn)
-        dd = self.den.derivative(index)
-        if dd.is_zero:
-            return RationalExpr(self.ps, dn, self.den)
-        return RationalExpr(self.ps,
-                            dn * self.den - self.num * dd,
-                            self.den * self.den)
-
-    def _factored_partial(self, index: int, dn: Polynomial) -> "RationalExpr":
         """d(N / prod f_i^e_i) = (dN * prod_H f_i - N * sum_H e_i df_i
         prod_{H - i} f_j) / prod f_i^(e_i + [i in H]), where H holds the
-        factors present that depend on the variable."""
-        table, exps = self._table, self._exps
-        hit = [i for i, e in enumerate(exps) if e and index in table.supports[i]]
-        num = dn
-        for i in hit:
-            num = num * table.factors[i]
-        for i in hit:
-            term = self.num * table.factors[i].derivative(index).scale(exps[i])
-            for j in hit:
-                if j != i:
-                    term = term * table.factors[j]
+        atoms that depend on the variable."""
+        hit = [(atom.poly, e) for atom, e in self.atoms if index in atom.support]
+        num = self.num.derivative(index)
+        for f, _ in hit:
+            num = num * f
+        for f, e in hit:
+            term = self.num * f.derivative(index).scale(e)
+            for g, _ in hit:
+                if g is not f:
+                    term = term * g
             num = num - term
-        return _over(self.ps, num, table,
-                     tuple(e + (i in hit) for i, e in enumerate(exps)))
+        return RationalExpr._build(self.ps, num, tuple(
+            (atom, e + (index in atom.support)) for atom, e in self.atoms))
 
     # -- evaluation ---------------------------------------------------
 
@@ -313,6 +287,8 @@ class RationalExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalExpr):
             return NotImplemented
+        if self.atoms == other.atoms:
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero
 
     __hash__ = None
@@ -333,10 +309,11 @@ def add_products(start: RationalExpr, pairs) -> RationalExpr:
     When start and every operand are polynomials on start's phase space,
     the sum is one pass of `poly.sum_of_products`; the result is
     canonical, so it equals the fold.  Otherwise it folds acc + a*b left
-    to right, and opaque and factor-table results print as that fold
-    does.  A skipped product would leave num and den as they are, and
-    acc - a*b builds the same num and den as acc + (-a)*b.  With no pair
-    left the sum is start itself.
+    to right, so each partial sum is over the lcm of the denominators so
+    far, and one that is exactly zero starts again from denominator 1.
+    A skipped product would leave num and atoms as they are, and
+    acc - a*b builds the same num and atoms as acc + (-a)*b.  With no
+    pair left the sum is start itself.
     """
     ps = start.ps
     pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
@@ -346,8 +323,8 @@ def add_products(start: RationalExpr, pairs) -> RationalExpr:
             a.ps is ps and b.ps is ps and a.is_polynomial and b.is_polynomial
             for a, b in pairs):
         one = start.den
-        return RationalExpr(ps, sum_of_products(
-            ps.nsyms, [(start.num, one)] + [(a.num, b.num) for a, b in pairs]), one)
+        return RationalExpr.from_polynomial(ps, sum_of_products(
+            ps.nsyms, [(start.num, one)] + [(a.num, b.num) for a, b in pairs]))
     acc = start
     for a, b in pairs:
         acc = acc + a * b
@@ -374,4 +351,3 @@ def format_polynomial(poly: Polynomial, names) -> str:
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
-

@@ -25,9 +25,10 @@ Polynomials have one stored form per value, so the result is the one
 any order of the same operations gives.
 
 A `RationalExpr` is made only at a "/" by a non-constant or at a
-negative power.  From there the enclosing products and sums fold left
-to right in `RationalExpr` arithmetic, which takes no gcd, so a rational
-result keeps the numerator and denominator that fold builds:
+negative power, which makes the divisor an atom of the denominator (see
+`dirackit.expr`).  From there the enclosing products and sums fold left
+to right in `RationalExpr` arithmetic.  It takes no gcd and does not
+cancel, so a quotient keeps the numerator it was written with:
 "(x1^2-1)/(x1-1)" prints as written.
 """
 
@@ -47,26 +48,27 @@ _TOKEN = re.compile(r"""
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
   | (?P<ws>\s+)
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 # A term is a (coefficient, packed key) pair; zero is always (0, 0).
 _ZERO = (0, 0)
 
 
 def _tokenize(text: str):
+    """(kind, text, offset) per token, whitespace dropped, then an "end"
+    token, from one scan: the catch-all `bad` group matches any character
+    the others do not, and the first one is an error.  A rational literal
+    needs digits on both sides of its "/", so "1/" before a non-digit is
+    the number 1 and a division."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "ws":
-            pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
             continue
-        # split "1 / 2" from the literal: the regex already requires
-        # adjacency, but "1/" followed by non-digit must stay a division
-        tokens.append((m.lastgroup, m.group(), m.start()))
-        pos = m.end()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 

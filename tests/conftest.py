@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
 from dirackit.errors import ExpressionSyntaxError, UnknownSymbolError
+from dirackit.matrix import row_reduce
 from dirackit.parser import _tokenize
 from dirackit.poly import Polynomial, _unpack
 
@@ -179,6 +180,94 @@ def fold_parse(text: str, ps: PhaseSpace) -> RationalExpr:
     except RecursionError:
         raise ExpressionSyntaxError("expression nested too deeply",
                                     parser.peek()[2]) from None
+
+
+class Opaque:
+    """The opaque arithmetic `RationalExpr` had before atoms, kept as a
+    reference: a num/den pair with den of content 1 and a positive
+    leading coefficient, sums over the product of unequal denominators,
+    a partial over den squared, and no cancellation."""
+
+    __slots__ = ("ps", "num", "den", "_partials")
+
+    def __init__(self, ps, num: Polynomial, den: Polynomial):
+        if num.is_zero:
+            den = Polynomial.constant(ps.nsyms, 1)
+        else:
+            n, d = den.signed_content()
+            num, den = num.scale(Fraction(d, n)), den.scale(Fraction(d, n))
+        self.ps, self.num, self.den, self._partials = ps, num, den, {}
+
+    @classmethod
+    def of(cls, e: RationalExpr) -> "Opaque":
+        return cls(e.ps, e.num, e.den)
+
+    def expr(self) -> RationalExpr:
+        return RationalExpr(self.ps, self.num, self.den)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return Opaque(self.ps, self.num + other.num, self.den)
+        return Opaque(self.ps, self.num * other.den + other.num * self.den,
+                      self.den * other.den)
+
+    def __neg__(self):
+        return Opaque(self.ps, -self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return Opaque(self.ps, self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return Opaque(self.ps, self.num * other.den, self.den * other.num)
+
+    def diff_index(self, index: int) -> "Opaque":
+        if index not in self._partials:
+            dn, dd = self.num.derivative(index), self.den.derivative(index)
+            self._partials[index] = Opaque(self.ps, dn, self.den) if dd.is_zero else \
+                Opaque(self.ps, dn * self.den - self.num * dd, self.den * self.den)
+        return self._partials[index]
+
+
+def opaque_poisson(f: Opaque, g: Opaque) -> Opaque:
+    """The Poisson bracket folded pair by pair in opaque arithmetic."""
+    ps = f.ps
+    acc = Opaque(ps, Polynomial.zero(ps.nsyms), Polynomial.constant(ps.nsyms, 1))
+    for i in range(1, ps.n + 1):
+        xi, pi = ps.coordinate_index(i), ps.momentum_index(i)
+        acc = acc + f.diff_index(xi) * g.diff_index(pi) - f.diff_index(pi) * g.diff_index(xi)
+    return acc
+
+
+def opaque_inverse(chis) -> list:
+    """Delta^-1 of Opaque constraints by Gauss-Jordan in opaque arithmetic."""
+    ps, k = chis[0].ps, len(chis)
+    one = Opaque(ps, Polynomial.constant(ps.nsyms, 1), Polynomial.constant(ps.nsyms, 1))
+    zero = Opaque(ps, Polynomial.zero(ps.nsyms), one.den)
+    rows = [[opaque_poisson(a, b) for b in chis] + [one if i == j else zero for j in range(k)]
+            for i, a in enumerate(chis)]
+    assert row_reduce(rows, k, one, lambda e: e.is_zero, lambda e: len(e.num)) == list(range(k))
+    return [row[k:] for row in rows]
+
+
+def opaque_dirac(f: Opaque, g: Opaque, chis, inverse) -> Opaque:
+    """{f, g}_D as `_dirac_correct` folded it before atoms: the Poisson
+    bracket, then acc + ({f, chi_a} (Delta^-1)_ab) * (-{chi_b, g}) in
+    (a, b) order, a pair skipped when one of its factors is zero."""
+    acc = opaque_poisson(f, g)
+    f_chi = [opaque_poisson(f, chi) for chi in chis]
+    chi_g = [opaque_poisson(chi, g) for chi in chis]
+    for a, fa in enumerate(f_chi):
+        for b, gb in enumerate(chi_g):
+            if not (fa.is_zero or inverse[a][b].is_zero or gb.is_zero):
+                acc = acc + fa * inverse[a][b] * -gb
+    return acc
 
 
 def identity(size: int, ps) -> tuple:

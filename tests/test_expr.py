@@ -12,7 +12,6 @@ from dirackit.errors import (
     UnknownSymbolError,
     ZeroDenominatorOnShellError,
 )
-from dirackit.expr import FactorTable, _over
 from dirackit.poly import Polynomial
 
 from conftest import fd_partial, random_point, random_polynomial, random_rational_expr
@@ -155,9 +154,10 @@ class TestConstantDenominatorIsOne:
                                      Polynomial.constant(ps.nsyms, 9)))
 
     def test_over_with_no_factor(self, ps):
-        table = FactorTable([E("x1^2 + p1^2", ps).num])
-        self.assert_one(_over(ps, E("x1 - 3", ps).num, table, (0,)))
-        self.assert_one(_over(ps, Polynomial.zero(ps.nsyms), table, (2,)))
+        atoms = E("1/(x1^2 + p1^2)", ps).atoms
+        self.assert_one(RationalExpr._build(ps, E("x1 - 3", ps).num, ()))
+        self.assert_one(RationalExpr._build(ps, Polynomial.zero(ps.nsyms), atoms))
+        self.assert_one(E("x1/(x1^2 + p1^2)", ps).int_pow(0))
 
     def test_negative_power_of_a_constant(self, ps):
         for text in ("-2/3", "5", "(x1 - x1 + 7/2)"):

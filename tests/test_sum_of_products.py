@@ -3,7 +3,7 @@
 `poly.sum_of_products` must store exactly what folding `*` and `+`
 stores, and `expr.add_products` must print what the hand-written
 accumulation loops it replaced printed: on polynomials through the
-kernel, on opaque and factor-table operands through its own fold.
+kernel, on operands with denominators through its own fold.
 """
 
 import random
@@ -19,7 +19,7 @@ from dirackit import (
     poisson_bracket,
 )
 from dirackit.errors import DegreeOverflowError
-from dirackit.expr import add_products, over_factor_table
+from dirackit.expr import add_products
 from dirackit.poly import MAX_DEGREE, Polynomial, sum_of_products
 
 from conftest import random_polynomial, random_rational_expr
@@ -129,7 +129,7 @@ def trace_pair_fold(one, u, inverse, w):
 
 
 def printed(e: RationalExpr):
-    return str(e), stored(e.num), stored(e.den), e._table, e._table and e._exps
+    return str(e), stored(e.num), stored(e.den), e.atoms
 
 
 def operand(ps, rng, kind):
@@ -164,18 +164,19 @@ class TestFold:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_factor_table_sums_print_as_the_loop(self, seed):
-        """Delta^-1 of the sphere is over a factor table; so is a table
-        built from seeded rationals."""
+        """Delta^-1 of the sphere is over one atom; seeded rationals over
+        a shared denominator are over theirs."""
         rng = random.Random(200 + seed)
         ps = PhaseSpace(3, parameters=("r",))
         ctx = make_context(ps, [parse_expression("x1^2 + x2^2 + x3^2 - r^2", ps),
                                 parse_expression("p1*x1 + p2*x2 + p3*x3", ps)])
+        shared = random_rational_expr(ps, rng)
         tables = [ctx.delta_inv,
-                  [over_factor_table([random_rational_expr(ps, rng) for _ in range(2)])
+                  [[random_rational_expr(ps, rng) * shared for _ in range(2)]
                    for _ in range(2)]]
         one = RationalExpr.constant(ps, 1)
         for inverse in tables:
-            assert any(e._table is not None for row in inverse for e in row)
+            assert any(e.atoms for row in inverse for e in row)
             u = [operand(ps, rng, rng.choice(KINDS[1:])) for _ in range(2)]
             w = [operand(ps, rng, rng.choice(KINDS[1:])) for _ in range(2)]
             assert printed(trace_pair_fold(one, u, inverse, w)) \

@@ -9,6 +9,7 @@ can be piped directly.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -42,17 +43,38 @@ TIMING_RESOLUTION_MS = 100
 
 
 class _Timings:
+    """Wall time per stage, and the part of it spent in the cyclic garbage
+    collector.  A full collection costs in proportion to everything the
+    process holds, not to the stage's own work (tens of milliseconds in a
+    process that has imported sympy and numpy), so the reported timing
+    leaves it out: otherwise a collection that happens to fall inside a
+    stage could move it across a rounding boundary."""
+
     def __init__(self):
         self.raw: dict[str, float] = {}
+        self.gc: dict[str, float] = {}
 
     @contextmanager
     def time(self, stage: str):
+        paused = [0.0, 0.0]  # total seconds in collections, start of the current one
+
+        def on_collect(phase, info):
+            if phase == "start":
+                paused[1] = time.perf_counter()
+            else:
+                paused[0] += time.perf_counter() - paused[1]
+
+        gc.callbacks.append(on_collect)
         t0 = time.perf_counter()
-        yield
-        self.raw[stage] = (time.perf_counter() - t0) * 1000.0
+        try:
+            yield
+        finally:
+            self.raw[stage] = (time.perf_counter() - t0) * 1000.0
+            gc.callbacks.remove(on_collect)
+            self.gc[stage] = paused[0] * 1000.0
 
     def rounded(self) -> dict[str, int]:
-        return {k: int(round(v / TIMING_RESOLUTION_MS)) * TIMING_RESOLUTION_MS
+        return {k: int(round((v - self.gc[k]) / TIMING_RESOLUTION_MS)) * TIMING_RESOLUTION_MS
                 for k, v in self.raw.items()}
 
     def report_stderr(self):

@@ -1,17 +1,20 @@
 """System file loading, CLI commands, exit codes, report schema."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from dirackit import RationalExpr, load_system
+from dirackit import RationalExpr, cli, load_system
+from dirackit.analysis import classify_constraints
 from dirackit.cli import main
 from dirackit.errors import ValidationError
 from dirackit.poly import MAX_DEGREE, Polynomial
@@ -266,6 +269,30 @@ class TestAnalyze:
         main(["analyze", SPHERE, "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_garbage_collection_inside_a_stage_leaves_the_report_unchanged(
+            self, capsys, monkeypatch):
+        main(["analyze", SPHERE, "--format", "json"])
+        plain = capsys.readouterr().out
+
+        def slow_collection(phase, info):
+            if phase == "stop":
+                time.sleep(0.2)
+
+        def classify_with_a_collection(*args):
+            gc.collect()
+            return classify_constraints(*args)
+
+        monkeypatch.setattr(cli, "classify_constraints", classify_with_a_collection)
+        gc.callbacks.append(slow_collection)
+        try:
+            main(["analyze", SPHERE, "--format", "json"])
+        finally:
+            gc.callbacks.remove(slow_collection)
+        out, err = capsys.readouterr()
+        assert out == plain
+        classify_ms = float(err.split("[timing] classify: ")[1].split(" ms")[0])
+        assert classify_ms >= 200
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_piped_input_reports_the_digest_of_its_bytes(self):

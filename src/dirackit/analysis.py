@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 
 from .brackets import (
@@ -33,6 +34,7 @@ from .expr import RationalExpr, add_products
 from .matrix import invert_matrix
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace
+from .poly import reduce_by
 
 RANK_TOLERANCE = 1e-8
 
@@ -164,7 +166,9 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     block free of variables off tolerance, or a converged point where
     Delta is not finite.  Delta is evaluated once per converged point;
     given a list, delta_values receives its row-major values at each
-    returned point, in order.
+    returned point, in order.  `classify_constraints` asks for one point
+    when its rank decision needs no more values of Delta; that point
+    only shows that the shell is nonempty.
     """
     ps = ctx.ps
     params = _parameter_values(ps, cfg)
@@ -228,12 +232,49 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     return points
 
 
+def _values_needed(ps: PhaseSpace, constraints, delta, cfg: SamplerConfig) -> int | None:
+    """How many sampled values of Delta decide its on-shell rank: 1 when
+    no entry mentions a phase-space variable (every point gives the same
+    value), 0 when Delta is certified invertible on the shell, else None
+    (all `point_count` of them).
+
+    Certified: each row has exactly one nonzero entry, so Delta is a
+    permuted direct sum of 2 x 2 blocks, and each block's entry is a
+    polynomial whose remainder by the polynomial constraints mentions no
+    variable and is exactly nonzero at the parameters' bindings.  Every
+    constraint vanishes on the shell, so there the entry equals that
+    remainder, whatever the order of the divisors."""
+    variables = range(2 * ps.n)
+    if all(_support(e).isdisjoint(variables) for row in delta for e in row):
+        return 1
+    try:
+        bound = [Fraction(cfg.parameter_bindings[name]) for name in ps.parameters]
+    except (KeyError, ValueError, OverflowError):
+        return None  # a missing or non-finite binding: sampling reports or meets it
+    divisors = [chi.num for chi in constraints if chi.is_polynomial]
+    for row in delta:
+        nonzero = [e for e in row if not e.is_zero]
+        if len(nonzero) != 1 or not nonzero[0].is_polynomial:
+            return None
+        remainder = reduce_by(nonzero[0].num, divisors)
+        if not remainder.symbols_used().isdisjoint(variables):
+            return None
+        value = sum(c * math.prod(bound[i - len(variables)] ** k for i, k in enumerate(mono) if k)
+                    for mono, c in remainder.sorted_terms())
+        if not value:
+            return None
+    return 0
+
+
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
-    """Second-class test: symbolic invertibility of Delta plus numeric
-    full rank at sampled on-shell points.  Delta is built once and
-    inverted once; the resulting context rides along on the
-    classification.  The rank is read off a pivoted QR of each distinct
-    value of Delta the sampler computed at its points."""
+    """Second-class test: symbolic invertibility of Delta plus full rank
+    on the shell.  Delta is built once and inverted once; the resulting
+    context rides along on the classification.  Unless `_values_needed`
+    decides the rank from one value of Delta or without any, the rank is
+    numeric: a pivoted QR of each distinct value of Delta the sampler
+    computed at its `point_count` points.  Otherwise the sampler draws one
+    point, which only shows that the shell is nonempty (NoOnShellPointError
+    when it is not found)."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
@@ -242,10 +283,12 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
         context = None
 
     k = len(constraints)
+    needed = _values_needed(ps, constraints, delta, cfg)
     at_points = []
-    sample_on_shell(ConstraintSystem(ps, constraints, delta), cfg, at_points)
+    sample_on_shell(ConstraintSystem(ps, constraints, delta),
+                    cfg if needed is None else replace(cfg, point_count=1), at_points)
     rank = k
-    for numeric in set(map(tuple, at_points)):  # a constant Delta has one value
+    for numeric in set(map(tuple, at_points[:needed])):  # distinct values; none if certified
         qr = PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])  # the rows of Delta
         rank = min(rank, qr.rank(RANK_TOLERANCE))
 

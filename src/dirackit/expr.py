@@ -7,7 +7,8 @@ positive leading coefficient.  The expression keeps the sorted
 A `/` by a non-constant makes the primitive part of the divisor's
 numerator an atom; `*` adds exponents; `+` and `-` scale each numerator
 by the powers the other side has more of, so a sum is written over the
-lcm of the denominators; a partial raises the exponent of each atom
+lcm of the denominators (over the shorter atom tuple when the two
+expand to the same denominator); a partial raises the exponent of each atom
 that depends on the variable by one.  Distinct atoms are treated as
 coprime and no polynomial gcd is ever taken, so equality of a/b and c/d
 is decided by expanding a*d - c*b.  `cancel` divides the numerator by
@@ -180,6 +181,8 @@ class RationalExpr:
         a, b = self.atoms, other.atoms
         if a == b:
             return RationalExpr._build(self.ps, self.num + other.num, a)
+        if self.den == other.den:  # atoms that share factors, one product
+            return RationalExpr._build(self.ps, self.num + other.num, b if len(b) < len(a) else a)
         lcm = _combine(a, b, max)
         return RationalExpr._build(self.ps, _times(self.num, _missing(lcm, a))
                                    + _times(other.num, _missing(lcm, b)), lcm)

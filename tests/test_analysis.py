@@ -1,7 +1,10 @@
 """Classification, on-shell sampling, trace identity, reduction check."""
 
+import contextlib
 import ctypes
+import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,9 @@ from dirackit import (
     sample_on_shell,
     trace_identity,
 )
+from dirackit.cli import main
 from dirackit.errors import (
+    DiracKitError,
     InvalidCountsError,
     NoOnShellPointError,
     NotSecondClassError,
@@ -32,12 +37,63 @@ from dirackit.errors import (
 from dirackit import analysis
 from dirackit.sysfile import parse_system
 
-from conftest import (fd_poisson, identity, linear_mix_constraints, matmul, random_point,
-                      random_polynomial, random_rational_expr, tower_text)
+from conftest import (fd_poisson, identity, linear_mix_constraints, matmul, mix_text,
+                      random_point, random_polynomial, random_rational_expr, tower_text)
+from test_golden import family_files
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+SPHERE = (SYSTEMS / "sphere.system").read_text(encoding="utf-8")
 
 
 def E(text, ps):
     return parse_expression(text, ps)
+
+
+# A 4 x 4 Delta with rational entries: its rank is decided numerically.
+RATIONAL_4X4 = """[system]
+n = 2
+[constraints]
+chi1 = x1/(1 + x2^2)
+chi2 = p1
+chi3 = x2
+chi4 = p2
+"""
+
+
+# Delta = [[0, x2], [-x2, 0]]: its entry stays x2 on the shell x1*x2 = 1.
+HYPERBOLA = """[system]
+n = 2
+[constraints]
+chi1 = x1*x2 - 1
+chi2 = p1
+"""
+# The row of chi2 has two nonzero entries, 1 and -(1 + 2*x1); Pf = 1.
+TWO_IN_A_ROW = """[system]
+n = 2
+[constraints]
+chi1 = x1
+chi2 = p1 + p2
+chi3 = x2 + x1^2
+chi4 = p2
+"""
+
+
+@pytest.fixture
+def delta_evaluations(monkeypatch):
+    """[number of values of Delta the sampler computes while the test runs]"""
+    calls = [0]
+    plan_delta = analysis._delta_plan
+
+    class Counted:
+        def __init__(self, delta):
+            self.plan = plan_delta(delta)
+
+        def __call__(self, values):
+            calls[0] += 1
+            return self.plan(values)
+
+    monkeypatch.setattr(analysis, "_delta_plan", Counted)
+    return calls
 
 
 @pytest.fixture
@@ -161,25 +217,28 @@ class TestClassification:
         assert c.verdict == "second_class"
         assert c.dof_pairs == 2
 
-    def test_delta_is_evaluated_once_per_point(self, monkeypatch):
-        """The rank check reuses the values of Delta the sampler computed
-        to accept each point."""
-        spec = parse_system(tower_text(2, sampler_seed=3))
-        calls = [0]
-        plan_delta = analysis._delta_plan
-
-        class Counted:
-            def __init__(self, delta):
-                self.plan = plan_delta(delta)
-
-            def __call__(self, values):
-                calls[0] += 1
-                return self.plan(values)
-
-        monkeypatch.setattr(analysis, "_delta_plan", Counted)
+    def test_delta_is_evaluated_once_per_point(self, delta_evaluations):
+        """A numeric rank decision reuses the values of Delta the sampler
+        computed to accept each point.  A rational constraint keeps it
+        numeric."""
+        spec = parse_system(RATIONAL_4X4)
+        assert spec.sampler.point_count == 16
         c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
         assert c.on_shell_rank == 4
-        assert calls[0] == spec.sampler.point_count
+        assert delta_evaluations[0] == spec.sampler.point_count
+
+    def test_constant_delta_is_evaluated_once(self, delta_evaluations):
+        ps = PhaseSpace(4)
+        cfg = SamplerConfig(seed=5, point_count=16)
+        c = classify_constraints(ps, linear_mix_constraints(ps, 3, random.Random(2)), cfg)
+        assert c.on_shell_rank == 6
+        assert delta_evaluations[0] == 1
+
+    def test_certified_delta_is_evaluated_once(self, delta_evaluations):
+        spec = parse_system(tower_text(2, sampler_seed=3))
+        c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
+        assert c.on_shell_rank == 4
+        assert delta_evaluations[0] == 1
 
     def test_delta_values_come_with_the_points(self, sphere_ctx):
         cfg = SamplerConfig(seed=6, point_count=3, parameter_bindings={"r": 1.0})
@@ -189,6 +248,118 @@ class TestClassification:
         assert len(at) == len(points)
         for point, values in zip(points, at):
             assert values == [e.evaluate(point) for row in sphere_ctx.delta for e in row]
+
+
+def _classified(text: str):
+    """The classification of a `.system` text, or the error it raises."""
+    spec = parse_system(text)
+    try:
+        c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
+    except DiracKitError as error:
+        return type(error), str(error)
+    return c.verdict, c.m, c.symbolic_det_nonzero, c.on_shell_rank, c.dof_pairs
+
+
+def _values_needed(text: str):
+    spec = parse_system(text)
+    return analysis._values_needed(spec.ps, spec.constraints,
+                                   delta_matrix(spec.constraints, spec.ps), spec.sampler)
+
+
+def _two_spheres(s: str) -> str:
+    """A tower of two spheres, of radii r = 1 and s."""
+    text = tower_text(2, sampler_seed=1).replace("parameters = r", "parameters = r, s")
+    text = text.replace("bind r = 1.0", f"bind r = 1.0\nbind s = {s}")
+    return text.replace("x6^2 - r^2", "x6^2 - s^2")
+
+
+def _agreement_texts() -> dict[str, str]:
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SYSTEMS.glob("*.system"))}
+    texts.update(family_files())
+    texts.update((f"tower_k{k}_s3", tower_text(k, sampler_seed=3)) for k in (1, 2, 3, 4))
+    for seed, (m, n) in enumerate(((1, 1), (1, 3), (2, 2), (3, 4), (4, 4), (5, 6), (7, 7))):
+        texts[f"mix_m{m}_n{n}_s{seed}"] = mix_text(n, m, random.Random(seed))
+    texts["sphere_r0"] = SPHERE.replace("bind r = 1.0", "bind r = 0.0")
+    texts.update(rational_4x4=RATIONAL_4X4, hyperbola=HYPERBOLA, two_in_a_row=TWO_IN_A_ROW)
+    return texts
+
+
+AGREEMENT_TEXTS = _agreement_texts()
+
+
+class TestOnePointCertificate:
+    """A constant Delta is decided by one value, a certified one by none;
+    either way the sampler draws one point."""
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT_TEXTS))
+    def test_agrees_with_the_numeric_rank(self, monkeypatch, name):
+        text = AGREEMENT_TEXTS[name]
+        certified = _classified(text)
+        monkeypatch.setattr(analysis, "_values_needed", lambda *args: None)
+        assert certified == _classified(text)
+
+    def test_shipped_spheres_towers_and_mixes_need_at_most_one_value(self):
+        needed = {name: _values_needed(text) for name, text in AGREEMENT_TEXTS.items()}
+        assert needed["sphere.system"] == 0
+        assert all(needed[name] == 0 for name in needed if name.startswith("tower"))
+        assert all(needed[name] == 1 for name in needed if name.startswith("mix"))
+        assert [needed[p.name] for p in SYSTEMS.glob("*.system")].count(1) == 4
+
+    def test_zero_radius_is_not_certified(self, tmp_path):
+        """The sphere's entry reduces to 2*r^2, 0 at r = 0: the numeric
+        rank decides, as it did before the certificate."""
+        text = SPHERE.replace("bind r = 1.0", "bind r = 0.0")
+        assert _values_needed(text) is None
+        assert _classified(text) == ("second_class", 1, True, 2, 2)
+        path = tmp_path / "sphere_r0.system"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["analyze", str(path)]) == 0
+
+    @pytest.mark.parametrize("text,rank", [(HYPERBOLA, 2), (TWO_IN_A_ROW, 4)],
+                             ids=["non_constant_remainder", "two_entries_in_a_row"])
+    def test_stays_numeric(self, delta_evaluations, text, rank):
+        spec = parse_system(text)
+        assert _values_needed(text) is None
+        c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
+        assert c.on_shell_rank == rank
+        assert delta_evaluations[0] == spec.sampler.point_count == 16
+
+    def test_every_reduced_entry_must_be_nonzero(self):
+        assert _values_needed(_two_spheres("0.0")) is None
+        assert _values_needed(_two_spheres("0.5")) == 0
+
+    def test_certified_blocks_of_unlike_scale(self, monkeypatch):
+        """Radii 1 and 1e-5 give blocks 2 and 2e-10, exactly nonzero on the
+        shell: certified, Delta has full rank.  The numeric rank is read
+        relative to the largest value and calls the smaller block zero, a
+        limit of the numeric path that the certificate does not share."""
+        text = _two_spheres("1e-5")
+        assert _values_needed(text) == 0
+        assert _classified(text) == ("second_class", 2, True, 4, 4)
+        monkeypatch.setattr(analysis, "_values_needed", lambda *args: None)
+        assert _classified(text) == ("degenerate", 2, True, 2, 4)
+
+    @pytest.mark.parametrize("bindings", [{}, {"r": float("nan")}, {"r": float("inf")}],
+                             ids=["missing", "nan", "inf"])
+    def test_unusable_binding_is_not_certified(self, sphere_ctx, monkeypatch, bindings):
+        """The sampler reports a missing binding and fails every attempt
+        with a non-finite one, as it did before the certificate."""
+        cfg = SamplerConfig(seed=1, max_retries=3, parameter_bindings=bindings)
+        args = sphere_ctx.ps, sphere_ctx.constraints, sphere_ctx.delta, cfg
+        assert analysis._values_needed(*args) is None
+        with pytest.raises((ValidationError, NoOnShellPointError)) as error:
+            classify_constraints(*args[:2], cfg)
+        assert error.type is (NoOnShellPointError if bindings else ValidationError)
+
+    @pytest.mark.parametrize("constraints,needed", [
+        ("chi1 = x1^2 + x2^2 + 1\nchi2 = x1*p1 + x2*p2", 0),  # the entry reduces to -2
+        ("chi1 = x2^2 + 1\nchi2 = x3\nchi3 = x1\nchi4 = p1", 1),
+    ], ids=["certified", "constant"])
+    def test_one_point_still_needs_a_nonempty_shell(self, constraints, needed):
+        text = f"[system]\nn = 3\n[constraints]\n{constraints}\n"
+        assert _values_needed(text) == needed
+        assert _classified(text) == (NoOnShellPointError, "no on-shell point after 50 retries")
 
 
 class TestTraceIdentity:

@@ -288,6 +288,24 @@ class TestFactoredArithmetic:
         assert str(got) == "(x1^3*p2 + x1*x2^2*p2 - 3*x1^2 - 3*x2^2 + 1)/" \
             "(x1^4 + 2*x1^2*x2^2 + x2^4)"
 
+    def test_atoms_with_one_product_add_over_the_fewer(self, ps):
+        """Distinct atoms that expand to the same denominator add their
+        numerators over the shorter tuple, the left one on a tie; an
+        lcm over them would treat x1*p1 and x1, p1 as coprime."""
+        whole = parse_expression("1/(x1*p1)", ps)
+        split = parse_expression("1/x1", ps) * parse_expression("1/p1", ps)
+        assert whole.den == split.den and len(split.atoms) == 2
+        plain = Opaque.of(whole), Opaque.of(split)
+        for got, want in ((whole + split, plain[0] + plain[1]),
+                          (split + whole, plain[1] + plain[0]),
+                          (whole - split.scale(3), plain[0] - Opaque.of(split.scale(3)))):
+            assert got.atoms == whole.atoms
+            assert got == want.expr() and degree(got) == degree(want) == 2
+        assert str(whole + split) == str(split + whole) == "(2)/(x1*p1)"
+        assert str(whole - split.scale(3)) == "(-2)/(x1*p1)"
+        again = parse_expression("1/x1", ps) * parse_expression("1/p1", ps)
+        assert (split + again).atoms == split.atoms
+
     def test_parse_results_never_cancel(self, ps):
         """Parsing keeps the numerator as written; cancel() applies to
         every expression."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dirackit import sysfile
+from dirackit import analysis, sysfile
 from dirackit.brackets import DiracContext, dirac_bracket
 from dirackit.expr import RationalExpr
 from dirackit.parser import parse_expression
@@ -142,3 +142,61 @@ def test_parsing_linear_constraints_makes_no_product_or_rational_sum(monkeypatch
     spec = sysfile.parse_system(mix_text(10, 10, random.Random(4)))
     assert len(spec.constraints) == 20
     assert calls == {}
+
+
+@pytest.fixture
+def on_shell_counts(monkeypatch):
+    """Per run: Newton projections that succeed (points the sampler
+    returns), values of Delta it computes, and pivoted QRs of Delta
+    (those built outside the sampler, whose own QRs are of Jacobians)."""
+    calls = Counter()
+    inside = []
+    sample, plan_delta, qr = analysis.sample_on_shell, analysis._delta_plan, analysis.PivotedQR
+
+    def counted_sample(*args, **kwargs):
+        inside.append(True)
+        try:
+            points = sample(*args, **kwargs)
+        finally:
+            inside.pop()
+        calls["points"] += len(points)
+        return points
+
+    def counted_plan(delta):
+        plan = plan_delta(delta)
+
+        def evaluate(values):
+            calls["delta_values"] += 1
+            return plan(values)
+        return evaluate
+
+    def counted_qr(columns):
+        if not inside:
+            calls["delta_qrs"] += 1
+        return qr(columns)
+
+    functools.update_wrapper(counted_sample, sample)
+    replace_everywhere(monkeypatch, sample, counted_sample)
+    monkeypatch.setattr(analysis, "_delta_plan", counted_plan)
+    monkeypatch.setattr(analysis, "PivotedQR", counted_qr)
+    return calls
+
+
+@pytest.mark.parametrize("text,counts", [
+    ((SYSTEMS / "sphere.system").read_text(encoding="utf-8"), (1, 1, 0)),
+    (tower_text(4, sampler_seed=3), (1, 1, 0)),
+    ((SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (1, 1, 1)),
+], ids=["sphere", "tower_k4", "pair_elimination"])
+def test_analyze_samples_one_point_when_delta_is_constant_or_certified(
+        on_shell_counts, tmp_path, text, counts):
+    """The sampler draws one point and computes Delta there once.  A
+    certified Delta (sphere, tower) takes no QR, a constant one (a
+    shipped linear system) one.  Before the certificate they drew their
+    `points` (16, 16 and 8), computed Delta at each and took one QR per
+    distinct value (13, 16 and 1)."""
+    path = tmp_path / "case.system"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+    points, values, qrs = counts
+    assert on_shell_counts == Counter(points=points, delta_values=values, delta_qrs=qrs)

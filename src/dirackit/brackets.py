@@ -103,16 +103,16 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     return DiracContext(ps, constraints, delta, delta_inv)
 
 
-def _dirac_correct(acc: RationalExpr, f_chi, chi_g, ctx: DiracContext) -> RationalExpr:
-    """acc - {f, chi_a} (Delta^-1)_ab {chi_b, g}, summed in (a, b) order by
-    `add_products` with a pair skipped before its product when one of its
-    three factors is an exact zero, and the atoms that divide the sum's
-    numerator cancelled."""
+def _dirac_correct(acc: RationalExpr, f_chi, g_chi, ctx: DiracContext) -> RationalExpr:
+    """acc + {f, chi_a} (Delta^-1)_ab {g, chi_b}, that is acc - {f, chi_a}
+    (Delta^-1)_ab {chi_b, g}, summed in (a, b) order by `add_products` with
+    a pair skipped before its product when one of its three factors is an
+    exact zero, and the atoms that divide the sum's numerator cancelled."""
     k, inv = len(ctx.constraints), ctx.delta_inv
-    return add_products(acc, [(f_chi[a] * inv[a][b], -chi_g[b])
+    return add_products(acc, [(f_chi[a] * inv[a][b], g_chi[b])
                               for a in range(k) if not f_chi[a].is_zero
                               for b in range(k)
-                              if not (inv[a][b].is_zero or chi_g[b].is_zero)]).cancel()
+                              if not (inv[a][b].is_zero or g_chi[b].is_zero)]).cancel()
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
@@ -124,18 +124,17 @@ def bracket_table(items, space) -> tuple:
     construction.  The space picks the bracket: Poisson on a PhaseSpace,
     Dirac in a DiracContext.
 
-    In a context each item's brackets with the constraints are computed
-    once: the row {item, chi_a} for every item but the last, the column
-    {chi_b, item} for every item but the first."""
+    In a context each item's row {item, chi_a} is computed once (none for
+    a single item), and {f, g}_D = {f, g} + {f, chi_a} (Delta^-1)_ab {g, chi_b}."""
     items = list(items)
     if not items:
         raise ValueError("items must be nonempty")
     if isinstance(space, DiracContext):
         ps, chis = space.ps, space.constraints
-        rows = [[poisson_bracket(f, chi, ps) for chi in chis] for f in items[:-1]]
-        columns = [None] + [[poisson_bracket(chi, g, ps) for chi in chis] for g in items[1:]]
+        rows = [[poisson_bracket(f, chi, ps) for chi in chis]
+                for f in items] if len(items) > 1 else None  # one item: no pair
         bracket = lambda a, b: _dirac_correct(
-            poisson_bracket(items[a], items[b], ps), rows[a], columns[b], space)
+            poisson_bracket(items[a], items[b], ps), rows[a], rows[b], space)
     else:
         ps = space
         bracket = lambda a, b: poisson_bracket(items[a], items[b], ps)

@@ -329,6 +329,17 @@ class TestOnePointCertificate:
         assert _values_needed(_two_spheres("0.0")) is None
         assert _values_needed(_two_spheres("0.5")) == 0
 
+    def test_zero_radius_beside_a_unit_sphere_is_degenerate(self, tmp_path):
+        """Radii 1 and 0: the second block's entry reduces to 2*s^2 = 0, so
+        it is not certified, and Delta vanishes there on the shell.  The
+        numeric rank, read relative to the first block, calls it zero."""
+        text = _two_spheres("0.0")
+        assert _classified(text) == ("degenerate", 2, True, 2, 4)
+        path = tmp_path / "two_spheres_s0.system"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["analyze", str(path)]) == 3
+
     def test_certified_blocks_of_unlike_scale(self, monkeypatch):
         """Radii 1 and 1e-5 give blocks 2 and 2e-10, exactly nonzero on the
         shell: certified, Delta has full rank.  The numeric rank is read

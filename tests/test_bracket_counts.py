@@ -79,6 +79,26 @@ def test_dirac_table_reuses_constraint_rows(counts, spheres, k):
     assert counts["poisson"] <= 2 * (k - 1) * 2 * ctx.m + k * (k - 1) // 2
 
 
+@pytest.mark.parametrize("spheres", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_dirac_table_takes_each_constraint_row_once(counts, spheres, k):
+    """k rows of 2m constraint brackets, one per item, and one Poisson
+    bracket per pair of items; a single item has no pair and needs none."""
+    ctx, items = tower_items(spheres, k)
+    counts["poisson"] = 0
+    bracket_table(items, ctx)
+    assert counts["poisson"] == (k * 2 * ctx.m + k * (k - 1) // 2 if k > 1 else 0)
+
+
+@pytest.mark.parametrize("spheres,expected", [(1, 15), (2, 55), (3, 120), (4, 210)])
+def test_tower_analyze_bracket_count(counts, tmp_path, spheres, expected):
+    path = tmp_path / f"tower_k{spheres}.system"
+    path.write_text(tower_text(spheres, sampler_seed=3), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert counts["poisson"] == expected
+
+
 def test_poisson_brackets_skip_pairs_outside_the_supports(counts, tmp_path):
     n = 6  # two spheres
     path = tmp_path / "tower_k2.system"

@@ -244,7 +244,7 @@ class TestBracketTable:
 
     def test_dirac_table_makes_no_product_with_an_exact_zero(self, monkeypatch):
         # The Dirac correction skips a pair before multiplying when
-        # {f, chi_a}, (Delta^-1)_ab or {chi_b, g} is an exact zero.
+        # {f, chi_a}, (Delta^-1)_ab or {g, chi_b} is an exact zero.
         spec = parse_system(tower_text(2, sampler_seed=1))
         ctx = make_context(spec.ps, spec.constraints)
         items = list(spec.primaries.exprs) + [spec.primaries.hamiltonian]

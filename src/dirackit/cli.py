@@ -15,6 +15,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .analysis import classify_constraints, trace_identity
@@ -274,6 +275,7 @@ def cmd_verdict(spec: SystemSpec) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirackit",

@@ -88,5 +88,5 @@ class DegreeOverflowError(DiracKitError):
 
 
 class ExpansionBudgetError(DiracKitError):
-    """A power would expand past the polynomial kernel's term or
-    coefficient-size budget."""
+    """A power, or a product of parsed input, would expand past the
+    polynomial kernel's term or coefficient-size budget."""

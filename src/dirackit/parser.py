@@ -21,6 +21,8 @@ the degree check of `Polynomial.__mul__`.  A sum collects its terms in
 one {key: coefficient} dict, normalized once into a `Polynomial` when
 the sum ends.  `Polynomial` arithmetic is used only where a sum in
 parentheses is multiplied, divided by a constant or raised to a power.
+A power and a product of two sums are bounded before they are expanded
+(see `dirackit.poly`).
 Polynomials have one stored form per value, so the result is the one
 any order of the same operations gives.
 
@@ -41,7 +43,8 @@ from fractions import Fraction
 from .errors import DivisionByZeroError, ExpressionSyntaxError, UnknownSymbolError
 from .expr import RationalExpr
 from .phase_space import PhaseSpace
-from .poly import SLOT_BITS, Polynomial, _check_degree, _check_power, _layout, _normalized
+from .poly import (SLOT_BITS, Polynomial, _check_degree, _check_power, _check_product, _layout,
+                   _normalized)
 
 _TOKEN = re.compile(r"""
     (?P<number>[0-9]+(?:/[0-9]+)?)
@@ -241,8 +244,12 @@ class _Parser:
             _check_degree((ka >> self.shift) + (kb >> self.shift))
             return ca * cb, ka + kb
         if isinstance(a, RationalExpr) or isinstance(b, RationalExpr):
-            return self.rational(a) * self.rational(b)
-        return self.polynomial(a) * self.polynomial(b)
+            a, b = self.rational(a), self.rational(b)
+            _check_product(a.num, b.num)
+            return a * b
+        a, b = self.polynomial(a), self.polynomial(b)
+        _check_product(a, b)
+        return a * b
 
     def div(self, a, b):
         if type(b) is Polynomial and b.is_constant:

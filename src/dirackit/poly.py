@@ -27,7 +27,12 @@ than MAX_POWER_TERMS, or when k * ceil(log2 c) is more than
 MAX_POWER_BITS, where c bounds the numerator and the denominator of
 every coefficient of p.  The second bound is the bit length of c**k:
 unit coefficients never grow, and the first bound keeps the multinomial
-coefficients small.
+coefficients small.  The parser bounds a product of parsed input the same
+way (`_check_product`): when both factors have at least 2 terms, their
+product is refused when its t1 * t2 terms are more than MAX_POWER_TERMS or
+the two factors' coefficient bit lengths add up to more than
+MAX_POWER_BITS.  Products inside the kernel, such as Dirac brackets, are
+not bounded.
 
 The public view of the terms, `Polynomial.terms`, is a read-only map
 from exponent tuples to Fractions.
@@ -63,6 +68,27 @@ def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise DegreeOverflowError(
             f"total degree {degree} exceeds the limit of {MAX_DEGREE}")
+
+
+def _coefficient_size(p: "Polynomial") -> int:
+    """A bound on the numerator and the denominator of every coefficient of p."""
+    return max(abs(p._n) * max(map(abs, p._t.values()), default=1), p._d)
+
+
+def _check_product(a: "Polynomial", b: "Polynomial") -> None:
+    """Refuse a * b, where both have at least 2 terms, before multiplying,
+    when it can have more terms or larger coefficients than a power may."""
+    ta, tb = len(a._t), len(b._t)
+    if ta < 2 or tb < 2:
+        return
+    if ta * tb > MAX_POWER_TERMS:
+        raise ExpansionBudgetError(
+            f"a product of a {ta}-term and a {tb}-term polynomial can have more than "
+            f"{MAX_POWER_TERMS} terms")
+    if ((_coefficient_size(a) - 1).bit_length()
+            + (_coefficient_size(b) - 1).bit_length() > MAX_POWER_BITS):
+        raise ExpansionBudgetError(
+            f"a product can have coefficients of more than {MAX_POWER_BITS} bits")
 
 
 def _check_power(terms: int, size: int, k: int) -> None:
@@ -336,8 +362,7 @@ class Polynomial:
         if k < 0:
             raise ValueError("negative power on a bare polynomial")
         _check_degree(self.total_degree() * k)
-        _check_power(len(self._t), max(abs(self._n) * max(map(abs, self._t.values()), default=1),
-                                       self._d), k)
+        _check_power(len(self._t), _coefficient_size(self), k)
         if len(self._t) == 1:
             # The primitive part of one term is its monomial: only the
             # content and the key are raised.

@@ -1,7 +1,10 @@
 """System file loading, CLI commands, exit codes, report schema."""
 
+import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dirackit import RationalExpr, cli, load_system
+from dirackit import RationalExpr, cli, expr, load_system
 from dirackit.analysis import classify_constraints
 from dirackit.cli import main
 from dirackit.errors import ValidationError
@@ -27,6 +30,7 @@ TRIVIAL = str(SYSTEMS / "trivial.system")
 DEGENERATE = str(SYSTEMS / "degenerate.system")
 PAIR = str(SYSTEMS / "pair_elimination.system")
 ANGULAR = str(SYSTEMS / "angular_momentum.system")
+SYSTEM_FILES = sorted(str(p) for p in SYSTEMS.glob("*.system"))
 
 
 def schema():
@@ -191,6 +195,16 @@ class TestExitCodes:
         path = tmp_path / "power.system"
         path.write_text("[system]\nn = 2\n[constraints]\n"
                         "chi1 = (x1 + x2)^100000\nchi2 = p1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "more than 10000 terms" in capsys.readouterr().err
+
+    def test_product_past_the_expansion_budget(self, tmp_path, capsys):
+        """Two powers inside the budget whose product is not: 1,001 * 1,001 terms."""
+        xs = " + ".join(f"x{i}" for i in range(1, 11))
+        ps = " + ".join(f"p{i}" for i in range(1, 11))
+        path = tmp_path / "product.system"
+        path.write_text("[system]\nn = 10\n[constraints]\n"
+                        f"chi1 = ({xs} + 1)^4 * ({ps} + 1)^4\nchi2 = p1\n")
         assert main(["analyze", str(path)]) == 2
         assert "more than 10000 terms" in capsys.readouterr().err
 
@@ -397,3 +411,107 @@ class TestOtherCommands:
 
     def test_verdict_degenerate(self, capsys):
         assert main(["verdict", DEGENERATE]) == 3
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call, with the report's
+    timings and the stderr `[timing]` lines masked.  A usage error or
+    --help ends in argparse's SystemExit, whose code is the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    stdout = out.getvalue()
+    if stdout.startswith("{"):
+        report = json.loads(stdout)
+        report.pop("timings_ms")
+        stdout = json.dumps(report, indent=2)
+    else:
+        stdout = "".join(line for line in stdout.splitlines(keepends=True)
+                         if not line.startswith("timings_ms:"))
+    stderr = [line for line in err.getvalue().splitlines() if not line.startswith("[timing]")]
+    return code, stdout, stderr
+
+
+class TestRepeatedCalls:
+    """`main` may be called many times in one process; it builds its
+    parser once, and what it prints does not depend on that."""
+
+    SEQUENCE = [
+        (["analyze", SPHERE, "--format", "json"], 0),
+        (["analyze", SPHERE, "--format", "text"], 0),
+        (["bracket", SPHERE, "--f", "x1", "--g", "p1", "--mode", "dirac"], 0),
+        (["bracket", SPHERE, "--f", "x1", "--g", "p1"], 0),
+        (["closure", ANGULAR, "--format", "json"], 0),
+        (["classify", DEGENERATE, "--format", "json"], 0),
+        (["analyze"], 2),
+        (["frobnicate", "x"], 2),
+        (["bracket", SPHERE, "--f", "x1"], 2),
+        (["--help"], 0),
+        (["closure", "--help"], 0),
+    ]
+
+    def test_the_parser_is_built_once(self, monkeypatch):
+        """Seven ArgumentParsers (the top level and six subcommands) on the
+        first of 20 calls, none after."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        per_call = []
+        for _ in range(4):
+            for path in SYSTEM_FILES:
+                before = len(built)
+                _run(["analyze", path, "--format", "json"])
+                per_call.append(len(built) - before)
+        assert len(per_call) == 20
+        assert per_call == [7] + [0] * 19
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
+
+    def test_reusing_the_parser_changes_no_output(self):
+        """The same sequence, on the cached parser and on a parser built
+        afresh for every call, prints the same bytes and exits alike."""
+        cached = [_run(argv) for argv, _ in self.SEQUENCE]
+        fresh = []
+        for argv, _ in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            fresh.append(_run(argv))
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [code for _, code in self.SEQUENCE]
+        for (argv, code), (_, out, err) in zip(self.SEQUENCE, cached):
+            if code == 2:
+                assert out == "" and err[0].startswith("usage: dirackit"), argv
+            if argv[-1] == "--help":
+                assert out.startswith("usage: dirackit") and err == [], argv
+
+    def test_help_wraps_to_the_width_at_each_call(self, monkeypatch):
+        """argparse reads COLUMNS when it prints, so one cached parser
+        wraps to each width as a fresh one does."""
+        widest = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            cached = _run(["--help"])
+            cli.build_parser.cache_clear()
+            assert _run(["--help"]) == cached
+            widest[columns] = max(map(len, cached[1].splitlines()))
+        # The subcommand choices are one word wider than 40 columns.
+        assert widest["40"] < widest["200"] <= 200
+
+    def test_repeated_calls_keep_nothing_per_call(self):
+        """After one round over systems/, 20 more rounds add no atom, no
+        product of atoms and no parser."""
+        def sizes():
+            for path in SYSTEM_FILES:
+                assert _run(["analyze", path, "--format", "json"])[0] in (0, 3)
+            return len(expr._ATOMS), len(expr._PRODUCTS), cli.build_parser.cache_info().currsize
+
+        first = sizes()
+        assert [sizes() for _ in range(20)] == [first] * 20

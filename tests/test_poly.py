@@ -184,6 +184,65 @@ class TestPowerBudget:
             parse_expression(text, ps)
 
 
+
+def _sum(prefix, count, constant=""):
+    return "(" + " + ".join(f"{prefix}{i}" for i in range(1, count + 1)) + constant + ")"
+
+
+class TestProductBudget:
+    """A `*` of parsed input whose factors both have at least 2 terms is
+    bounded like a power: t1 * t2 terms and the sum of the factors'
+    coefficient bit lengths."""
+
+    X4 = _sum("x", 10, " + 1") + "^4"  # 1,001 terms each, inside the power budget
+    P4 = _sum("p", 10, " + 1") + "^4"
+
+    @pytest.fixture
+    def ps10(self):
+        return PhaseSpace(10)
+
+    @pytest.fixture
+    def bounded_mul(self, monkeypatch):
+        """Polynomial.__mul__ that fails on any product past the term budget."""
+        mul = Polynomial.__mul__
+
+        def checked(self, other):
+            if len(self) * len(other) > MAX_POWER_TERMS:
+                raise AssertionError("a product past the budget was expanded")
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", checked)
+
+    @pytest.mark.parametrize("text, sizes", [
+        (f"{X4} * {P4}", (1001, 1001)),
+        (f"{X4} / (x1 + 1) * {P4}", (1001, 1001)),  # the RationalExpr numerators
+        (f"{_sum('x', 10, ' + 1')}^2 * {_sum('p', 10, ' + 1')}^2 * (x1 + p1 + 1)^2",
+         (4356, 6)),  # each pair of neighbours passes; the chain does not
+    ])
+    def test_product_past_the_term_budget_is_refused(self, ps10, bounded_mul, text, sizes):
+        message = f"a product of a {sizes[0]}-term and a {sizes[1]}-term polynomial"
+        with pytest.raises(ExpansionBudgetError, match=message):
+            parse_expression(text, ps10)
+
+    def test_terms_at_the_cap(self):
+        """100 * 100 terms may be reached, 100 * 101 not."""
+        ps = PhaseSpace(100)
+        assert len(parse_expression(f"{_sum('x', 100)} * {_sum('p', 100)}", ps).num) == 10_000
+        with pytest.raises(ExpansionBudgetError, match="more than 10000 terms"):
+            parse_expression(f"{_sum('x', 100)} * {_sum('p', 100, ' + 1')}", ps)
+
+    def test_coefficient_bits(self, ps):
+        half = MAX_POWER_BITS // 2
+        assert not parse_expression(f"(2^{half}*x1 + 1) * (2^{half}*p1 + 1)", ps).is_zero
+        with pytest.raises(ExpansionBudgetError, match="bits"):
+            parse_expression(f"(2^{half + 1}*x1 + 1) * (2^{half}*p1 + 1)", ps)
+
+    @pytest.mark.parametrize("text", [f"2^{MAX_POWER_BITS} * (2^{MAX_POWER_BITS}*x1 + 1)",
+                                      f"x1 * {_sum('x', 3)}^8 * p1"])
+    def test_a_single_term_factor_is_not_bounded(self, ps, text):
+        assert not parse_expression(text, ps).is_zero
+
+
 # -- oracle: a plain {exponent tuple: Fraction} kernel ----------------------
 
 def ref_add(a, b):

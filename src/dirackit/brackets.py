@@ -20,6 +20,8 @@ with every atom that divides its numerator cancelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .errors import (
     NotSecondClassError,
@@ -30,6 +32,7 @@ from .errors import (
 from .expr import RationalExpr, add_products
 from .matrix import invert_matrix
 from .phase_space import PhaseSpace
+from .poly import affine_rows
 
 
 def _support(e: RationalExpr) -> frozenset[int]:
@@ -62,12 +65,36 @@ def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, Rationa
                  for chi in constraints)
 
 
+def _affine_rows(constraints, ps: PhaseSpace) -> list[tuple[int, int, list[int]]] | None:
+    """`poly.affine_rows` of the constraints along x1..xn, p1..pn when
+    every one is a polynomial of total degree at most 1, else None."""
+    if all(chi.is_polynomial for chi in constraints):
+        return affine_rows([chi.num for chi in constraints], 2 * ps.n)
+    return None
+
+
 def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
-    """Constraint bracket matrix Delta_ab = {chi_a, chi_b} by rows; exactly skew."""
+    """Constraint bracket matrix Delta_ab = {chi_a, chi_b} by rows; exactly skew.
+
+    An affine set makes no bracket: chi_a is c_a times sum_j A_a[z_j] z_j
+    over the variables z, with an integer row A_a, plus a term free of
+    them, so Delta_ab = c_a c_b sum_i (A_a[x_i] A_b[p_i] - A_a[p_i] A_b[x_i]),
+    a constant."""
     k = len(constraints)
     if k < 2 or k % 2 != 0:
         raise OddConstraintCountError(f"need an even number >= 2 of constraints, got {k}")
-    return bracket_table(constraints, ps)
+    rows = _affine_rows(constraints, ps)
+    if rows is None:
+        return bracket_table(constraints, ps)
+    n = ps.n
+    halves = [(num, den, row[:n], row[n:]) for num, den, row in rows]
+
+    def bracket(a, b):
+        (na, da, xa, pa), (nb, db, xb, pb) = halves[a], halves[b]
+        omega = sum(map(mul, xa, pb)) - sum(map(mul, pa, xb))
+        return RationalExpr.constant(ps, Fraction(na * nb * omega, da * db))
+
+    return _skew(k, ps, bracket)
 
 
 @dataclass(frozen=True)
@@ -138,7 +165,12 @@ def bracket_table(items, space) -> tuple:
     else:
         ps = space
         bracket = lambda a, b: poisson_bracket(items[a], items[b], ps)
-    k = len(items)
+    return _skew(len(items), ps, bracket)
+
+
+def _skew(k: int, ps: PhaseSpace, bracket) -> tuple:
+    """The k x k rows with bracket(a, b) above the diagonal, its negation
+    below and zeros on it."""
     zero = RationalExpr.zero(ps)
     entries = [[zero] * k for _ in range(k)]
     for a in range(k):

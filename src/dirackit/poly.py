@@ -504,6 +504,21 @@ def reduce_by(poly: Polynomial, divisors: list[Polynomial]) -> Polynomial:
     return remainder
 
 
+def affine_rows(polys: list[Polynomial], count: int) -> list[tuple[int, int, list[int]]] | None:
+    """None unless every polynomial of the nonempty list has total degree
+    at most 1, read from the leading monomials before anything is built.
+    Else, per polynomial, its signed content num, den and the primitive
+    integer coefficients of its first `count` symbols, so that its
+    partial along symbol i < count is the constant num/den *
+    coefficients[i]."""
+    nsyms = polys[0].nsyms
+    shift = _layout(nsyms)[0]
+    if any(p._lead >> shift > 1 for p in polys):
+        return None
+    keys = [1 << shift | 1 << SLOT_BITS * (nsyms - 1 - i) for i in range(count)]
+    return [(p._n, p._d, [p._t.get(k, 0) for k in keys]) for p in polys]
+
+
 def coefficient_rows(polys: list[Polynomial]) -> list[list[Fraction]]:
     """One row per monomial in the union of the supports, in descending
     graded-lex order, holding each polynomial's coefficient there."""

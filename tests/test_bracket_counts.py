@@ -110,8 +110,10 @@ def test_poisson_brackets_skip_pairs_outside_the_supports(counts, tmp_path):
 
 
 def test_mix_analyze_brackets_only_for_delta(counts, monkeypatch, tmp_path):
-    """An n = m = 10 mix: Delta's k(k - 1)/2 Poisson brackets are all the
-    brackets one analyze makes; the trace reads partials instead."""
+    """An n = m = 10 mix is affine: Delta is read from the constraints'
+    integer coefficient rows, not from its k(k - 1)/2 = 190 Poisson
+    brackets, and the trace sums the same rows, so one analyze makes no
+    bracket at all."""
     path = tmp_path / "mix.system"
     path.write_text(mix_text(10, 10, random.Random(4)), encoding="utf-8")
     dirac_calls, delta_brackets = [], []
@@ -129,19 +131,18 @@ def test_mix_analyze_brackets_only_for_delta(counts, monkeypatch, tmp_path):
     replace_everywhere(monkeypatch, delta_matrix, counted_delta)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["analyze", str(path), "--format", "json"]) == 0
-    k = 20
-    assert counts["poisson"] == k * (k - 1) // 2 == 190
-    assert delta_brackets == [190]
+    assert counts["poisson"] == 0
+    assert delta_brackets == [0]
     assert dirac_calls == []
 
 
 def test_mix_analyze_multiplies_only_while_parsing(monkeypatch, tmp_path):
-    """Delta and the trace of an n = m = 10 mix are sums of products of
-    constant partials, each one pass of `poly.sum_of_products`, and the
-    parser builds the file's linear constraints from terms: one analyze
-    makes no `Polynomial.__mul__` call.  Summed product by product, the
-    same analyze made 12,000; parsed through rational-expression
-    products, its file alone made 680."""
+    """Delta and the trace of an n = m = 10 mix are integer sums over the
+    constraints' coefficient rows, and the parser builds the file's
+    linear constraints from terms: one analyze makes no
+    `Polynomial.__mul__` call.  Summed product by product, the same
+    analyze made 12,000; parsed through rational-expression products,
+    its file alone made 680."""
     path = tmp_path / "mix.system"
     path.write_text(mix_text(10, 10, random.Random(4)), encoding="utf-8")
     calls = []

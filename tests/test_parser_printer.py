@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirackit import PhaseSpace, parse_expression
+from dirackit import PhaseSpace, parse_expression, parser
 from dirackit.errors import (
     DiracKitError,
     DivisionByZeroError,
@@ -210,13 +210,44 @@ def _outcome(parse, text: str, ps):
     return (str(e),) + tuple((p._n, p._d, p._t, p._lead) for p in (e.num, e.den))
 
 
-def test_parser_matches_the_fold():
-    """On 3,200 seeded texts the parser gives the fold's printed form, its
-    stored num and den, or its exception type and message."""
+def _monomial(rng: random.Random) -> str:
+    factors = [rng.choice(["1", "2", "3", "5", "1/2", "2/3", "7/4"])]
+    for _ in range(rng.randint(0, 2)):
+        symbol = rng.choice(SYMBOLS)
+        factors.append(symbol if rng.random() < 0.7 else f"{symbol}^{rng.randint(2, 3)}")
+    return "*".join(factors)
+
+
+def _sum_product(rng: random.Random) -> str:
+    """(<sum>)*(<sum>) with 2 to 4 terms per sum: at most 16 terms and
+    small coefficients, far inside the `*` budget (the fold has none)."""
+    def sum_text():
+        terms = [_monomial(rng) for _ in range(rng.randint(2, 4))]
+        text = terms[0]
+        for term in terms[1:]:
+            text += rng.choice([" + ", " - ", "+", "-"]) + term
+        return text
+    return f"({sum_text()}){rng.choice(['*', ' * '])}({sum_text()})"
+
+
+def test_parser_matches_the_fold(monkeypatch):
+    """On 3,200 seeded texts, and 400 products of two sums, the parser
+    gives the fold's printed form, its stored num and den, or its
+    exception type and message."""
     ps = PhaseSpace(2, parameters=("r",))
     rng = random.Random(20260615)
     texts = [_expression(rng, 0) for _ in range(2400)]
     texts += [_malformed(rng, rng.choice(texts)) for _ in range(800)]
+    products = random.Random(20261019)
+    texts += [_sum_product(products) for _ in range(400)]
+    multi_term, check_product = set(), parser._check_product
+
+    def counted(a, b):
+        if len(a) > 1 and len(b) > 1:
+            multi_term.add(text)
+        return check_product(a, b)
+
+    monkeypatch.setattr(parser, "_check_product", counted)
     results = {"parsed": 0, "rational": 0, "error": 0}
     for text in texts:
         expected = _outcome(fold_parse, text, ps)
@@ -228,6 +259,8 @@ def test_parser_matches_the_fold():
             results["rational"] += expected[0].startswith("(") and ")/(" in expected[0]
     # the sweep reaches every kind of outcome in quantity
     assert min(results.values()) > 300, results
+    # and multiplies two sums in at least one text per hundred
+    assert len(multi_term) >= len(texts) // 100, len(multi_term)
 
 
 TOKENS = ("x1", "x2", "p1", "p2", "r", "y", "_", "0", "1", "2", "3", "12", "1/2", "2/0",

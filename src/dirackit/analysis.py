@@ -12,12 +12,10 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .brackets import (
     ConstraintSystem,
     DiracContext,
-    _affine_rows,
     _support,
     constraint_gradients,
     delta_matrix,
@@ -305,53 +303,23 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
     )
 
 
-def _affine_trace(rows, delta_inv, n: int) -> Fraction:
-    """sum_i (1 - sum_ab u_a (Delta^-1)_ab w_b) with u_a = c_a A_a[p_i]
-    and w_b = c_b A_b[x_i] from `_affine_rows`, summed over Python ints:
-    c_a = U_a / d over the lcm d of the contents' denominators, and the
-    constant (Delta^-1)_ab = K_ab / D over the lcm D of its entries'.  A
-    nonzero constant polynomial is its own signed content."""
-    inv = [[(0, 1) if e.is_zero else e.num.signed_content() for e in row] for row in delta_inv]
-    big_d = math.lcm(*(den for row in inv for _, den in row))
-    d = math.lcm(*(den for _, den, _ in rows))
-    u = [[num * (d // den) * c for c in coefficients[n:]] for num, den, coefficients in rows]
-    w = [[num * (d // den) * c for c in coefficients[:n]] for num, den, coefficients in rows]
-    total = 0
-    for ua, row in zip(u, inv):
-        if any(ua):
-            for wb, (num, den) in zip(w, row):
-                if num:
-                    total += num * (big_d // den) * sum(map(mul, ua, wb))
-    scale = d * d * big_d
-    return Fraction(n * scale - total, scale)
-
-
 def trace_identity(ctx: DiracContext) -> TraceIdentity:
-    """Sum over the pairs of Pi_D[x_i, p_i] = {x_i, p_i}_D, each one
-    cancelled, and the sum cancelled; must equal n - m exactly.
+    """The sum over the pairs of {x_i, p_i}_D, cancelled; must equal n - m
+    exactly.
 
-    Pi_D[x_i, p_i] = 1 - sum_a u_a * sum_b (Delta^-1)_ab w_b, where
-    u_a = {x_i, chi_a} = dchi_a/dp_i and w_b = {chi_b, p_i} = dchi_b/dx_i.
-    An affine set's u, w and Delta^-1 are constants, summed as integers
-    by `_affine_trace`.  Otherwise u and w are read from the memoised
-    partials and both sums are `add_products`, which skips exact zeros.
-    A value over atoms that share a factor may cancel differently under
-    another grouping, so with non-polynomial constraints it can print
-    otherwise than a sum of `dirac_bracket`s while the two are equal."""
-    ps, chis = ctx.ps, ctx.constraints
-    rows = _affine_rows(chis, ps)
-    if rows is not None:
-        total = RationalExpr.constant(ps, _affine_trace(rows, ctx.delta_inv, ps.n))
-    else:
-        one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
-        total = zero
-        for i in range(1, ps.n + 1):
-            u = [chi.diff_index(ps.momentum_index(i)) for chi in chis]
-            w = [chi.diff_index(ps.coordinate_index(i)) for chi in chis]
-            pair = add_products(one, [(-ua, add_products(zero, zip(row, w)))
-                                      for ua, row in zip(u, ctx.delta_inv) if not ua.is_zero])
-            total = total + pair.cancel()
-        total = total.cancel()
+    With u_a = dchi_a/dp_i and w_b = dchi_b/dx_i, {x_i, p_i}_D is
+    1 - sum_ab u_a (Delta^-1)_ab w_b.  Summed over i, the double sum is
+    sum_ab (Delta^-1)_ab S_ab with S_ab = sum_i u_a w_b, and Delta = S^T - S.
+    Delta^-1 is skew, so that is -1/2 sum_ab (Delta^-1)_ab Delta_ab, and the
+    trace is n + sum_{a<b} (Delta^-1)_ab Delta_ab: one `add_products` over
+    entries the context holds, with no partial.  The value thus checks
+    tr(Delta^-1 Delta) = 2m, not the partials; a value over atoms that
+    share a factor can print otherwise than a sum of `dirac_bracket`s
+    while the two are equal."""
+    ps, inv, delta = ctx.ps, ctx.delta_inv, ctx.delta
+    k = len(delta)
+    total = add_products(RationalExpr.constant(ps, ps.n), [
+        (inv[a][b], delta[a][b]) for a in range(k) for b in range(a + 1, k)]).cancel()
     expected = ps.n - ctx.m
     holds = (total - RationalExpr.constant(ps, expected)).is_zero
     return TraceIdentity(value=total, expected=expected, holds=holds)

@@ -65,14 +65,6 @@ def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, Rationa
                  for chi in constraints)
 
 
-def _affine_rows(constraints, ps: PhaseSpace) -> list[tuple[int, int, list[int]]] | None:
-    """`poly.affine_rows` of the constraints along x1..xn, p1..pn when
-    every one is a polynomial of total degree at most 1, else None."""
-    if all(chi.is_polynomial for chi in constraints):
-        return affine_rows([chi.num for chi in constraints], 2 * ps.n)
-    return None
-
-
 def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
     """Constraint bracket matrix Delta_ab = {chi_a, chi_b} by rows; exactly skew.
 
@@ -83,7 +75,8 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
     k = len(constraints)
     if k < 2 or k % 2 != 0:
         raise OddConstraintCountError(f"need an even number >= 2 of constraints, got {k}")
-    rows = _affine_rows(constraints, ps)
+    rows = affine_rows([chi.num for chi in constraints], 2 * ps.n) \
+        if all(chi.is_polynomial for chi in constraints) else None
     if rows is None:
         return bracket_table(constraints, ps)
     n = ps.n

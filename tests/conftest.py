@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
 from dirackit.errors import ExpressionSyntaxError, UnknownSymbolError
+from dirackit.expr import add_products
 from dirackit.matrix import row_reduce
 from dirackit.parser import _tokenize
 from dirackit.poly import Polynomial, _unpack
@@ -268,6 +269,28 @@ def opaque_dirac(f: Opaque, g: Opaque, chis, inverse) -> Opaque:
             if not (fa.is_zero or inverse[a][b].is_zero or gb.is_zero):
                 acc = acc + fa * inverse[a][b] * -gb
     return acc
+
+
+def pair_by_partials(one, u, inverse, w) -> RationalExpr:
+    """Pi_D[x_i, p_i] = 1 - sum_a u_a sum_b (Delta^-1)_ab w_b by
+    `add_products`, with u_a = dchi_a/dp_i and w_b = dchi_b/dx_i."""
+    zero = RationalExpr.zero(one.ps)
+    return add_products(one, [(-ua, add_products(zero, zip(row, w)))
+                              for ua, row in zip(u, inverse) if not ua.is_zero])
+
+
+def trace_by_partials(ctx) -> RationalExpr:
+    """sum_i Pi_D[x_i, p_i], each pair cancelled and the sum cancelled: a
+    reference for `trace_identity` read from the constraints' partials
+    and Delta^-1, not from Delta."""
+    ps, chis = ctx.ps, ctx.constraints
+    one = RationalExpr.constant(ps, 1)
+    total = RationalExpr.zero(ps)
+    for i in range(1, ps.n + 1):
+        u = [chi.diff_index(ps.momentum_index(i)) for chi in chis]
+        w = [chi.diff_index(ps.coordinate_index(i)) for chi in chis]
+        total = total + pair_by_partials(one, u, ctx.delta_inv, w).cancel()
+    return total.cancel()
 
 
 def identity(size: int, ps) -> tuple:

@@ -1,10 +1,11 @@
-"""Affine constraint sets: Delta and the trace from integer coefficient rows.
+"""Affine constraint sets: Delta from integer coefficient rows.
 
 When every constraint is a polynomial of total degree at most 1,
-`delta_matrix` reads Delta from the constraints' coefficient rows and
-`trace_identity` sums the trace over Python ints.  The oracles are the
-bracket path every other set takes: `bracket_table` for Delta and the
-sum of `dirac_bracket(x_i, p_i)` for the trace.
+`delta_matrix` reads Delta from the constraints' coefficient rows, a
+table of constants, and `trace_identity` sums over that Delta and its
+inverse as over any other.  The oracles are the bracket path every
+other set takes: `bracket_table` for Delta, and for the trace the sum of
+`dirac_bracket(x_i, p_i)` and `conftest.trace_by_partials`.
 """
 
 import functools
@@ -27,7 +28,7 @@ from dirackit import (
 from dirackit.errors import NotSecondClassError
 from dirackit.sysfile import parse_system
 
-from conftest import mix_text, replace_everywhere
+from conftest import mix_text, replace_everywhere, trace_by_partials
 
 MIX_SIZES = ((2, 2), (2, 4), (6, 6), (6, 8), (10, 10))  # (m, n)
 
@@ -110,6 +111,8 @@ def test_affine_delta_and_trace_match_the_bracket_path():
                 RationalExpr.symbol(ps, ps.momenta[i]), ctx)
         oracle = oracle.cancel()
         assert value == oracle and str(value) == str(oracle)
+        by_partials = trace_by_partials(ctx)
+        assert value == by_partials and str(value) == str(by_partials)
         assert value == RationalExpr.constant(ps, ps.n - ctx.m)
     assert min(outcomes.values()) >= 10, outcomes
 

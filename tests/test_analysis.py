@@ -4,6 +4,7 @@ import contextlib
 import ctypes
 import io
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,9 @@ from dirackit.errors import (
 from dirackit import analysis
 from dirackit.sysfile import parse_system
 
-from conftest import (fd_poisson, identity, linear_mix_constraints, matmul, mix_text,
-                      random_point, random_polynomial, random_rational_expr, tower_text)
+from conftest import (fd_poisson, identity, is_skew_symmetric, linear_mix_constraints, matmul,
+                      mix_text, random_point, random_polynomial, random_rational_expr,
+                      tower_text, trace_by_partials)
 from test_golden import family_files
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -415,8 +417,8 @@ class TestTraceIdentity:
 
 
 def dirac_trace_text(ctx) -> str:
-    """The trace as a sum of Dirac brackets {x_i, p_i}_D, cancelled: the
-    reference for trace_identity, which reads Pi_D's diagonal."""
+    """The trace as a sum of Dirac brackets {x_i, p_i}_D, cancelled: a
+    reference for trace_identity, which reads Delta and Delta^-1."""
     ps = ctx.ps
     total = RationalExpr.zero(ps)
     for x, p in zip(ps.coordinates, ps.momenta):
@@ -438,21 +440,33 @@ def _rational_pair_contexts(count: int):
     return contexts
 
 
+def assert_trace_matches(ctx):
+    """trace_identity's value equals, and prints as, the sum of Dirac
+    brackets and the sum read from the partials."""
+    value = trace_identity(ctx).value
+    oracle = trace_by_partials(ctx)
+    assert value == oracle and str(value) == str(oracle)
+    assert str(value) == dirac_trace_text(ctx)
+
+
 class TestTraceMatchesDiracBrackets:
     def test_sphere_and_towers(self, sphere_ctx):
+        """The sphere and every second-class golden family text: towers
+        k = 1..4, the golden mixes and the two closure systems."""
         contexts = [sphere_ctx]
-        for k in (1, 2, 3):
-            spec = parse_system(tower_text(k, sampler_seed=1))
-            contexts.append(make_context(spec.ps, spec.constraints))
+        for name, text in family_files().items():
+            if not name.startswith("dependent_"):
+                spec = parse_system(text)
+                contexts.append(make_context(spec.ps, spec.constraints))
+        assert len(contexts) == 11
         for ctx in contexts:
-            assert trace_identity(ctx).value_text == dirac_trace_text(ctx)
+            assert_trace_matches(ctx)
 
     def test_seeded_mixes(self):
         rng = random.Random(8)
         for m, n in ((1, 1), (2, 3), (3, 3), (4, 6), (6, 6)):
             ps = PhaseSpace(n)
-            ctx = make_context(ps, linear_mix_constraints(ps, m, rng))
-            assert trace_identity(ctx).value_text == dirac_trace_text(ctx)
+            assert_trace_matches(make_context(ps, linear_mix_constraints(ps, m, rng)))
 
     @pytest.mark.parametrize("texts,printed", [
         (["x1/(1+x2^2)", "p1"], "2"),
@@ -461,11 +475,46 @@ class TestTraceMatchesDiracBrackets:
     ])
     def test_non_polynomial_constraints(self, ps3, texts, printed):
         ctx = make_context(ps3, [E(t, ps3) for t in texts])
-        assert trace_identity(ctx).value_text == dirac_trace_text(ctx) == printed
+        assert is_skew_symmetric(ctx.delta_inv)
+        assert_trace_matches(ctx)
+        assert trace_identity(ctx).value_text == printed
 
     def test_seeded_rational_pairs(self):
         for ctx in _rational_pair_contexts(20):
-            assert trace_identity(ctx).value_text == dirac_trace_text(ctx)
+            assert_trace_matches(ctx)
+
+
+class TestTraceIdentityIsACheck:
+    """The value reads Delta^-1 above the diagonal only, so a wrong
+    Delta^-1 there must show as a trace that does not hold."""
+
+    def contexts(self, sphere_ctx):
+        spec = parse_system(tower_text(2, sampler_seed=1))
+        ps = PhaseSpace(4)
+        return [sphere_ctx, make_context(spec.ps, spec.constraints),
+                make_context(ps, linear_mix_constraints(ps, 3, random.Random(5)))]
+
+    def test_one_changed_entry(self, sphere_ctx):
+        for ctx in self.contexts(sphere_ctx):
+            k = len(ctx.delta)
+            a, b = next((a, b) for a in range(k) for b in range(a + 1, k)
+                        if not ctx.delta[a][b].is_zero)
+            rows = [list(row) for row in ctx.delta_inv]
+            rows[a][b] = rows[a][b] + RationalExpr.constant(ctx.ps, 1)
+            changed = replace(ctx, delta_inv=tuple(map(tuple, rows)))
+            t = trace_identity(changed)
+            assert t.holds is False
+            assert t.expected == trace_identity(ctx).expected == ctx.ps.n - ctx.m
+
+    def test_inverse_scaled_by_two(self, sphere_ctx):
+        for ctx in self.contexts(sphere_ctx):
+            two = RationalExpr.constant(ctx.ps, 2)
+            scaled = replace(ctx, delta_inv=tuple(tuple(two * e for e in row)
+                                                  for row in ctx.delta_inv))
+            t = trace_identity(scaled)
+            assert t.holds is False
+            assert t.expected == ctx.ps.n - ctx.m
+            assert t.value == RationalExpr.constant(ctx.ps, ctx.ps.n - 2 * ctx.m)
 
 
 class TestReductionCheck:

@@ -2,7 +2,8 @@
 
 A Dirac bracket table computes each item's brackets with the constraints
 once, a Poisson bracket differentiates only along canonical pairs that
-both operands can depend on, and the trace makes no bracket at all.
+both operands can depend on, and the trace makes no bracket and takes no
+partial at all.
 """
 
 import contextlib
@@ -10,16 +11,28 @@ import functools
 import io
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from dirackit import RationalExpr, bracket_table, dirac_bracket, make_context
+from dirackit import RationalExpr, bracket_table, dirac_bracket, make_context, trace_identity
 from dirackit import brackets
 from dirackit.cli import main
 from dirackit.poly import Polynomial
 from dirackit.sysfile import parse_system
 
 from conftest import mix_text, random_polynomial, replace_everywhere, tower_text
+
+SPHERE = (Path(__file__).resolve().parent.parent / "systems" / "sphere.system").read_text(
+    encoding="utf-8")
+RATIONAL = """[system]
+n = 3
+[constraints]
+chi1 = x1/(1 + x2^2)
+chi2 = p1*(1 + x2^2)
+chi3 = x3
+chi4 = p3 + x1*x2/(2 + x3^2)
+"""
 
 
 @pytest.fixture
@@ -112,8 +125,8 @@ def test_poisson_brackets_skip_pairs_outside_the_supports(counts, tmp_path):
 def test_mix_analyze_brackets_only_for_delta(counts, monkeypatch, tmp_path):
     """An n = m = 10 mix is affine: Delta is read from the constraints'
     integer coefficient rows, not from its k(k - 1)/2 = 190 Poisson
-    brackets, and the trace sums the same rows, so one analyze makes no
-    bracket at all."""
+    brackets, and the trace reads Delta and Delta^-1, so one analyze
+    makes no bracket at all."""
     path = tmp_path / "mix.system"
     path.write_text(mix_text(10, 10, random.Random(4)), encoding="utf-8")
     dirac_calls, delta_brackets = [], []
@@ -137,9 +150,10 @@ def test_mix_analyze_brackets_only_for_delta(counts, monkeypatch, tmp_path):
 
 
 def test_mix_analyze_multiplies_only_while_parsing(monkeypatch, tmp_path):
-    """Delta and the trace of an n = m = 10 mix are integer sums over the
-    constraints' coefficient rows, and the parser builds the file's
-    linear constraints from terms: one analyze makes no
+    """Delta of an n = m = 10 mix is an integer sum over the constraints'
+    coefficient rows, the trace one fused sum of products of constants,
+    and the parser builds the file's linear constraints from terms: one
+    analyze makes no
     `Polynomial.__mul__` call.  Summed product by product, the same
     analyze made 12,000; parsed through rational-expression products,
     its file alone made 680."""
@@ -168,3 +182,24 @@ def test_brackets_without_a_shared_pair_skip_the_sum(monkeypatch):
     for a in range(8):
         for b in range(8):
             assert (str(delta[a][b]) == "0") == (a // 2 != b // 2 or a == b)
+
+
+TRACE_TEXTS = {"sphere": SPHERE, "rational": RATIONAL,
+               **{f"tower_k{k}": tower_text(k, sampler_seed=1) for k in (1, 2, 3, 4)}}
+
+
+@pytest.mark.parametrize("text", TRACE_TEXTS.values(), ids=TRACE_TEXTS.keys())
+def test_trace_takes_no_partial_and_no_bracket(monkeypatch, text):
+    """The trace sums entries of Delta and Delta^-1 that the context
+    holds: it calls neither `poisson_bracket` nor `diff_index`."""
+    spec = parse_system(text)
+    ctx = make_context(spec.ps, spec.constraints)
+    calls = []
+    poisson = brackets.poisson_bracket
+    replace_everywhere(monkeypatch, poisson,
+                       lambda *args: calls.append("poisson") or poisson(*args))
+    diff_index = RationalExpr.diff_index
+    monkeypatch.setattr(RationalExpr, "diff_index",
+                        lambda self, index: calls.append("diff_index") or diff_index(self, index))
+    assert trace_identity(ctx).holds
+    assert calls == []

@@ -1,6 +1,7 @@
 """Poisson and Dirac brackets: canonical relations, contexts, axioms."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,9 @@ from dirackit.sysfile import parse_system
 
 from conftest import (fd_poisson, is_skew_symmetric, matmul, random_point, random_polynomial,
                       random_rational_expr, tower_text)
+
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def E(text, ps):
@@ -123,6 +127,21 @@ class TestMakeContext:
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
         assert ctx.m == 1
         assert is_skew_symmetric(ctx.delta)
+        assert is_skew_symmetric(ctx.delta_inv)
+
+    def test_inverse_is_exactly_skew(self):
+        """`trace_identity` sums Delta^-1 above the diagonal only, so it
+        must be exactly skew: on every shipped second-class system and
+        tower k = 1..4."""
+        texts = [path.read_text(encoding="utf-8") for path in sorted(SYSTEMS.glob("*.system"))
+                 if path.name != "degenerate.system"]
+        texts += [tower_text(k, sampler_seed=1) for k in (1, 2, 3, 4)]
+        for text in texts:
+            spec = parse_system(text)
+            inv = make_context(spec.ps, spec.constraints).delta_inv
+            assert is_skew_symmetric(inv)
+            assert all(str(inv[a][b]) == str(-inv[b][a])
+                       for a in range(len(inv)) for b in range(len(inv)))
 
     def test_not_second_class(self, ps3):
         with pytest.raises(NotSecondClassError):

@@ -97,8 +97,8 @@ def partials(monkeypatch):
     (SYSTEMS / "sphere.system").read_text(encoding="utf-8"),
 ], ids=["mix_m10_n10", "tower_k2", "sphere"])
 def test_classify_differentiates_each_constraint_once(partials, tmp_path, text):
-    """Delta, the sampler's Jacobian, the trace and the closure table of
-    one analyze compute each partial once."""
+    """Delta, the sampler's Jacobian and the closure table of one analyze
+    compute each partial once; the trace computes none."""
     path = tmp_path / "case.system"
     path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -22,7 +22,7 @@ from dirackit.errors import DegreeOverflowError
 from dirackit.expr import add_products
 from dirackit.poly import MAX_DEGREE, Polynomial, sum_of_products
 
-from conftest import random_polynomial, random_rational_expr
+from conftest import pair_by_partials, random_polynomial, random_rational_expr
 
 
 def stored(p: Polynomial):
@@ -110,7 +110,9 @@ def poisson_loop(f, g, ps):
 
 
 def trace_pair_loop(one, u, inverse, w):
-    """One Pi_D[x_i, p_i] as trace_identity summed it."""
+    """One Pi_D[x_i, p_i] summed product by product: the reference for
+    `conftest.pair_by_partials`, whose `add_products` nests one sum in
+    another."""
     pair = one
     for ua, row in zip(u, inverse):
         if ua.is_zero:
@@ -120,12 +122,6 @@ def trace_pair_loop(one, u, inverse, w):
         if terms:
             pair = pair - ua * sum(terms[1:], terms[0])
     return pair
-
-
-def trace_pair_fold(one, u, inverse, w):
-    zero = RationalExpr.zero(one.ps)
-    return add_products(one, [(-ua, add_products(zero, zip(row, w)))
-                              for ua, row in zip(u, inverse) if not ua.is_zero])
 
 
 def printed(e: RationalExpr):
@@ -159,7 +155,7 @@ class TestFold:
         u = [operand(ps, rng, rng.choice(KINDS)) for _ in range(k)]
         w = [operand(ps, rng, rng.choice(KINDS)) for _ in range(k)]
         inverse = [[operand(ps, rng, rng.choice(KINDS)) for _ in range(k)] for _ in range(k)]
-        assert printed(trace_pair_fold(one, u, inverse, w)) \
+        assert printed(pair_by_partials(one, u, inverse, w)) \
             == printed(trace_pair_loop(one, u, inverse, w))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -179,7 +175,7 @@ class TestFold:
             assert any(e.atoms for row in inverse for e in row)
             u = [operand(ps, rng, rng.choice(KINDS[1:])) for _ in range(2)]
             w = [operand(ps, rng, rng.choice(KINDS[1:])) for _ in range(2)]
-            assert printed(trace_pair_fold(one, u, inverse, w)) \
+            assert printed(pair_by_partials(one, u, inverse, w)) \
                 == printed(trace_pair_loop(one, u, inverse, w))
 
     def test_polynomial_sum_takes_the_kernel(self, monkeypatch):

@@ -166,8 +166,8 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     block free of variables off tolerance, or a converged point where
     Delta is not finite.  Delta is evaluated once per converged point;
     given a list, delta_values receives its row-major values at each
-    returned point, in order.  `classify_constraints` asks for one point
-    when its rank decision needs no more values of Delta; that point
+    returned point, in order.  `classify_constraints` asks for one point,
+    and no values, when `_certified` decides the rank exactly; that point
     only shows that the shell is nonempty.
     """
     ps = ctx.ps
@@ -232,49 +232,44 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     return points
 
 
-def _values_needed(ps: PhaseSpace, constraints, delta, cfg: SamplerConfig) -> int | None:
-    """How many sampled values of Delta decide its on-shell rank: 1 when
-    no entry mentions a phase-space variable (every point gives the same
-    value), 0 when Delta is certified invertible on the shell, else None
-    (all `point_count` of them).
-
-    Certified: each row has exactly one nonzero entry, so Delta is a
-    permuted direct sum of 2 x 2 blocks, and each block's entry is a
-    polynomial whose remainder by the polynomial constraints mentions no
-    variable and is exactly nonzero at the parameters' bindings.  Every
-    constraint vanishes on the shell, so there the entry equals that
-    remainder, whatever the order of the divisors."""
-    variables = range(2 * ps.n)
-    if all(_support(e).isdisjoint(variables) for row in delta for e in row):
-        return 1
+def _certified(context: DiracContext, cfg: SamplerConfig) -> bool:
+    """True when Delta has rank 2m at every point of the shell, decided
+    exactly.  Delta Delta^-1 = I holds at every point where no atom of
+    their denominators vanishes, since evaluation is a ring map there.  On
+    the shell an atom equals its remainder by the polynomial constraints,
+    whatever the order of the divisors.  So it suffices that each distinct
+    atom, in order, leaves a remainder that mentions no variable and is
+    exactly nonzero at the parameters' bindings.  A constant Delta and its
+    inverse have no atom."""
+    atoms = sorted({atom for rows in (context.delta, context.delta_inv)
+                    for row in rows for e in row for atom, _ in e.atoms})
+    if not atoms:
+        return True
+    ps = context.ps
     try:
         bound = [Fraction(cfg.parameter_bindings[name]) for name in ps.parameters]
     except (KeyError, ValueError, OverflowError):
-        return None  # a missing or non-finite binding: sampling reports or meets it
-    divisors = [chi.num for chi in constraints if chi.is_polynomial]
-    for row in delta:
-        nonzero = [e for e in row if not e.is_zero]
-        if len(nonzero) != 1 or not nonzero[0].is_polynomial:
-            return None
-        remainder = reduce_by(nonzero[0].num, divisors)
-        if not remainder.symbols_used().isdisjoint(variables):
-            return None
-        value = sum(c * math.prod(bound[i - len(variables)] ** k for i, k in enumerate(mono) if k)
-                    for mono, c in remainder.sorted_terms())
-        if not value:
-            return None
-    return 0
+        return False  # a missing or non-finite binding: sampling reports or meets it
+    variables = range(2 * ps.n)
+    divisors = [chi.num for chi in context.constraints if chi.is_polynomial]
+    for atom in atoms:
+        remainder = reduce_by(atom.poly, divisors)
+        if not remainder.symbols_used().isdisjoint(variables) or not sum(
+                c * math.prod(bound[i - len(variables)] ** k for i, k in enumerate(mono) if k)
+                for mono, c in remainder.sorted_terms()):
+            return False
+    return True
 
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus full rank
     on the shell.  Delta is built once and inverted once; the resulting
-    context rides along on the classification.  Unless `_values_needed`
-    decides the rank from one value of Delta or without any, the rank is
-    numeric: a pivoted QR of each distinct value of Delta the sampler
-    computed at its `point_count` points.  Otherwise the sampler draws one
-    point, which only shows that the shell is nonempty (NoOnShellPointError
-    when it is not found)."""
+    context rides along on the classification.  When `_certified` shows
+    the rank exactly, the sampler draws one point, which only shows that
+    the shell is nonempty (NoOnShellPointError when it is not found), and
+    no QR is taken.  Otherwise the rank is numeric: a pivoted QR of each
+    distinct value of Delta the sampler computed at its `point_count`
+    points."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
@@ -283,14 +278,15 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
         context = None
 
     k = len(constraints)
-    needed = _values_needed(ps, constraints, delta, cfg)
-    at_points = []
-    sample_on_shell(ConstraintSystem(ps, constraints, delta),
-                    cfg if needed is None else replace(cfg, point_count=1), at_points)
-    rank = k
-    for numeric in set(map(tuple, at_points[:needed])):  # distinct values; none if certified
-        qr = PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])  # the rows of Delta
-        rank = min(rank, qr.rank(RANK_TOLERANCE))
+    system = ConstraintSystem(ps, constraints, delta)
+    if context is not None and _certified(context, cfg):
+        sample_on_shell(system, replace(cfg, point_count=1))
+        rank = k
+    else:
+        at_points = []
+        sample_on_shell(system, cfg, at_points)
+        rank = min(PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)]).rank(RANK_TOLERANCE)
+                   for numeric in set(map(tuple, at_points)))  # distinct values, by rows
 
     second_class = context is not None and rank == k
     return Classification(

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownSymbolError, ValidationError
 
+# The largest n.  Every name and symbol index is built before any budget
+# applies, so a larger n is refused first.
+MAX_PAIRS = 10_000
+
 
 @dataclass(frozen=True)
 class PhaseSpace:
@@ -29,6 +33,8 @@ class PhaseSpace:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("phase space needs n >= 1")
+        if self.n > MAX_PAIRS:
+            raise ValidationError(f"phase space needs n <= {MAX_PAIRS}")
         if not isinstance(self.parameters, tuple):
             object.__setattr__(self, "parameters", tuple(self.parameters))
         coordinates = tuple(f"x{i}" for i in range(1, self.n + 1))

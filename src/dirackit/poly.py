@@ -510,13 +510,21 @@ def affine_rows(polys: list[Polynomial], count: int) -> list[tuple[int, int, lis
     Else, per polynomial, its signed content num, den and the primitive
     integer coefficients of its first `count` symbols, so that its
     partial along symbol i < count is the constant num/den *
-    coefficients[i]."""
+    coefficients[i].  Each term is read once: the lowest set bit of a
+    degree-1 key is its symbol's exponent slot."""
     nsyms = polys[0].nsyms
     shift = _layout(nsyms)[0]
     if any(p._lead >> shift > 1 for p in polys):
         return None
-    keys = [1 << shift | 1 << SLOT_BITS * (nsyms - 1 - i) for i in range(count)]
-    return [(p._n, p._d, [p._t.get(k, 0) for k in keys]) for p in polys]
+    rows = []
+    for p in polys:
+        row = [0] * count
+        for key, c in p._t.items():
+            i = nsyms - 1 - ((key & -key).bit_length() - 1) // SLOT_BITS
+            if key and i < count:
+                row[i] = c
+        rows.append((p._n, p._d, row))
+    return rows
 
 
 def coefficient_rows(polys: list[Polynomial]) -> list[list[Fraction]]:

@@ -11,6 +11,7 @@ other set takes: `bracket_table` for Delta, and for the trace the sum of
 import functools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from dirackit import (
     trace_identity,
 )
 from dirackit.errors import NotSecondClassError
+from dirackit.poly import affine_rows
 from dirackit.sysfile import parse_system
 
 from conftest import mix_text, replace_everywhere, trace_by_partials
@@ -123,6 +125,31 @@ def test_a_constraint_free_of_variables_leaves_delta_singular():
     assert all(e.is_zero for row in delta_matrix(chis, ps) for e in row)
     with pytest.raises(NotSecondClassError):
         make_context(ps, chis)
+
+
+def test_rows_read_each_symbol_slot():
+    """The coefficient of each variable, the last one included; a
+    parameter and the constant term are no variable."""
+    ps = PhaseSpace(2, parameters=("r",))
+    chis = [parse_expression(t, ps) for t in ("3*x1 - 2*p2 + r + 5", "p2/2 - x2", "r")]
+    assert affine_rows([chi.num for chi in chis], 2 * ps.n) == [
+        (1, 1, [3, 0, 0, -2]), (-1, 2, [0, 2, 0, -1]), (1, 1, [0, 0, 0, 0])]
+
+
+def test_delta_of_many_pairs_reads_only_the_terms():
+    """Delta of x1, p1 on n = 2000 pairs reads each constraint's own terms.
+    A lookup key built per variable (2n keys of 64n bits each) traced a
+    65 MB peak here."""
+    ps = PhaseSpace(2000)
+    chis = [parse_expression(t, ps) for t in ("x1", "p1")]
+    tracemalloc.start()
+    try:
+        delta = delta_matrix(chis, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert str(delta[0][1]) == "1"
 
 
 @pytest.fixture

@@ -51,7 +51,7 @@ def E(text, ps):
     return parse_expression(text, ps)
 
 
-# A 4 x 4 Delta with rational entries: its rank is decided numerically.
+# A 4 x 4 Delta with rational entries; its atom 1 + x2^2 reduces to 1 by chi3.
 RATIONAL_4X4 = """[system]
 n = 2
 [constraints]
@@ -62,7 +62,7 @@ chi4 = p2
 """
 
 
-# Delta = [[0, x2], [-x2, 0]]: its entry stays x2 on the shell x1*x2 = 1.
+# Delta = [[0, x2], [-x2, 0]]: the atom x2 of Delta^-1 stays x2 on the shell x1*x2 = 1.
 HYPERBOLA = """[system]
 n = 2
 [constraints]
@@ -221,12 +221,12 @@ class TestClassification:
 
     def test_delta_is_evaluated_once_per_point(self, delta_evaluations):
         """A numeric rank decision reuses the values of Delta the sampler
-        computed to accept each point.  A rational constraint keeps it
-        numeric."""
-        spec = parse_system(RATIONAL_4X4)
+        computed to accept each point.  An atom that vanishes at the
+        bindings (the sphere's r^2 at r = 0) keeps it numeric."""
+        spec = parse_system(SPHERE.replace("bind r = 1.0", "bind r = 0.0"))
         assert spec.sampler.point_count == 16
         c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
-        assert c.on_shell_rank == 4
+        assert c.on_shell_rank == 2
         assert delta_evaluations[0] == spec.sampler.point_count
 
     def test_constant_delta_is_evaluated_once(self, delta_evaluations):
@@ -262,10 +262,19 @@ def _classified(text: str):
     return c.verdict, c.m, c.symbolic_det_nonzero, c.on_shell_rank, c.dof_pairs
 
 
-def _values_needed(text: str):
+def _certified(text: str) -> bool:
+    """The exact certificate of a `.system` text; a singular Delta has none."""
     spec = parse_system(text)
-    return analysis._values_needed(spec.ps, spec.constraints,
-                                   delta_matrix(spec.constraints, spec.ps), spec.sampler)
+    try:
+        ctx = make_context(spec.ps, spec.constraints)
+    except NotSecondClassError:
+        return False
+    return analysis._certified(ctx, spec.sampler)
+
+
+def _numeric(monkeypatch):
+    """Refuse every certificate, so that the rank is read by the QRs."""
+    monkeypatch.setattr(analysis, "_certified", lambda *args: False)
 
 
 def _two_spheres(s: str) -> str:
@@ -273,6 +282,17 @@ def _two_spheres(s: str) -> str:
     text = tower_text(2, sampler_seed=1).replace("parameters = r", "parameters = r, s")
     text = text.replace("bind r = 1.0", f"bind r = 1.0\nbind s = {s}")
     return text.replace("x6^2 - r^2", "x6^2 - s^2")
+
+
+# Delta is constant and exactly invertible, with blocks 1 and 1e-9.
+UNLIKE_SCALE = """[system]
+n = 2
+[constraints]
+chi1 = x1
+chi2 = p1
+chi3 = x2/1000000000
+chi4 = p2
+"""
 
 
 def _agreement_texts() -> dict[str, str]:
@@ -290,49 +310,53 @@ AGREEMENT_TEXTS = _agreement_texts()
 
 
 class TestOnePointCertificate:
-    """A constant Delta is decided by one value, a certified one by none;
-    either way the sampler draws one point."""
+    """Delta Delta^-1 = I wherever no atom of their denominators
+    vanishes, so an atom that is exactly nonzero on the shell certifies
+    the rank.  Then the sampler draws one point and no QR is taken."""
 
     @pytest.mark.parametrize("name", sorted(AGREEMENT_TEXTS))
     def test_agrees_with_the_numeric_rank(self, monkeypatch, name):
         text = AGREEMENT_TEXTS[name]
         certified = _classified(text)
-        monkeypatch.setattr(analysis, "_values_needed", lambda *args: None)
+        _numeric(monkeypatch)
         assert certified == _classified(text)
 
     def test_shipped_spheres_towers_and_mixes_need_at_most_one_value(self):
-        needed = {name: _values_needed(text) for name, text in AGREEMENT_TEXTS.items()}
-        assert needed["sphere.system"] == 0
-        assert all(needed[name] == 0 for name in needed if name.startswith("tower"))
-        assert all(needed[name] == 1 for name in needed if name.startswith("mix"))
-        assert [needed[p.name] for p in SYSTEMS.glob("*.system")].count(1) == 4
+        """Each is certified: the sampler draws one point and computes
+        Delta there once, only to accept it."""
+        certified = {name: _certified(text) for name, text in AGREEMENT_TEXTS.items()}
+        assert certified["sphere.system"]
+        assert all(certified[name] for name in certified if name.startswith(("tower", "mix")))
+        assert [p.name for p in SYSTEMS.glob("*.system") if not certified[p.name]] \
+            == ["degenerate.system"]
+        # Pf = 1, so Delta^-1 is polynomial; 1 + x2^2 reduces to 1 by chi3 = x2
+        assert certified["two_in_a_row"] and certified["rational_4x4"]
 
     def test_zero_radius_is_not_certified(self, tmp_path):
-        """The sphere's entry reduces to 2*r^2, 0 at r = 0: the numeric
-        rank decides, as it did before the certificate."""
+        """The sphere's atom reduces to r^2, 0 at r = 0: the numeric rank
+        decides, as it did before the certificate."""
         text = SPHERE.replace("bind r = 1.0", "bind r = 0.0")
-        assert _values_needed(text) is None
+        assert _certified(text) is False
         assert _classified(text) == ("second_class", 1, True, 2, 2)
         path = tmp_path / "sphere_r0.system"
         path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["analyze", str(path)]) == 0
 
-    @pytest.mark.parametrize("text,rank", [(HYPERBOLA, 2), (TWO_IN_A_ROW, 4)],
-                             ids=["non_constant_remainder", "two_entries_in_a_row"])
+    @pytest.mark.parametrize("text,rank", [(HYPERBOLA, 2)], ids=["non_constant_remainder"])
     def test_stays_numeric(self, delta_evaluations, text, rank):
         spec = parse_system(text)
-        assert _values_needed(text) is None
+        assert _certified(text) is False
         c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
         assert c.on_shell_rank == rank
         assert delta_evaluations[0] == spec.sampler.point_count == 16
 
     def test_every_reduced_entry_must_be_nonzero(self):
-        assert _values_needed(_two_spheres("0.0")) is None
-        assert _values_needed(_two_spheres("0.5")) == 0
+        assert _certified(_two_spheres("0.0")) is False
+        assert _certified(_two_spheres("0.5")) is True
 
     def test_zero_radius_beside_a_unit_sphere_is_degenerate(self, tmp_path):
-        """Radii 1 and 0: the second block's entry reduces to 2*s^2 = 0, so
+        """Radii 1 and 0: the second block's atom reduces to s^2 = 0, so
         it is not certified, and Delta vanishes there on the shell.  The
         numeric rank, read relative to the first block, calls it zero."""
         text = _two_spheres("0.0")
@@ -348,10 +372,23 @@ class TestOnePointCertificate:
         relative to the largest value and calls the smaller block zero, a
         limit of the numeric path that the certificate does not share."""
         text = _two_spheres("1e-5")
-        assert _values_needed(text) == 0
+        assert _certified(text) is True
         assert _classified(text) == ("second_class", 2, True, 4, 4)
-        monkeypatch.setattr(analysis, "_values_needed", lambda *args: None)
+        _numeric(monkeypatch)
         assert _classified(text) == ("degenerate", 2, True, 2, 4)
+
+    def test_constant_delta_of_unlike_scale(self, monkeypatch, tmp_path):
+        """A constant Delta with blocks 1 and 1e-9 has no atom, so it is
+        certified with no work.  The numeric rank calls the small block
+        zero, the same limit as with spheres."""
+        assert _certified(UNLIKE_SCALE) is True
+        assert _classified(UNLIKE_SCALE) == ("second_class", 2, True, 4, 0)
+        path = tmp_path / "unlike_scale.system"
+        path.write_text(UNLIKE_SCALE, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["analyze", str(path)]) == 0
+        _numeric(monkeypatch)
+        assert _classified(UNLIKE_SCALE) == ("degenerate", 2, True, 2, 0)
 
     @pytest.mark.parametrize("bindings", [{}, {"r": float("nan")}, {"r": float("inf")}],
                              ids=["missing", "nan", "inf"])
@@ -359,20 +396,46 @@ class TestOnePointCertificate:
         """The sampler reports a missing binding and fails every attempt
         with a non-finite one, as it did before the certificate."""
         cfg = SamplerConfig(seed=1, max_retries=3, parameter_bindings=bindings)
-        args = sphere_ctx.ps, sphere_ctx.constraints, sphere_ctx.delta, cfg
-        assert analysis._values_needed(*args) is None
+        assert analysis._certified(sphere_ctx, cfg) is False
         with pytest.raises((ValidationError, NoOnShellPointError)) as error:
-            classify_constraints(*args[:2], cfg)
+            classify_constraints(sphere_ctx.ps, sphere_ctx.constraints, cfg)
         assert error.type is (NoOnShellPointError if bindings else ValidationError)
 
-    @pytest.mark.parametrize("constraints,needed", [
-        ("chi1 = x1^2 + x2^2 + 1\nchi2 = x1*p1 + x2*p2", 0),  # the entry reduces to -2
-        ("chi1 = x2^2 + 1\nchi2 = x3\nchi3 = x1\nchi4 = p1", 1),
+    @pytest.mark.parametrize("constraints,certified", [
+        ("chi1 = x1^2 + x2^2 + 1\nchi2 = x1*p1 + x2*p2", True),  # the atom reduces to -1
+        ("chi1 = x2^2 + 1\nchi2 = x3\nchi3 = x1\nchi4 = p1", False),  # Delta is singular
     ], ids=["certified", "constant"])
-    def test_one_point_still_needs_a_nonempty_shell(self, constraints, needed):
+    def test_one_point_still_needs_a_nonempty_shell(self, constraints, certified):
         text = f"[system]\nn = 3\n[constraints]\n{constraints}\n"
-        assert _values_needed(text) == needed
+        assert _certified(text) is certified
         assert _classified(text) == (NoOnShellPointError, "no on-shell point after 50 retries")
+
+    def test_each_atom_is_reduced_once(self, monkeypatch):
+        """One reduction per distinct atom of Delta and Delta^-1, in a
+        fixed order: one per sphere of a tower, none for a mix."""
+        seen = []
+        reduce = analysis.reduce_by
+        monkeypatch.setattr(analysis, "reduce_by",
+                            lambda poly, divisors: seen.append(str(poly)) or reduce(poly, divisors))
+        for k in (1, 2, 3, 4):
+            seen.clear()
+            assert _certified(tower_text(k, sampler_seed=3))
+            assert len(seen) == len(set(seen)) == k
+            again = list(seen)
+            seen.clear()
+            assert _certified(tower_text(k, sampler_seed=3)) and seen == again
+        seen.clear()
+        assert _certified(mix_text(6, 4, random.Random(3))) and seen == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 10: Newton accepts points where p1/(1 + p1^2) only "
+    "tends to 0, out at |p1| > 1e10, and Delta is about 1e-21 there"))
+def test_rational_constraint_that_tends_to_zero_is_second_class():
+    """The shell is the single point 0, where Delta has blocks 1 and 1/1000."""
+    text = ("[system]\nn = 2\n[constraints]\nchi1 = x1\nchi2 = p1/(1 + p1^2)\n"
+            "chi3 = x2/1000\nchi4 = p2\n")
+    assert _classified(text) == ("second_class", 2, True, 4, 0)
 
 
 class TestTraceIdentity:

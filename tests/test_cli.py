@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dirackit import RationalExpr, cli, expr, load_system
+from dirackit import PhaseSpace, RationalExpr, cli, expr, load_system
 from dirackit.analysis import classify_constraints
 from dirackit.cli import main
 from dirackit.errors import ValidationError
@@ -185,6 +185,19 @@ class TestExitCodes:
                         f"chi1 = x1^{MAX_DEGREE + 1}\nchi2 = p1\n")
         assert main(["analyze", str(path)]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_too_many_pairs(self, tmp_path, capsys):
+        """An n past MAX_PAIRS is refused before any name is built."""
+        # first, so that without the bound the test stops before n = 10**12 is built
+        from dirackit.phase_space import MAX_PAIRS
+
+        with pytest.raises(ValidationError, match=f"n <= {MAX_PAIRS}"):
+            PhaseSpace(MAX_PAIRS + 1)
+        assert len(PhaseSpace(MAX_PAIRS).symbols) == 2 * MAX_PAIRS
+        path = tmp_path / "huge.system"
+        path.write_text(f"[system]\nn = {10**12}\n[constraints]\nchi1 = x1\nchi2 = p1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert f"n <= {MAX_PAIRS}" in capsys.readouterr().err
 
     def test_power_past_the_expansion_budget(self, tmp_path, capsys, monkeypatch):
         """Refused before it is expanded: no multiplication may run."""

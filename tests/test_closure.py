@@ -392,3 +392,20 @@ class TestLemmaVerdict:
         with pytest.raises(NotSecondClassError):
             lemma_verdict(ps3, [E("x1", ps3), E("x2", ps3)],
                           SamplerConfig(seed=1, point_count=4))
+
+
+def _order_text(rules: str) -> str:
+    return ("[system]\nn = 2\n[constraints]\nchi1 = x1*x2 - 1\nchi2 = x2^2 - x1\n"
+            "[primaries]\nA = x1*x2^2*p1\nB = x1\nC = x2\n[onshell]\n" + rules)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: reduce_by divides by rules that are not a Groebner "
+    "basis, so the on-shell normal form depends on their order"))
+def test_closure_does_not_depend_on_the_order_of_the_rules():
+    closed = []
+    for rules in ("use chi1\nuse chi2\n", "use chi2\nuse chi1\n"):
+        spec = parse_system(_order_text(rules))
+        closed.append(closure_analysis(spec.primaries, spec.ps,
+                                       on_shell_rules=spec.on_shell_rules).closed)
+    assert closed[0] == closed[1]

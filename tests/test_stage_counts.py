@@ -18,6 +18,7 @@ from dirackit.cli import main
 from dirackit.poly import Polynomial
 
 from conftest import jacobi_triple, mix_text, replace_everywhere, tower_text
+from test_affine import MIX_SIZES
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 STAGES = (
@@ -185,15 +186,21 @@ def on_shell_counts(monkeypatch):
 @pytest.mark.parametrize("text,counts", [
     ((SYSTEMS / "sphere.system").read_text(encoding="utf-8"), (1, 1, 0)),
     (tower_text(4, sampler_seed=3), (1, 1, 0)),
-    ((SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (1, 1, 1)),
-], ids=["sphere", "tower_k4", "pair_elimination"])
+    ((SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (1, 1, 0)),
+    ((SYSTEMS / "angular_momentum.system").read_text(encoding="utf-8"), (1, 1, 0)),
+    ((SYSTEMS / "trivial.system").read_text(encoding="utf-8"), (1, 1, 0)),
+    *((mix_text(n, m, random.Random(seed)), (1, 1, 0))
+      for seed, (m, n) in enumerate(MIX_SIZES, start=1)),
+], ids=["sphere", "tower_k4", "pair_elimination", "angular_momentum", "trivial",
+        *(f"mix_m{m}_n{n}" for m, n in MIX_SIZES)])
 def test_analyze_samples_one_point_when_delta_is_constant_or_certified(
         on_shell_counts, tmp_path, text, counts):
-    """The sampler draws one point and computes Delta there once.  A
-    certified Delta (sphere, tower) takes no QR, a constant one (a
-    shipped linear system) one.  Before the certificate they drew their
-    `points` (16, 16 and 8), computed Delta at each and took one QR per
-    distinct value (13, 16 and 1)."""
+    """The sampler draws one point and computes Delta there once, and a
+    certified Delta takes no QR: the sphere and the tower through their
+    atoms, a constant Delta (a shipped linear system, a mix) with no atom
+    at all.  Before the certificate they drew their `points` (16, 16 and
+    8), computed Delta at each and took one QR per distinct value (13, 16
+    and 1)."""
     path = tmp_path / "case.system"
     path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

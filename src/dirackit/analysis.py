@@ -8,6 +8,7 @@ exactly the constant n - m.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import RationalExpr, add_products
-from .matrix import invert_matrix
+from .matrix import invert_matrix, row_reduce
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace
 from .poly import reduce_by
@@ -112,7 +113,7 @@ class _Plan:
                 continue
             if e.num.is_constant and e.den.is_constant:
                 try:
-                    self.base[i] = e.num.evaluate(())
+                    self.base[i] = float(e.num.constant_value())
                 except OverflowError:
                     self.base[i] = math.inf
             else:
@@ -176,36 +177,30 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     delta = _delta_plan(ctx.delta)
     rng = random.Random(cfg.seed)
 
-    def factor(jacobian, width, values):
-        """The pivoted QR of a block's J^T at the values; None if J is not finite."""
-        jac = jacobian(values)
-        if not _finite(jac):
-            return None
-        return PivotedQR([jac[a:a + width] for a in range(0, len(jac), width)])
-
-    blocks = []  # (variables, residual, Jacobian, the QR of a constant J)
+    blocks = []  # (variables, residual, Jacobian)
     for chis, variables in constraint_blocks(gradients):
         width = len(variables)
         residual = _Plan(len(chis), ((a, ctx.constraints[c]) for a, c in enumerate(chis)))
         jacobian = _Plan(len(chis) * width, ((a * width + variables.index(v), d)
                                              for a, c in enumerate(chis)
                                              for v, d in gradients[c].items()))
-        blocks.append((variables, residual, jacobian, None if jacobian.varying or not width
-                       else factor(jacobian, width, ())))
+        blocks.append((variables, residual, jacobian))
 
     def project(values):
         """The values at the on-shell point Newton reaches from them, updated
         in place, and the values of Delta there, or None."""
-        for variables, residual, jacobian, constant_qr in blocks:
+        for variables, residual, jacobian in blocks:
             for _ in range(cfg.max_newton_iters):
                 r = residual(values)
                 if all(abs(v) <= cfg.tolerance for v in r):
                     break
                 if not (_finite(r) and variables):
                     return None
-                qr = factor(jacobian, len(variables), values) if jacobian.varying else constant_qr
-                if qr is None:
+                jac = jacobian(values)
+                if not _finite(jac):
                     return None
+                width = len(variables)
+                qr = PivotedQR([jac[a:a + width] for a in range(0, len(jac), width)])
                 for i, step in zip(variables, qr.transposed_solve([-v for v in r])):
                     values[i] += step
             else:
@@ -232,33 +227,68 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     return points
 
 
+def _on_shell(ps: PhaseSpace, constraints, cfg: SamplerConfig):
+    """value(poly): the exact constant poly equals on the shell when its
+    remainder by the polynomial constraints mentions no variable (that
+    remainder at the `Fraction` of each binding), else None.  The shell
+    lies where those constraints vanish, whatever the order of the
+    divisors.  None in place of value when a binding is missing or not
+    finite: sampling reports or meets it."""
+    try:
+        bound = [Fraction(cfg.parameter_bindings[name]) for name in ps.parameters]
+    except (KeyError, ValueError, OverflowError):
+        return None
+    variables = range(2 * ps.n)
+    divisors = [chi.num for chi in constraints if chi.is_polynomial]
+
+    def value(poly):
+        remainder = reduce_by(poly, divisors)
+        if not remainder.symbols_used().isdisjoint(variables):
+            return None
+        return sum(c * math.prod(bound[i - len(variables)] ** k for i, k in enumerate(mono) if k)
+                   for mono, c in remainder.sorted_terms())
+    return value
+
+
 def _certified(context: DiracContext, cfg: SamplerConfig) -> bool:
     """True when Delta has rank 2m at every point of the shell, decided
     exactly.  Delta Delta^-1 = I holds at every point where no atom of
-    their denominators vanishes, since evaluation is a ring map there.  On
-    the shell an atom equals its remainder by the polynomial constraints,
-    whatever the order of the divisors.  So it suffices that each distinct
-    atom, in order, leaves a remainder that mentions no variable and is
-    exactly nonzero at the parameters' bindings.  A constant Delta and its
-    inverse have no atom."""
+    their denominators vanishes, since evaluation is a ring map there.  So
+    it suffices that each distinct atom, in order, is an exactly nonzero
+    constant on the shell.  A constant Delta and its inverse have no
+    atom."""
     atoms = sorted({atom for rows in (context.delta, context.delta_inv)
                     for row in rows for e in row for atom, _ in e.atoms})
     if not atoms:
         return True
-    ps = context.ps
-    try:
-        bound = [Fraction(cfg.parameter_bindings[name]) for name in ps.parameters]
-    except (KeyError, ValueError, OverflowError):
-        return False  # a missing or non-finite binding: sampling reports or meets it
-    variables = range(2 * ps.n)
-    divisors = [chi.num for chi in context.constraints if chi.is_polynomial]
-    for atom in atoms:
-        remainder = reduce_by(atom.poly, divisors)
-        if not remainder.symbols_used().isdisjoint(variables) or not sum(
-                c * math.prod(bound[i - len(variables)] ** k for i, k in enumerate(mono) if k)
-                for mono, c in remainder.sorted_terms()):
-            return False
-    return True
+    value = _on_shell(context.ps, context.constraints, cfg)
+    return value is not None and all(value(atom.poly) for atom in atoms)
+
+
+def _constant_on_shell(system: ConstraintSystem, cfg: SamplerConfig) -> list[list] | None:
+    """Delta on the shell as one exact matrix of constants, or None: each
+    entry above the diagonal, Delta being skew, is a constant there when
+    its numerator is and each of its atoms is a nonzero one."""
+    value = _on_shell(system.ps, system.constraints, cfg)
+    if value is None:
+        return None
+    k = len(system.delta)
+    at = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            e = system.delta[a][b]
+            if e.is_zero:
+                continue
+            entry = value(e.num)
+            for atom, power in e.atoms:
+                den = None if entry is None else value(atom.poly)
+                if not den:
+                    return None
+                entry /= den ** power
+            if entry is None:
+                return None
+            at[a][b], at[b][a] = entry, -entry
+    return at
 
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
@@ -267,9 +297,10 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
     context rides along on the classification.  When `_certified` shows
     the rank exactly, the sampler draws one point, which only shows that
     the shell is nonempty (NoOnShellPointError when it is not found), and
-    no QR is taken.  Otherwise the rank is numeric: a pivoted QR of each
-    distinct value of Delta the sampler computed at its `point_count`
-    points."""
+    no QR is taken.  Otherwise the sampler draws its `point_count` points,
+    and the rank is exact when `_constant_on_shell` reads Delta as one
+    matrix of constants there (Gauss-Jordan on Fractions), else numeric:
+    a pivoted QR of each distinct value of Delta the sampler computed."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
@@ -285,8 +316,13 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
     else:
         at_points = []
         sample_on_shell(system, cfg, at_points)
-        rank = min(PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)]).rank(RANK_TOLERANCE)
-                   for numeric in set(map(tuple, at_points)))  # distinct values, by rows
+        exact = _constant_on_shell(system, cfg)
+        if exact is not None:
+            rank = len(row_reduce(exact, k, Fraction(1), operator.not_, lambda v: 1))
+        else:
+            rank = min(PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])
+                       .rank(RANK_TOLERANCE)
+                       for numeric in set(map(tuple, at_points)))  # distinct values, by rows
 
     second_class = context is not None and rank == k
     return Classification(

@@ -36,15 +36,14 @@ cancel, so a quotient keeps the numerator it was written with:
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import DivisionByZeroError, ExpressionSyntaxError, UnknownSymbolError
 from .expr import RationalExpr
 from .phase_space import PhaseSpace
-from .poly import (SLOT_BITS, Polynomial, _check_degree, _check_power, _check_product, _layout,
-                   _normalized)
+from .poly import (SLOT_BITS, Polynomial, _check_degree, _check_power, _check_product,
+                   _from_terms, _layout)
 
 _TOKEN = re.compile(r"""
     (?P<number>[0-9]+(?:/[0-9]+)?)
@@ -207,7 +206,7 @@ class _Parser:
         if type(v) is not tuple:
             return v
         c, key = v
-        return _normalized(self.nsyms, c.numerator, c.denominator, {key: 1} if c else {})
+        return _from_terms(self.nsyms, {key: c})
 
     def rational(self, v) -> RationalExpr:
         if isinstance(v, RationalExpr):
@@ -227,9 +226,7 @@ class _Parser:
 
     def finish(self, terms: dict) -> Polynomial:
         """The sum of the collected terms, normalized once."""
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        return _normalized(self.nsyms, 1, den, {key: c.numerator * (den // c.denominator)
-                                                for key, c in terms.items() if c})
+        return _from_terms(self.nsyms, terms)
 
     def neg(self, v):
         if type(v) is tuple:

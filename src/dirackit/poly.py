@@ -150,6 +150,14 @@ def _normalized(nsyms: int, num: int, den: int, ints: dict[int, int]) -> "Polyno
     return _make(nsyms, num, den, ints, lead)
 
 
+def _from_terms(nsyms: int, terms: dict[int, Fraction]) -> "Polynomial":
+    """The sum of the rational (int or Fraction) coefficients on their
+    packed keys, zeros dropped, over one common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return _normalized(nsyms, 1, den, {k: c.numerator * (den // c.denominator)
+                                       for k, c in terms.items() if c})
+
+
 class Terms(Mapping):
     """Read-only {exponent tuple: Fraction} view of a polynomial's terms."""
 
@@ -179,10 +187,8 @@ class Polynomial:
     __slots__ = ("nsyms", "_n", "_d", "_t", "_lead", "_plan", "_symbols")
 
     def __init__(self, nsyms: int, terms: Mapping[Monomial, Fraction] | None = None):
-        coeffs = [(_pack(nsyms, m), Fraction(c)) for m, c in (terms or {}).items() if c != 0]
-        den = math.lcm(*(c.denominator for _, c in coeffs))
-        p = _normalized(nsyms, 1, den, {k: c.numerator * (den // c.denominator)
-                                        for k, c in coeffs})
+        p = _from_terms(nsyms, {_pack(nsyms, m): Fraction(c)
+                               for m, c in (terms or {}).items() if c != 0})
         self.nsyms = nsyms
         self._n, self._d, self._t, self._lead = p._n, p._d, p._t, p._lead
         self._plan = self._symbols = None
@@ -231,9 +237,6 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         return _fraction(self._n * self._t.get(0, 0), self._d)
-
-    def leading_coefficient(self) -> Fraction:
-        return _fraction(self._n * self._t[self._lead], self._d)
 
     def content(self) -> Fraction:
         """Positive gcd of the coefficients (gcd of numerators / lcm of denominators)."""
@@ -483,25 +486,22 @@ def reduce_by(poly: Polynomial, divisors: list[Polynomial]) -> Polynomial:
     Graded-lex leading terms; at each step the first divisor whose
     leading monomial divides the current one is used.  The result is
     weakly equal to the input: they agree wherever all divisors vanish.
+    It runs on Fraction coefficients over packed keys, dividing by each
+    divisor's primitive part, and normalizes the remainder once.
     """
     nsyms = poly.nsyms
-    divs = [(d, d._lead, d.leading_coefficient()) for d in divisors if not d.is_zero]
-    remainder = Polynomial.zero(nsyms)
-    work = poly
-    while not work.is_zero:
-        lm = work._lead
-        lc = work.leading_coefficient()
-        for d, dlm, dlc in divs:
+    divs = [(d._lead, d._t, Fraction(-1, d._t[d._lead])) for d in divisors if d._t]
+    work = {k: Fraction(poly._n * v, poly._d) for k, v in poly._t.items()}
+    remainder = {}
+    while work:
+        lm = max(work)
+        for dlm, dt, scale in divs:
             if _divides(nsyms, dlm, lm):
-                q = lc / dlc
-                work = work - _make(nsyms, q.numerator, q.denominator,
-                                    {lm - dlm: 1}, lm - dlm) * d
+                _accumulate(work, {lm - dlm: work[lm]}, dt, scale)
                 break
         else:
-            lead = _make(nsyms, lc.numerator, lc.denominator, {lm: 1}, lm)
-            remainder = remainder + lead
-            work = work - lead
-    return remainder
+            remainder[lm] = work.pop(lm)
+    return _from_terms(nsyms, remainder)
 
 
 def affine_rows(polys: list[Polynomial], count: int) -> list[tuple[int, int, list[int]]] | None:

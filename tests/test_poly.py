@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirackit import PhaseSpace, parse_expression
+from dirackit import PhaseSpace, parse_expression, poly
 from dirackit.errors import DegreeOverflowError, ExpansionBudgetError
 from dirackit.poly import MAX_DEGREE, MAX_POWER_BITS, MAX_POWER_TERMS, Polynomial, reduce_by
 
@@ -328,6 +328,26 @@ def random_terms(rng, nsyms, max_terms=6, max_degree=4):
     return {m: c for m, c in terms.items() if c}
 
 
+def random_monomial(rng, nsyms, degree):
+    mono = [0] * nsyms
+    for _ in range(degree):
+        mono[rng.randrange(nsyms)] += 1
+    return tuple(mono)
+
+
+def divisor_lists(rng, nsyms, tb):
+    """Divisor lists to reduce a * b by: two random divisors in both
+    orders; one with content 2/5 and primitive part 3*u - 2*v, a
+    non-monic lead; a constant; and b alone, one polynomial and so a
+    Groebner basis of its ideal, by which a * b reduces to 0."""
+    pair = [Polynomial(nsyms, random_terms(rng, nsyms, 3, 2)) for _ in range(2)]
+    u, v = random_monomial(rng, nsyms, 2), random_monomial(rng, nsyms, rng.randint(0, 1))
+    non_monic = Polynomial(nsyms, {u: Fraction(6, 5), v: Fraction(-4, 5)})
+    assert non_monic.content() == Fraction(2, 5) and non_monic.sorted_terms()[0][1] == Fraction(6, 5)
+    return [pair, pair[::-1], [non_monic], [non_monic, *pair],
+            [Polynomial.constant(nsyms, Fraction(-3, 7))], [Polynomial(nsyms, tb)]]
+
+
 def oracle_case(i):
     """(rng, nsyms, terms a, terms b): case i has 1 + i % 13 symbols."""
     rng = random.Random(1304 + i)
@@ -358,12 +378,16 @@ def test_kernel_matches_reference(case):
     if ta:
         lead = ref_lead(ta)
         assert leading_monomial(a) == lead
-        assert a.leading_coefficient() == ta[lead]
+        assert a.sorted_terms()[0][1] == ta[lead]
     divisors = [Polynomial(nsyms, random_terms(rng, nsyms, 3, 2)) for _ in range(2)]
     assert dict(reduce_by(a * b, divisors).terms) == ref_reduce(
         ref_mul(ta, tb), [dict(d.terms) for d in divisors])
     values = [rng.uniform(-1.5, 1.5) for _ in range(nsyms)]
     assert a.evaluate(values) == pytest.approx(ref_evaluate(ta, values), abs=1e-9)
+    for divisors in divisor_lists(rng, nsyms, tb):
+        assert dict(reduce_by(a * b, divisors).terms) == ref_reduce(
+            ref_mul(ta, tb), [dict(d.terms) for d in divisors])
+    assert reduce_by(a * b, [b]).is_zero
 
 
 @pytest.mark.parametrize("case", range(0, 40, 3))
@@ -389,10 +413,14 @@ def test_kernel_matches_sympy(case):
     if ta:
         assert leading_monomial(a) == sa.monoms(order="grlex")[0]
     divisor = Polynomial(nsyms, random_terms(rng, nsyms, 3, 2))
-    if not divisor.is_zero:
-        _, rem = sympy.reduced((sa * sb).as_expr(), [to_sympy(dict(divisor.terms)).as_expr()],
+    for divisors in [[divisor], *divisor_lists(rng, nsyms, tb)]:
+        divisors = [d for d in divisors if not d.is_zero]
+        if not divisors:
+            continue
+        _, rem = sympy.reduced((sa * sb).as_expr(),
+                               [to_sympy(dict(d.terms)).as_expr() for d in divisors],
                                *gens, order="grlex")
-        assert dict(reduce_by(a * b, [divisor]).terms) == from_sympy(
+        assert dict(reduce_by(a * b, divisors).terms) == from_sympy(
             sympy.Poly(rem, *gens, domain="QQ"))
 
 
@@ -414,6 +442,26 @@ def test_terms_view_is_read_only(ps):
         p.terms[(1, 0, 0, 0, 0, 0, 0)] = Fraction(1)
     assert p.terms.get((9, 9), Fraction(0)) == 0
     assert (0,) * 7 not in p.terms
+
+
+def test_reduce_by_builds_no_polynomial_in_its_loop(monkeypatch):
+    """The division runs on one dict of packed terms: no `Polynomial`
+    product or sum, and one `Polynomial` built, the remainder."""
+    inputs = []
+    for rng, nsyms, ta, tb in map(oracle_case, range(40)):
+        product = Polynomial(nsyms, ta) * Polynomial(nsyms, tb)
+        inputs += [(product, divisors) for divisors in divisor_lists(rng, nsyms, tb)]
+    calls = []
+    for name in ("__mul__", "__add__"):
+        original = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda self, other, _name=name, _original=original:
+                            calls.append(_name) or _original(self, other))
+    make = poly._make
+    monkeypatch.setattr(poly, "_make", lambda *args: calls.append("_make") or make(*args))
+    for product, divisors in inputs:
+        calls.clear()
+        reduce_by(product, divisors)
+        assert calls == ["_make"]
 
 
 @pytest.mark.parametrize("case", range(40))

@@ -35,7 +35,7 @@ from .expr import RationalExpr, add_products
 from .matrix import invert_matrix, row_reduce
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace
-from .poly import reduce_by
+from .poly import affine_rows, reduce_by
 
 RANK_TOLERANCE = 1e-8
 
@@ -291,16 +291,77 @@ def _constant_on_shell(system: ConstraintSystem, cfg: SamplerConfig) -> list[lis
     return at
 
 
+def _pivots(rows: list[list], ncols: int) -> list[int]:
+    """The pivot columns of a matrix of Fractions, by Gauss-Jordan on its
+    first ncols columns; the rows are reduced in place."""
+    return row_reduce(rows, ncols, Fraction(1), operator.not_, lambda v: 1)
+
+
+def _affine_rank(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig) -> int | None:
+    """The rank of Delta on the shell of an affine set chi = A z + b,
+    decided exactly with no point drawn; None unless `affine_rows` accepts
+    the set.  Delta is then c A Omega A^T c for nonzero scales c (see
+    `delta_matrix`), so an invertible Delta makes A of full row rank k,
+    and A z = -b has a solution: rank k.  Otherwise the rank is that of
+    the constant Delta, and the shell is empty (NoOnShellPointError)
+    unless rank A = rank [A | b] over Q, with b at the `Fraction` of each
+    binding.  A missing binding is a ValidationError and a non-finite one
+    that a constraint mentions a NoOnShellPointError, as when sampling."""
+    ps, constraints = system.ps, system.constraints
+    nvars = 2 * ps.n
+    if not all(chi.is_polynomial for chi in constraints) \
+            or affine_rows([chi.num for chi in constraints], nvars) is None:
+        return None
+    _parameter_values(ps, cfg)  # a missing binding is a ValidationError
+    mentioned = {i - nvars for chi in constraints for i in chi.num.symbols_used() if i >= nvars}
+    try:
+        bound = {i: Fraction(cfg.parameter_bindings[ps.parameters[i]]) for i in mentioned}
+    except (ValueError, OverflowError):
+        raise NoOnShellPointError(
+            "no on-shell point: a constraint mentions a parameter that is not finite") from None
+    k = len(constraints)
+    if invertible:
+        return k
+    rows = []
+    for chi in constraints:
+        row = [Fraction(0)] * (nvars + 1)  # A, then b
+        for mono, c in chi.num.sorted_terms():
+            i = next((i for i, e in enumerate(mono) if e), None)
+            if i is None:
+                row[nvars] += c
+            elif i < nvars:
+                row[i] = c
+            else:
+                row[nvars] += c * bound[i - nvars]
+        rows.append(row)
+    if nvars in _pivots(rows, nvars + 1):
+        raise NoOnShellPointError("no on-shell point: the affine constraints are inconsistent")
+    return len(_pivots([[e.num.constant_value() for e in row] for row in system.delta], k))
+
+
+def singular_on_shell(context: DiracContext, cfg: SamplerConfig) -> bool:
+    """True when Delta, invertible as rational functions, is shown exactly
+    to lose rank on the shell: `_certified` refuses it and
+    `_constant_on_shell` reads it as one matrix of constants of rank < 2m
+    there.  False when neither decides; no point is drawn."""
+    if _certified(context, cfg):
+        return False
+    exact = _constant_on_shell(context, cfg)
+    return exact is not None and len(_pivots(exact, len(exact))) < len(exact)
+
+
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus full rank
     on the shell.  Delta is built once and inverted once; the resulting
-    context rides along on the classification.  When `_certified` shows
-    the rank exactly, the sampler draws one point, which only shows that
-    the shell is nonempty (NoOnShellPointError when it is not found), and
-    no QR is taken.  Otherwise the sampler draws its `point_count` points,
-    and the rank is exact when `_constant_on_shell` reads Delta as one
-    matrix of constants there (Gauss-Jordan on Fractions), else numeric:
-    a pivoted QR of each distinct value of Delta the sampler computed."""
+    context rides along on the classification.  An affine set is decided
+    exactly by `_affine_rank`, with no point drawn.  Otherwise, when
+    `_certified` shows the rank exactly, the sampler draws one point,
+    which only shows that the shell is nonempty (NoOnShellPointError when
+    it is not found), and no QR is taken.  Otherwise the sampler draws
+    its `point_count` points, and the rank is exact when
+    `_constant_on_shell` reads Delta as one matrix of constants there
+    (Gauss-Jordan on Fractions), else numeric: a pivoted QR of each
+    distinct value of Delta the sampler computed."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
@@ -310,15 +371,16 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
 
     k = len(constraints)
     system = ConstraintSystem(ps, constraints, delta)
-    if context is not None and _certified(context, cfg):
+    rank = _affine_rank(system, context is not None, cfg)
+    if rank is None and context is not None and _certified(context, cfg):
         sample_on_shell(system, replace(cfg, point_count=1))
         rank = k
-    else:
+    elif rank is None:
         at_points = []
         sample_on_shell(system, cfg, at_points)
         exact = _constant_on_shell(system, cfg)
         if exact is not None:
-            rank = len(row_reduce(exact, k, Fraction(1), operator.not_, lambda v: 1))
+            rank = len(_pivots(exact, k))
         else:
             rank = min(PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])
                        .rank(RANK_TOLERANCE)

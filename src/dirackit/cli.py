@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .analysis import classify_constraints, trace_identity
+from .analysis import classify_constraints, singular_on_shell, trace_identity
 from .brackets import bracket_table, make_context
 from .closure import closure_analysis, finite_dim_obstruction, lemma_verdict, trace_verdict
 from .errors import (
@@ -222,6 +222,8 @@ def run_report(spec: SystemSpec, args) -> int:
     report = _base_report(spec)
     if command == "closure":
         space = _space(spec, args.mode)
+        if args.mode == "dirac" and singular_on_shell(space, spec.sampler):
+            raise NotSecondClassError("constraint bracket matrix is singular on the shell")
     else:
         with timings.time("classify"):
             classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)

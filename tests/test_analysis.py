@@ -5,6 +5,7 @@ import ctypes
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +43,8 @@ from dirackit.sysfile import parse_system
 
 from conftest import (fd_poisson, identity, is_skew_symmetric, linear_mix_constraints, matmul,
                       mix_text, random_point, random_polynomial, random_rational_expr,
-                      tower_text, trace_by_partials)
+                      replace_everywhere, tower_text, trace_by_partials)
+from test_affine import affine_sets
 from test_golden import family_files
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -255,12 +257,14 @@ class TestClassification:
         assert c.on_shell_rank == 2
         assert delta_evaluations[0] == spec.sampler.point_count
 
-    def test_constant_delta_is_evaluated_once(self, delta_evaluations):
+    def test_constant_delta_is_never_evaluated(self, delta_evaluations):
+        """An affine set is ranked from its coefficient rows with no point;
+        with the certificate alone it drew one point and evaluated Delta once."""
         ps = PhaseSpace(4)
         cfg = SamplerConfig(seed=5, point_count=16)
         c = classify_constraints(ps, linear_mix_constraints(ps, 3, random.Random(2)), cfg)
         assert c.on_shell_rank == 6
-        assert delta_evaluations[0] == 1
+        assert delta_evaluations[0] == 0
 
     def test_certified_delta_is_evaluated_once(self, delta_evaluations):
         spec = parse_system(tower_text(2, sampler_seed=3))
@@ -299,8 +303,10 @@ def _certified(text: str) -> bool:
 
 
 def _numeric(monkeypatch):
-    """Refuse every certificate and every constant reading of Delta on
-    the shell, so that the rank is read by the QRs."""
+    """Refuse the exact reading of an affine set, every certificate and
+    every constant reading of Delta on the shell, so that the rank is
+    read by the QRs."""
+    monkeypatch.setattr(analysis, "_affine_rank", lambda *args: None)
     monkeypatch.setattr(analysis, "_certified", lambda *args: False)
     monkeypatch.setattr(analysis, "_constant_on_shell", lambda *args: None)
 
@@ -386,7 +392,9 @@ class TestOnePointCertificate:
     def test_zero_radius_is_not_certified(self, tmp_path):
         """The sphere's atom reduces to r^2, 0 at r = 0, so it is not
         certified.  Delta_12 = 2(x1^2 + x2^2 + x3^2) reduces to 2r^2 = 0:
-        Delta is exactly 0 on the shell, rank 0, degenerate."""
+        Delta is exactly 0 on the shell, rank 0, degenerate.  Dirac
+        brackets have a pole on the whole shell, so closure in the Dirac
+        space refuses the set too; the Poisson closure needs no Delta."""
         text = SPHERE.replace("bind r = 1.0", "bind r = 0.0")
         assert _certified(text) is False
         assert _classified(text) == ("degenerate", 1, True, 0, 2)
@@ -395,6 +403,8 @@ class TestOnePointCertificate:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["analyze", str(path)]) == 3
             assert main(["verdict", str(path)]) == 3
+            assert main(["closure", str(path), "--mode", "dirac"]) == 3
+            assert main(["closure", str(path), "--mode", "poisson"]) == 0
 
     @pytest.mark.parametrize("text,rank", [(HYPERBOLA, 2)], ids=["non_constant_remainder"])
     def test_stays_numeric(self, delta_evaluations, text, rank):
@@ -418,6 +428,7 @@ class TestOnePointCertificate:
         path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["analyze", str(path)]) == 3
+            assert main(["closure", str(path)]) == 3
 
     def test_certified_blocks_of_unlike_scale(self, monkeypatch):
         """Radii 1 and 1e-5 give blocks 2 and 2e-10, exactly nonzero on the
@@ -432,8 +443,9 @@ class TestOnePointCertificate:
 
     def test_constant_delta_of_unlike_scale(self, monkeypatch, tmp_path):
         """A constant Delta with blocks 1 and 1e-9 has no atom, so it is
-        certified with no work.  The numeric rank calls the small block
-        zero, the same limit as with spheres."""
+        certified with no work, and the affine set is ranked exactly.  The
+        numeric rank calls the small block zero, the same limit as with
+        spheres."""
         assert _certified(UNLIKE_SCALE) is True
         assert _classified(UNLIKE_SCALE) == ("second_class", 2, True, 4, 0)
         path = tmp_path / "unlike_scale.system"
@@ -481,6 +493,79 @@ class TestOnePointCertificate:
         assert _certified(mix_text(6, 4, random.Random(3))) and seen == []
 
 
+# Affine sets whose shell is empty: x1 = 0 and x1 = 1, or x1 = r at r = 1.
+INCONSISTENT = (["x1", "x1 - 1"], ["x1", "x1 - r"])
+
+
+def _affine_cases():
+    """(phase space, constraints, config) for every set of
+    `test_affine.affine_sets` and the inconsistent ones, at r = 0 and 1;
+    few retries, since an empty shell exhausts them."""
+    ps = PhaseSpace(2, parameters=("r",))
+    sets = affine_sets() + [(ps, [E(t, ps) for t in texts]) for texts in INCONSISTENT]
+    return [(ps, chis, SamplerConfig(max_retries=5,
+                                     parameter_bindings={"r": r} if ps.parameters else {}))
+            for ps, chis in sets for r in ((0.0, 1.0) if ps.parameters else (0.0,))]
+
+
+def _outcome(ps, chis, cfg):
+    """(verdict, rank) of a classification, or the type of the error it raises."""
+    try:
+        c = classify_constraints(ps, chis, cfg)
+    except DiracKitError as error:
+        return type(error)
+    return c.verdict, c.on_shell_rank
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Calls of the sampler and of each piece of its numeric rank."""
+    calls = Counter()
+    for name in ("sample_on_shell", "constraint_gradients", "_Plan", "_certified", "PivotedQR"):
+        original = getattr(analysis, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        replace_everywhere(monkeypatch, original, counted)
+    return calls
+
+
+class TestAffineSets:
+    """An affine set chi = A z + b is classified from its coefficient rows:
+    exactly, with no point drawn."""
+
+    def test_no_point_is_drawn(self, sampler_calls):
+        outcomes = Counter(_outcome(*case) for case in _affine_cases())
+        assert sampler_calls == {}
+        assert outcomes[NoOnShellPointError] >= 10
+        assert sum(n for key, n in outcomes.items() if key != NoOnShellPointError
+                   and key[0] == "degenerate") >= 10
+
+    def test_agrees_with_the_numeric_path(self, monkeypatch):
+        """Verdict, rank and error type; the one pinned disagreement is
+        `TestOnePointCertificate.test_constant_delta_of_unlike_scale`."""
+        cases = _affine_cases()
+        exact = [_outcome(*case) for case in cases]
+        _numeric(monkeypatch)
+        assert [_outcome(*case) for case in cases] == exact
+
+    @pytest.mark.parametrize("texts,bindings,expected", [
+        (["x1 - r", "p1"], {}, ValidationError),
+        (["x1", "p1"], {}, ValidationError),  # declared, though no constraint mentions it
+        (["x1 - r", "p1"], {"r": float("nan")}, NoOnShellPointError),
+        (["x1 - r", "x1"], {"r": float("inf")}, NoOnShellPointError),
+        (["x1", "p1"], {"r": float("nan")}, ("second_class", 2)),
+    ], ids=["missing", "missing_unmentioned", "nan", "inf", "nan_unmentioned"])
+    def test_unusable_binding(self, sampler_calls, texts, bindings, expected):
+        """The errors the sampler raised, now raised before any point."""
+        ps = PhaseSpace(2, parameters=("r",))
+        cfg = SamplerConfig(max_retries=3, parameter_bindings=bindings)
+        assert _outcome(ps, [E(t, ps) for t in texts], cfg) == expected
+        assert sampler_calls == {}
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 10: Newton accepts points where p1/(1 + p1^2) only "
     "tends to 0, out at |p1| > 1e10, and Delta is about 1e-21 there"))
@@ -491,12 +576,10 @@ def test_rational_constraint_that_tends_to_zero_is_second_class():
     assert _classified(text) == ("second_class", 2, True, 4, 0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 9: the residual 10^400*x1 overflows a float at every "
-    "seed, so the sampler meets no on-shell point after 50 retries"))
 def test_constraint_too_large_for_a_float_has_a_shell():
     """Delta is the constant [[0, 10^400], [-10^400, 0]] and the shell
-    x1 = p1 = 0 is not empty."""
+    x1 = p1 = 0 is not empty.  The residual 10^400*x1 overflows a float at
+    every seed, so the sampler meets no point; the affine set needs none."""
     text = "[system]\nn = 2\n[constraints]\nchi1 = 10^400*x1\nchi2 = p1\n"
     assert _classified(text) == ("second_class", 1, True, 2, 1)
 

@@ -92,19 +92,24 @@ def partials(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("text", [
-    mix_text(10, 10, random.Random(4)),
-    tower_text(2, sampler_seed=2),
-    (SYSTEMS / "sphere.system").read_text(encoding="utf-8"),
+@pytest.mark.parametrize("text,affine", [
+    (mix_text(10, 10, random.Random(4)), True),
+    (tower_text(2, sampler_seed=2), False),
+    ((SYSTEMS / "sphere.system").read_text(encoding="utf-8"), False),
 ], ids=["mix_m10_n10", "tower_k2", "sphere"])
-def test_classify_differentiates_each_constraint_once(partials, tmp_path, text):
+def test_classify_differentiates_each_constraint_once(partials, tmp_path, text, affine):
     """Delta, the sampler's Jacobian and the closure table of one analyze
-    compute each partial once; the trace computes none."""
+    compute each partial once; the trace computes none.  An affine set
+    (the mix) computes no partial at all: Delta is read from its
+    coefficient rows and its rank is decided with no sampled point."""
     path = tmp_path / "case.system"
     path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["analyze", str(path), "--format", "json"]) == 0
-    assert partials and max(partials.values()) == 1
+    if affine:
+        assert partials == {}
+    else:
+        assert partials and max(partials.values()) == 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -186,10 +191,10 @@ def on_shell_counts(monkeypatch):
 @pytest.mark.parametrize("text,counts", [
     ((SYSTEMS / "sphere.system").read_text(encoding="utf-8"), (1, 1, 0)),
     (tower_text(4, sampler_seed=3), (1, 1, 0)),
-    ((SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (1, 1, 0)),
-    ((SYSTEMS / "angular_momentum.system").read_text(encoding="utf-8"), (1, 1, 0)),
-    ((SYSTEMS / "trivial.system").read_text(encoding="utf-8"), (1, 1, 0)),
-    *((mix_text(n, m, random.Random(seed)), (1, 1, 0))
+    ((SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (0, 0, 0)),
+    ((SYSTEMS / "angular_momentum.system").read_text(encoding="utf-8"), (0, 0, 0)),
+    ((SYSTEMS / "trivial.system").read_text(encoding="utf-8"), (0, 0, 0)),
+    *((mix_text(n, m, random.Random(seed)), (0, 0, 0))
       for seed, (m, n) in enumerate(MIX_SIZES, start=1)),
 ], ids=["sphere", "tower_k4", "pair_elimination", "angular_momentum", "trivial",
         *(f"mix_m{m}_n{n}" for m, n in MIX_SIZES)])
@@ -197,10 +202,11 @@ def test_analyze_samples_one_point_when_delta_is_constant_or_certified(
         on_shell_counts, tmp_path, text, counts):
     """The sampler draws one point and computes Delta there once, and a
     certified Delta takes no QR: the sphere and the tower through their
-    atoms, a constant Delta (a shipped linear system, a mix) with no atom
-    at all.  Before the certificate they drew their `points` (16, 16 and
-    8), computed Delta at each and took one QR per distinct value (13, 16
-    and 1)."""
+    atoms.  An affine set (a shipped linear system, a mix) draws no point
+    at all: its invertible constant Delta shows that the shell is
+    nonempty.  Before the certificate they drew their `points` (16, 16
+    and 8), computed Delta at each and took one QR per distinct value
+    (13, 16 and 1); with the certificate the affine sets drew one point."""
     path = tmp_path / "case.system"
     path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

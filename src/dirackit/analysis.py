@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,50 +33,50 @@ from .errors import (
 from .expr import RationalExpr, add_products
 from .matrix import invert_matrix, row_reduce
 from .numeric import PivotedQR
-from .phase_space import PhaseSpace
+from .phase_space import PhaseSpace, Record
 from .poly import affine_rows, reduce_by
 
 RANK_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int = 0
-    tolerance: float = 1e-10
-    max_newton_iters: int = 100
-    max_retries: int = 50
-    point_count: int = 16
-    parameter_bindings: dict = field(default_factory=dict)
+class SamplerConfig(Record):
+    __slots__ = _fields = ("seed", "tolerance", "max_newton_iters", "max_retries",
+                           "point_count", "parameter_bindings")
 
-    def __post_init__(self):
-        if self.seed < 0:
+    def __init__(self, seed: int = 0, tolerance: float = 1e-10, max_newton_iters: int = 100,
+                 max_retries: int = 50, point_count: int = 16,
+                 parameter_bindings: dict | None = None):
+        if seed < 0:
             raise ValidationError("sampler seed must be >= 0")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (math.isfinite(tolerance) and tolerance > 0):
             raise ValidationError("sampler tolerance must be finite and positive")
-        if self.max_newton_iters < 1:
+        if max_newton_iters < 1:
             raise ValidationError("sampler needs max_newton_iters >= 1")
-        if self.max_retries < 1:
+        if max_retries < 1:
             raise ValidationError("sampler needs max_retries >= 1")
-        if self.point_count < 1:
+        if point_count < 1:
             raise ValidationError("sampler needs point_count >= 1")
+        self._assign(seed, tolerance, max_newton_iters, max_retries, point_count,
+                     {} if parameter_bindings is None else parameter_bindings)
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str  # "second_class" | "degenerate"
-    m: int
-    symbolic_det_nonzero: bool
-    on_shell_rank: int
-    dof_pairs: int
-    # The validated context when Delta inverted, else None; not reported.
-    context: DiracContext | None = field(default=None, compare=False, repr=False)
+class Classification(Record):
+    # verdict is "second_class" or "degenerate".  context is the validated
+    # context when Delta inverted, else None; it is not compared or reported.
+    _fields = ("verdict", "m", "symbolic_det_nonzero", "on_shell_rank", "dof_pairs")
+    __slots__ = _fields + ("context",)
+
+    def __init__(self, verdict: str, m: int, symbolic_det_nonzero: bool, on_shell_rank: int,
+                 dof_pairs: int, context: DiracContext | None = None):
+        self._assign(verdict, m, symbolic_det_nonzero, on_shell_rank, dof_pairs, context=context)
 
 
-@dataclass(frozen=True)
-class TraceIdentity:
-    value: RationalExpr
-    expected: int
-    holds: bool
+class TraceIdentity(Record):
+    _fields = ("value", "expected", "holds")
+    __slots__ = _fields + ("__dict__",)  # value_text is cached in __dict__
+
+    def __init__(self, value: RationalExpr, expected: int, holds: bool):
+        self._assign(value, expected, holds)
 
     @cached_property
     def value_text(self) -> str:
@@ -373,7 +372,8 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
     system = ConstraintSystem(ps, constraints, delta)
     rank = _affine_rank(system, context is not None, cfg)
     if rank is None and context is not None and _certified(context, cfg):
-        sample_on_shell(system, replace(cfg, point_count=1))
+        sample_on_shell(system, SamplerConfig(cfg.seed, cfg.tolerance, cfg.max_newton_iters,
+                                              cfg.max_retries, 1, cfg.parameter_bindings))
         rank = k
     elif rank is None:
         at_points = []

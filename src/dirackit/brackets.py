@@ -19,7 +19,6 @@ with every atom that divides its numerator cancelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .expr import RationalExpr, add_products
 from .matrix import invert_matrix
-from .phase_space import PhaseSpace
+from .phase_space import PhaseSpace, Record
 from .poly import affine_rows
 
 
@@ -90,22 +89,26 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
     return _skew(k, ps, bracket)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(Record):
     """A constraint set with its bracket matrix Delta by rows; it may be singular."""
-    ps: PhaseSpace
-    constraints: tuple[RationalExpr, ...]
-    delta: tuple
+    __slots__ = _fields = ("ps", "constraints", "delta")
+
+    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...], delta: tuple):
+        self._assign(ps, constraints, delta)
 
     @property
     def m(self) -> int:
         return len(self.constraints) // 2
 
 
-@dataclass(frozen=True)
 class DiracContext(ConstraintSystem):
     """A second-class constraint system with the rows of Delta^-1."""
-    delta_inv: tuple
+    __slots__ = ("delta_inv",)
+    _fields = ConstraintSystem._fields + __slots__
+
+    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...], delta: tuple,
+                 delta_inv: tuple):
+        self._assign(ps, constraints, delta, delta_inv)
 
 
 def make_context(ps: PhaseSpace, constraints) -> DiracContext:

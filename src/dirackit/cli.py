@@ -203,8 +203,14 @@ def _base_report(spec: SystemSpec) -> dict:
 
 
 def _space(spec: SystemSpec, mode: str):
-    """The space whose brackets --mode names: a Dirac context or the phase space."""
-    return make_context(spec.ps, spec.constraints) if mode == "dirac" else spec.ps
+    """The space whose brackets --mode names: the phase space, or a Dirac
+    context, refused when Delta is shown to lose rank on the shell."""
+    if mode != "dirac":
+        return spec.ps
+    context = make_context(spec.ps, spec.constraints)
+    if singular_on_shell(context, spec.sampler):
+        raise NotSecondClassError("constraint bracket matrix is singular on the shell")
+    return context
 
 
 def run_report(spec: SystemSpec, args) -> int:
@@ -222,8 +228,6 @@ def run_report(spec: SystemSpec, args) -> int:
     report = _base_report(spec)
     if command == "closure":
         space = _space(spec, args.mode)
-        if args.mode == "dirac" and singular_on_shell(space, spec.sampler):
-            raise NotSecondClassError("constraint bracket matrix is singular on the shell")
     else:
         with timings.time("classify"):
             classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
@@ -261,8 +265,7 @@ def cmd_bracket(spec: SystemSpec, f_text: str, g_text: str, mode: str) -> int:
 
 
 def cmd_trace(spec: SystemSpec) -> int:
-    ctx = make_context(spec.ps, spec.constraints)
-    t = trace_identity(ctx)
+    t = trace_identity(_space(spec, "dirac"))
     sys.stdout.write(
         f"value={t.value_text} expected={t.expected} holds={str(t.holds).lower()}\n")
     return EXIT_OK

@@ -11,7 +11,6 @@ commutators are traceless, the identity is not.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import (
@@ -29,51 +28,53 @@ from .errors import (
 )
 from .expr import RationalExpr
 from .matrix import row_reduce
-from .phase_space import PhaseSpace
+from .phase_space import PhaseSpace, Record
 from .poly import Polynomial, coefficient_rows
 
 
-@dataclass(frozen=True)
-class PrimarySet:
-    names: tuple[str, ...]
-    exprs: tuple[RationalExpr, ...]
-    hamiltonian: RationalExpr | None = None
+class PrimarySet(Record):
+    __slots__ = _fields = ("names", "exprs", "hamiltonian")
 
-    def __post_init__(self):
-        if not self.names or len(self.names) != len(self.exprs):
+    def __init__(self, names: tuple[str, ...], exprs: tuple[RationalExpr, ...],
+                 hamiltonian: RationalExpr | None = None):
+        if not names or len(names) != len(exprs):
             raise ValueError("need matching nonempty name and expression lists")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("primary-quantity names must be distinct")
+        self._assign(names, exprs, hamiltonian)
 
     def __len__(self):
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    coefficients: tuple[Fraction, ...]
-    constant: Fraction
+class Decomposition(Record):
+    __slots__ = _fields = ("coefficients", "constant")
+
+    def __init__(self, coefficients: tuple[Fraction, ...], constant: Fraction):
+        self._assign(coefficients, constant)
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    mode: str
-    names: tuple[str, ...]
-    closed: bool
-    # Entries of a bracket that did not decompose are None.
-    c: tuple  # k x k x k structure constants
-    z: tuple  # k x k central charges
-    h: tuple | None  # k x k Hamiltonian coefficients
-    h_const: tuple | None  # constant column of {g_a, H}; nonzero is flagged
-    residuals: dict  # (a, b) -> non-decomposable bracket, when not closed
-    notes: tuple[str, ...] = ()
+class AlgebraReport(Record):
+    # Entries of a bracket that did not decompose are None.  c holds the
+    # k x k x k structure constants, z the k x k central charges, h the
+    # k x k Hamiltonian coefficients or None, h_const the constant column
+    # of {g_a, H} (nonzero is flagged) or None, and residuals maps (a, b)
+    # to each non-decomposable bracket when the algebra is not closed.
+    __slots__ = _fields = ("mode", "names", "closed", "c", "z", "h", "h_const", "residuals",
+                           "notes")
+
+    def __init__(self, mode: str, names: tuple[str, ...], closed: bool, c: tuple, z: tuple,
+                 h: tuple | None, h_const: tuple | None, residuals: dict,
+                 notes: tuple[str, ...] = ()):
+        self._assign(mode, names, closed, c, z, h, h_const, residuals, notes)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # infinite_dimensional | no_obstruction_detected | trivial_system
-    witness: dict | None
-    explanation: str
+class Verdict(Record):
+    # kind is infinite_dimensional, no_obstruction_detected or trivial_system.
+    __slots__ = _fields = ("kind", "witness", "explanation")
+
+    def __init__(self, kind: str, witness: dict | None, explanation: str):
+        self._assign(kind, witness, explanation)
 
 
 def _solve_exact(rows: list[list[Fraction]],

@@ -12,8 +12,6 @@ pairing x_i <-> p_i is hard-coded and never configurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import UnknownSymbolError, ValidationError
 
 # The largest n.  Every name and symbol index is built before any budget
@@ -21,31 +19,63 @@ from .errors import UnknownSymbolError, ValidationError
 MAX_PAIRS = 10_000
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
-    n: int
-    parameters: tuple[str, ...] = ()
-    coordinates: tuple[str, ...] = field(init=False, compare=False)
-    momenta: tuple[str, ...] = field(init=False, compare=False)
-    symbols: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+class Record:
+    """A read-only value with `__slots__`: assigning or deleting an
+    attribute raises AttributeError, and `_assign` sets each slot once,
+    the `_fields` in order, then any other slot by keyword.  Equality,
+    the hash and the repr use the `_fields` alone."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values, **others) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        for name, value in others.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class PhaseSpace(Record):
+    __slots__ = ("n", "parameters", "coordinates", "momenta", "symbols", "_index")
+    _fields = ("n", "parameters")
+
+    def __init__(self, n: int, parameters: tuple[str, ...] = ()):
+        if n < 1:
             raise ValidationError("phase space needs n >= 1")
-        if self.n > MAX_PAIRS:
+        if n > MAX_PAIRS:
             raise ValidationError(f"phase space needs n <= {MAX_PAIRS}")
-        if not isinstance(self.parameters, tuple):
-            object.__setattr__(self, "parameters", tuple(self.parameters))
-        coordinates = tuple(f"x{i}" for i in range(1, self.n + 1))
-        momenta = tuple(f"p{i}" for i in range(1, self.n + 1))
-        names = coordinates + momenta + self.parameters
+        parameters = tuple(parameters)
+        coordinates = tuple(f"x{i}" for i in range(1, n + 1))
+        momenta = tuple(f"p{i}" for i in range(1, n + 1))
+        names = coordinates + momenta + parameters
         if len(set(names)) != len(names):
             raise ValidationError("variable and parameter names must be pairwise distinct")
-        object.__setattr__(self, "coordinates", coordinates)
-        object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "symbols", names)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(names)})
+        self._assign(n, parameters, coordinates=coordinates, momenta=momenta, symbols=names,
+                     _index={s: i for i, s in enumerate(names)})
+
+    def __repr__(self):
+        return (f"PhaseSpace(n={self.n!r}, parameters={self.parameters!r}, "
+                f"coordinates={self.coordinates!r}, momenta={self.momenta!r})")
 
     @property
     def nsyms(self) -> int:

@@ -10,28 +10,30 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 
 from .analysis import SamplerConfig
 from .closure import PrimarySet
 from .errors import DiracKitError, ExpressionSyntaxError, ValidationError
 from .expr import RationalExpr
 from .parser import parse_expression
-from .phase_space import PhaseSpace
+from .phase_space import PhaseSpace, Record
 
 _SECTIONS = ("system", "constraints", "hamiltonian", "primaries", "onshell", "sampler")
 # The expression grammar's identifier rule; primary names label brackets ("{a,b}", "{a,H}").
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    ps: PhaseSpace
-    constraints: tuple[RationalExpr, ...]
-    primaries: PrimarySet | None  # carries the [hamiltonian], if one is declared
-    on_shell_rules: tuple  # the [onshell] constraints as polynomials, in file order
-    sampler: SamplerConfig
-    input_digest: str  # "sha256:" and the hex SHA-256 of the UTF-8 text
+class SystemSpec(Record):
+    # primaries carries the [hamiltonian], if one is declared; on_shell_rules
+    # are the [onshell] constraints as polynomials, in file order; input_digest
+    # is "sha256:" and the hex SHA-256 of the UTF-8 text.
+    __slots__ = _fields = ("ps", "constraints", "primaries", "on_shell_rules", "sampler",
+                           "input_digest")
+
+    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...],
+                 primaries: PrimarySet | None, on_shell_rules: tuple, sampler: SamplerConfig,
+                 input_digest: str):
+        self._assign(ps, constraints, primaries, on_shell_rules, sampler, input_digest)
 
 
 def _strip(line: str) -> str:

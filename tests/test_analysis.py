@@ -6,7 +6,6 @@ import io
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -710,7 +709,7 @@ class TestTraceIdentityIsACheck:
                         if not ctx.delta[a][b].is_zero)
             rows = [list(row) for row in ctx.delta_inv]
             rows[a][b] = rows[a][b] + RationalExpr.constant(ctx.ps, 1)
-            changed = replace(ctx, delta_inv=tuple(map(tuple, rows)))
+            changed = DiracContext(ctx.ps, ctx.constraints, ctx.delta, tuple(map(tuple, rows)))
             t = trace_identity(changed)
             assert t.holds is False
             assert t.expected == trace_identity(ctx).expected == ctx.ps.n - ctx.m
@@ -718,8 +717,8 @@ class TestTraceIdentityIsACheck:
     def test_inverse_scaled_by_two(self, sphere_ctx):
         for ctx in self.contexts(sphere_ctx):
             two = RationalExpr.constant(ctx.ps, 2)
-            scaled = replace(ctx, delta_inv=tuple(tuple(two * e for e in row)
-                                                  for row in ctx.delta_inv))
+            scaled = DiracContext(ctx.ps, ctx.constraints, ctx.delta,
+                                  tuple(tuple(two * e for e in row) for row in ctx.delta_inv))
             t = trace_identity(scaled)
             assert t.holds is False
             assert t.expected == ctx.ps.n - ctx.m

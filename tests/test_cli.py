@@ -162,6 +162,20 @@ class TestExitCodes:
             load_system(str(path))
         assert main(["analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["trace"], ["bracket", "--f", "x1", "--g", "p1", "--mode", "dirac"],
+        ["closure", "--mode", "dirac"]], ids=["trace", "bracket", "closure"])
+    def test_dirac_space_singular_on_the_shell(self, tmp_path, capsys, argv):
+        """At r = 0 the sphere's shell is x = 0, where Delta is 0, so every
+        Dirac bracket has a pole on the whole shell: each command that
+        needs a Dirac context refuses the set, as analyze does."""
+        path = tmp_path / "sphere_r0.system"
+        path.write_text(Path(SPHERE).read_text().replace("bind r = 1.0", "bind r = 0.0"))
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: constraint bracket matrix is singular on the shell" in captured.err
+
     @pytest.mark.parametrize("command", ["analyze", "verdict"])
     @pytest.mark.parametrize("line", [
         "seed = -5", "max_retries = -3", "max_retries = 0", "max_newton_iters = 0",

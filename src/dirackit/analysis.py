@@ -8,10 +8,9 @@ exactly the constant n - m.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .brackets import (
     ConstraintSystem,
@@ -31,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import RationalExpr, add_products
-from .matrix import invert_matrix, row_reduce
+from .matrix import invert_matrix, row_reduce_fractions
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace, Record
 from .poly import affine_rows, reduce_by
@@ -167,8 +166,8 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
     Delta is not finite.  Delta is evaluated once per converged point;
     given a list, delta_values receives its row-major values at each
     returned point, in order.  `classify_constraints` asks for one point,
-    and no values, when `_certified` decides the rank exactly; that point
-    only shows that the shell is nonempty.
+    and no values, when `exact_rank` has decided the rank before any point
+    is drawn; that point only shows that the shell is nonempty.
     """
     ps = ctx.ps
     params = _parameter_values(ps, cfg)
@@ -229,53 +228,40 @@ def sample_on_shell(ctx: ConstraintSystem, cfg: SamplerConfig,
 def _on_shell(ps: PhaseSpace, constraints, cfg: SamplerConfig):
     """value(poly): the exact constant poly equals on the shell when its
     remainder by the polynomial constraints mentions no variable (that
-    remainder at the `Fraction` of each binding), else None.  The shell
-    lies where those constraints vanish, whatever the order of the
-    divisors.  None in place of value when a binding is missing or not
-    finite: sampling reports or meets it."""
-    try:
-        bound = [Fraction(cfg.parameter_bindings[name]) for name in ps.parameters]
-    except (KeyError, ValueError, OverflowError):
-        return None
-    variables = range(2 * ps.n)
+    remainder at the `Fraction` of each binding it mentions), else None;
+    None too when such a binding is missing or not finite, which sampling
+    reports or meets.  The shell lies where those constraints vanish,
+    whatever the order of the divisors.  Each distinct poly is reduced
+    once."""
+    nvars = 2 * ps.n
     divisors = [chi.num for chi in constraints if chi.is_polynomial]
 
+    def bound(i):
+        return Fraction(cfg.parameter_bindings[ps.parameters[i - nvars]])
+
+    @cache
     def value(poly):
         remainder = reduce_by(poly, divisors)
-        if not remainder.symbols_used().isdisjoint(variables):
+        if not remainder.symbols_used().isdisjoint(range(nvars)):
             return None
-        return sum(c * math.prod(bound[i - len(variables)] ** k for i, k in enumerate(mono) if k)
-                   for mono, c in remainder.sorted_terms())
+        try:
+            return sum(c * math.prod(bound(i) ** e for i, e in enumerate(mono) if e)
+                       for mono, c in remainder.sorted_terms())
+        except (KeyError, ValueError, OverflowError):
+            return None
     return value
 
 
-def _certified(context: DiracContext, cfg: SamplerConfig) -> bool:
-    """True when Delta has rank 2m at every point of the shell, decided
-    exactly.  Delta Delta^-1 = I holds at every point where no atom of
-    their denominators vanishes, since evaluation is a ring map there.  So
-    it suffices that each distinct atom, in order, is an exactly nonzero
-    constant on the shell.  A constant Delta and its inverse have no
-    atom."""
-    atoms = sorted({atom for rows in (context.delta, context.delta_inv)
-                    for row in rows for e in row for atom, _ in e.atoms})
-    if not atoms:
-        return True
-    value = _on_shell(context.ps, context.constraints, cfg)
-    return value is not None and all(value(atom.poly) for atom in atoms)
-
-
-def _constant_on_shell(system: ConstraintSystem, cfg: SamplerConfig) -> list[list] | None:
+def _shell_matrix(delta, value) -> list[list] | None:
     """Delta on the shell as one exact matrix of constants, or None: each
     entry above the diagonal, Delta being skew, is a constant there when
-    its numerator is and each of its atoms is a nonzero one."""
-    value = _on_shell(system.ps, system.constraints, cfg)
-    if value is None:
-        return None
-    k = len(system.delta)
+    its numerator is and each of its atoms is a nonzero one, as `value`
+    (from `_on_shell`) reads them."""
+    k = len(delta)
     at = [[0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            e = system.delta[a][b]
+            e = delta[a][b]
             if e.is_zero:
                 continue
             entry = value(e.num)
@@ -290,27 +276,43 @@ def _constant_on_shell(system: ConstraintSystem, cfg: SamplerConfig) -> list[lis
     return at
 
 
-def _pivots(rows: list[list], ncols: int) -> list[int]:
-    """The pivot columns of a matrix of Fractions, by Gauss-Jordan on its
-    first ncols columns; the rows are reduced in place."""
-    return row_reduce(rows, ncols, Fraction(1), operator.not_, lambda v: 1)
+def exact_rank(system: ConstraintSystem, inverse, cfg: SamplerConfig) -> int | None:
+    """The rank of Delta on the shell, decided exactly with no point
+    drawn, or None.
+
+    It is 2m when inverse, the rows of Delta^-1, is given and each
+    distinct atom of Delta and Delta^-1, in order, is an exactly nonzero
+    constant on the shell: Delta Delta^-1 = I holds at every point where
+    no atom of their denominators vanishes, since evaluation is a ring map
+    there.  A constant Delta and its inverse have no atom.  Otherwise it
+    is the rank by Gauss-Jordan on Fractions of `_shell_matrix`, Delta's
+    value on the shell, when that is one matrix of constants.  A constant
+    needs no binding, and each distinct polynomial is reduced once."""
+    value = _on_shell(system.ps, system.constraints, cfg)
+    delta, k = system.delta, len(system.delta)
+    if inverse is not None and all(value(atom.poly) for atom in sorted(
+            {atom for rows in (delta, inverse) for row in rows
+             for e in row for atom, _ in e.atoms})):
+        return k
+    at = _shell_matrix(delta, value)
+    return None if at is None else len(row_reduce_fractions(at, k))
 
 
-def _affine_rank(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig) -> int | None:
-    """The rank of Delta on the shell of an affine set chi = A z + b,
-    decided exactly with no point drawn; None unless `affine_rows` accepts
-    the set.  Delta is then c A Omega A^T c for nonzero scales c (see
-    `delta_matrix`), so an invertible Delta makes A of full row rank k,
-    and A z = -b has a solution: rank k.  Otherwise the rank is that of
-    the constant Delta, and the shell is empty (NoOnShellPointError)
-    unless rank A = rank [A | b] over Q, with b at the `Fraction` of each
-    binding.  A missing binding is a ValidationError and a non-finite one
-    that a constraint mentions a NoOnShellPointError, as when sampling."""
+def _affine_shell(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig) -> bool:
+    """True when `affine_rows` accepts the set, chi = A z + b, and its
+    shell is then decided, exactly and with no point drawn, to be
+    nonempty; False for any other set.  Delta is c A Omega A^T c for
+    nonzero scales c (see `delta_matrix`), so an invertible Delta makes A
+    of full row rank, and A z = -b has a solution.  Otherwise the shell
+    is empty (NoOnShellPointError) unless rank A = rank [A | b] over Q,
+    with b at the `Fraction` of each binding.  A missing binding is a
+    ValidationError and a non-finite one that a constraint mentions a
+    NoOnShellPointError, as when sampling."""
     ps, constraints = system.ps, system.constraints
     nvars = 2 * ps.n
     if not all(chi.is_polynomial for chi in constraints) \
             or affine_rows([chi.num for chi in constraints], nvars) is None:
-        return None
+        return False
     _parameter_values(ps, cfg)  # a missing binding is a ValidationError
     mentioned = {i - nvars for chi in constraints for i in chi.num.symbols_used() if i >= nvars}
     try:
@@ -318,9 +320,8 @@ def _affine_rank(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig)
     except (ValueError, OverflowError):
         raise NoOnShellPointError(
             "no on-shell point: a constraint mentions a parameter that is not finite") from None
-    k = len(constraints)
     if invertible:
-        return k
+        return True
     rows = []
     for chi in constraints:
         row = [Fraction(0)] * (nvars + 1)  # A, then b
@@ -333,34 +334,22 @@ def _affine_rank(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig)
             else:
                 row[nvars] += c * bound[i - nvars]
         rows.append(row)
-    if nvars in _pivots(rows, nvars + 1):
+    if nvars in row_reduce_fractions(rows, nvars + 1):
         raise NoOnShellPointError("no on-shell point: the affine constraints are inconsistent")
-    return len(_pivots([[e.num.constant_value() for e in row] for row in system.delta], k))
-
-
-def singular_on_shell(context: DiracContext, cfg: SamplerConfig) -> bool:
-    """True when Delta, invertible as rational functions, is shown exactly
-    to lose rank on the shell: `_certified` refuses it and
-    `_constant_on_shell` reads it as one matrix of constants of rank < 2m
-    there.  False when neither decides; no point is drawn."""
-    if _certified(context, cfg):
-        return False
-    exact = _constant_on_shell(context, cfg)
-    return exact is not None and len(_pivots(exact, len(exact))) < len(exact)
+    return True
 
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus full rank
     on the shell.  Delta is built once and inverted once; the resulting
-    context rides along on the classification.  An affine set is decided
-    exactly by `_affine_rank`, with no point drawn.  Otherwise, when
-    `_certified` shows the rank exactly, the sampler draws one point,
-    which only shows that the shell is nonempty (NoOnShellPointError when
-    it is not found), and no QR is taken.  Otherwise the sampler draws
-    its `point_count` points, and the rank is exact when
-    `_constant_on_shell` reads Delta as one matrix of constants there
-    (Gauss-Jordan on Fractions), else numeric: a pivoted QR of each
-    distinct value of Delta the sampler computed."""
+    context rides along on the classification.  `_affine_shell` first
+    decides exactly whether an affine set's shell is nonempty, then
+    `exact_rank` decides the rank, with no point drawn.  When it
+    answers, an affine set draws no point and any other set one, which
+    only shows that the shell is nonempty (NoOnShellPointError when it is
+    not found); no QR is taken.  Only when it cannot answer does the
+    sampler draw its `point_count` points, and the rank is numeric: a
+    pivoted QR of each distinct value of Delta the sampler computed."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
@@ -370,21 +359,17 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
 
     k = len(constraints)
     system = ConstraintSystem(ps, constraints, delta)
-    rank = _affine_rank(system, context is not None, cfg)
-    if rank is None and context is not None and _certified(context, cfg):
-        sample_on_shell(system, SamplerConfig(cfg.seed, cfg.tolerance, cfg.max_newton_iters,
-                                              cfg.max_retries, 1, cfg.parameter_bindings))
-        rank = k
-    elif rank is None:
+    affine = _affine_shell(system, context is not None, cfg)
+    rank = exact_rank(system, None if context is None else context.delta_inv, cfg)
+    if rank is None:
         at_points = []
         sample_on_shell(system, cfg, at_points)
-        exact = _constant_on_shell(system, cfg)
-        if exact is not None:
-            rank = len(_pivots(exact, k))
-        else:
-            rank = min(PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])
-                       .rank(RANK_TOLERANCE)
-                       for numeric in set(map(tuple, at_points)))  # distinct values, by rows
+        rank = min(PivotedQR([numeric[a * k:(a + 1) * k] for a in range(k)])
+                   .rank(RANK_TOLERANCE)
+                   for numeric in set(map(tuple, at_points)))  # distinct values, by rows
+    elif not affine:
+        sample_on_shell(system, SamplerConfig(cfg.seed, cfg.tolerance, cfg.max_newton_iters,
+                                              cfg.max_retries, 1, cfg.parameter_bindings))
 
     second_class = context is not None and rank == k
     return Classification(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .analysis import classify_constraints, singular_on_shell, trace_identity
+from .analysis import classify_constraints, exact_rank, trace_identity
 from .brackets import bracket_table, make_context
 from .closure import closure_analysis, finite_dim_obstruction, lemma_verdict, trace_verdict
 from .errors import (
@@ -204,11 +204,12 @@ def _base_report(spec: SystemSpec) -> dict:
 
 def _space(spec: SystemSpec, mode: str):
     """The space whose brackets --mode names: the phase space, or a Dirac
-    context, refused when Delta is shown to lose rank on the shell."""
+    context, refused when `exact_rank` shows Delta of rank below 2m on
+    the shell (None, undecided, is not below); no point is drawn."""
     if mode != "dirac":
         return spec.ps
     context = make_context(spec.ps, spec.constraints)
-    if singular_on_shell(context, spec.sampler):
+    if exact_rank(context, context.delta_inv, spec.sampler) in range(2 * context.m):
         raise NotSecondClassError("constraint bracket matrix is singular on the shell")
     return context
 

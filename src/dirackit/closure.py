@@ -10,7 +10,6 @@ commutators are traceless, the identity is not.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .analysis import (
@@ -27,7 +26,7 @@ from .errors import (
     ReportNotClosedError,
 )
 from .expr import RationalExpr
-from .matrix import row_reduce
+from .matrix import row_reduce_fractions
 from .phase_space import PhaseSpace, Record
 from .poly import Polynomial, coefficient_rows
 
@@ -80,12 +79,12 @@ class Verdict(Record):
 def _solve_exact(rows: list[list[Fraction]],
                  rhs: list[list[Fraction]]) -> list[list[Fraction] | None]:
     """Solve A x = b exactly over the rationals for each column b of rhs in
-    one row_reduce of [A | rhs]; None for a column with no solution.  Free
-    unknowns are set to zero; the pivot columns depend on A alone, so each
-    x is what a lone solve gives.  The pivot is the first nonzero entry."""
+    one `row_reduce_fractions` of [A | rhs]; None for a column with no
+    solution.  Free unknowns are set to zero; the pivot columns depend on
+    A alone, so each x is what a lone solve gives."""
     ncols = len(rows[0])
     a = [list(r) + list(b) for r, b in zip(rows, rhs)]
-    pivots = row_reduce(a, ncols, Fraction(1), operator.not_, lambda v: 1)
+    pivots = row_reduce_fractions(a, ncols)
     solutions = []
     for j in range(ncols, len(a[0])):
         x = [Fraction(0)] * ncols

@@ -1,7 +1,7 @@
 """Exact inversion of a square matrix given by its rows.
 
 A symbolic matrix is inverted by Gauss-Jordan elimination over the
-rational-function field, `row_reduce`, which closure's exact solves
+rational-function field, `row_reduce`, which exact ranks and solves
 share.  Pivot choice: among the nonzero candidates in the current
 column, take the entry whose numerator has the fewest monomials; ties go
 to the lowest row index.  This keeps intermediate expression swell down
@@ -47,6 +47,12 @@ def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
     return pivots
 
 
+def row_reduce_fractions(rows: list[list], ncols: int) -> list[int]:
+    """`row_reduce` over the rationals, on rows of Fractions: the pivot is
+    the first nonzero entry."""
+    return row_reduce(rows, ncols, Fraction(1), operator.not_, lambda v: 1)
+
+
 def _invert_integers(values: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a nonsingular matrix of Fractions by one fraction-free
     (Bareiss 1968) Gauss-Jordan pass over ints on [scale * A | I].
@@ -58,9 +64,9 @@ def _invert_integers(values: list[list[Fraction]]) -> list[list[Fraction]]:
     pivot, is det(scale * A) up to the sign of the row swaps; so the
     result is scale * adj / det, one Fraction per entry.  The pivot is the
     first nonzero entry in the column, with a row swap, as in
-    Gauss-Jordan on Fractions (`row_reduce` with a constant weight); each
-    entry here is a nonzero multiple of the one there, so both meet the
-    same first column without a pivot."""
+    Gauss-Jordan on Fractions (`row_reduce_fractions`); each entry here
+    is a nonzero multiple of the one there, so both meet the same first
+    column without a pivot."""
     size = len(values)
     scale = lcm(*(v.denominator for row in values for v in row))
     rows = [[v.numerator * (scale // v.denominator) for v in row]

@@ -291,30 +291,46 @@ def _classified(text: str):
     return c.verdict, c.m, c.symbolic_det_nonzero, c.on_shell_rank, c.dof_pairs
 
 
-def _certified(text: str) -> bool:
-    """The exact certificate of a `.system` text; a singular Delta has none."""
+def _inverse(text: str):
+    """The rows of Delta^-1 of a `.system` text, or None when Delta is singular."""
     spec = parse_system(text)
     try:
-        ctx = make_context(spec.ps, spec.constraints)
+        return make_context(spec.ps, spec.constraints).delta_inv
     except NotSecondClassError:
-        return False
-    return analysis._certified(ctx, spec.sampler)
+        return None
+
+
+def _exact_rank(text: str) -> int | None:
+    """`exact_rank` of a `.system` text: with the inverse of Delta when
+    it has one, else without."""
+    spec = parse_system(text)
+    system = ConstraintSystem(spec.ps, spec.constraints, delta_matrix(spec.constraints, spec.ps))
+    return analysis.exact_rank(system, _inverse(text), spec.sampler)
+
+
+def _certified(text: str) -> bool:
+    """True when the first clause of `exact_rank`, the certificate, gives
+    Delta full rank: its constant reading of Delta on the shell refused.
+    A singular Delta has no certificate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_shell_matrix", lambda *args: None)
+        return _exact_rank(text) == len(parse_system(text).constraints)
 
 
 def _numeric(monkeypatch):
-    """Refuse the exact reading of an affine set, every certificate and
-    every constant reading of Delta on the shell, so that the rank is
-    read by the QRs."""
-    monkeypatch.setattr(analysis, "_affine_rank", lambda *args: None)
-    monkeypatch.setattr(analysis, "_certified", lambda *args: False)
-    monkeypatch.setattr(analysis, "_constant_on_shell", lambda *args: None)
+    """Refuse the exact reading of an affine set's shell and every exact
+    rank, so that the rank is read by the QRs."""
+    monkeypatch.setattr(analysis, "_affine_shell", lambda *args: False)
+    monkeypatch.setattr(analysis, "exact_rank", lambda *args: None)
 
 
 def _constant_on_shell(text: str):
-    """The exact constant value of Delta on the shell of a `.system` text, or None."""
+    """The exact constant value of Delta on the shell of a `.system` text,
+    or None, as `exact_rank` reads it."""
     spec = parse_system(text)
-    system = ConstraintSystem(spec.ps, spec.constraints, delta_matrix(spec.constraints, spec.ps))
-    return analysis._constant_on_shell(system, spec.sampler)
+    delta = delta_matrix(spec.constraints, spec.ps)
+    return analysis._shell_matrix(delta, analysis._on_shell(spec.ps, spec.constraints,
+                                                            spec.sampler))
 
 
 def _two_spheres(s: str) -> str:
@@ -408,7 +424,7 @@ class TestOnePointCertificate:
     @pytest.mark.parametrize("text,rank", [(HYPERBOLA, 2)], ids=["non_constant_remainder"])
     def test_stays_numeric(self, delta_evaluations, text, rank):
         spec = parse_system(text)
-        assert _certified(text) is False
+        assert _exact_rank(text) is None
         c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
         assert c.on_shell_rank == rank
         assert delta_evaluations[0] == spec.sampler.point_count == 16
@@ -460,7 +476,7 @@ class TestOnePointCertificate:
         """The sampler reports a missing binding and fails every attempt
         with a non-finite one, as it did before the certificate."""
         cfg = SamplerConfig(seed=1, max_retries=3, parameter_bindings=bindings)
-        assert analysis._certified(sphere_ctx, cfg) is False
+        assert analysis.exact_rank(sphere_ctx, sphere_ctx.delta_inv, cfg) is None
         with pytest.raises((ValidationError, NoOnShellPointError)) as error:
             classify_constraints(sphere_ctx.ps, sphere_ctx.constraints, cfg)
         assert error.type is (NoOnShellPointError if bindings else ValidationError)
@@ -474,9 +490,11 @@ class TestOnePointCertificate:
         assert _certified(text) is certified
         assert _classified(text) == (NoOnShellPointError, "no on-shell point after 50 retries")
 
-    def test_each_atom_is_reduced_once(self, monkeypatch):
+    def test_each_atom_is_reduced_once(self, monkeypatch, tmp_path):
         """One reduction per distinct atom of Delta and Delta^-1, in a
-        fixed order: one per sphere of a tower, none for a mix."""
+        fixed order: one per sphere of a tower, none for a mix.  Refused
+        at r = 0, the sphere's atom and the numerator of Delta_12 are
+        reduced once each, in classification and in the CLI gate alike."""
         seen = []
         reduce = analysis.reduce_by
         monkeypatch.setattr(analysis, "reduce_by",
@@ -490,6 +508,45 @@ class TestOnePointCertificate:
             assert _certified(tower_text(k, sampler_seed=3)) and seen == again
         seen.clear()
         assert _certified(mix_text(6, 4, random.Random(3))) and seen == []
+        text = AGREEMENT_TEXTS["sphere_r0"]
+        seen.clear()
+        assert _exact_rank(text) == 0
+        assert len(seen) == len(set(seen)) == 2
+        refused = list(seen)
+        path = tmp_path / "sphere_r0.system"
+        path.write_text(text, encoding="utf-8")
+        for command in (["classify"], ["trace"], ["bracket", "--f", "x1", "--g", "p1",
+                                                  "--mode", "dirac"]):
+            seen.clear()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([command[0], str(path), *command[1:]]) == \
+                    (0 if command == ["classify"] else 3)
+            assert seen == refused
+
+
+GATE_TEXTS = {name: text for name, text in {**AGREEMENT_TEXTS,
+                                            "two_spheres_s0": _two_spheres("0.0")}.items()
+              if _inverse(text) is not None}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_TEXTS))
+def test_dirac_commands_refuse_exactly_when_the_exact_rank_is_short(tmp_path, name):
+    """One gate, one answer: on every input whose Delta inverts, trace and
+    bracket --mode dirac exit 3 exactly when `exact_rank` shows Delta of
+    rank below 2m on the shell, and each such input exits 3 under analyze
+    too.  Here that is the sphere at r = 0 and two spheres with s = 0."""
+    text = GATE_TEXTS[name]
+    rank = _exact_rank(text)
+    short = rank is not None and rank < len(parse_system(text).constraints)
+    assert short == (name in ("sphere_r0", "two_spheres_s0"))
+    path = tmp_path / "case.system"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command in (["trace"], ["bracket", "--f", "x1", "--g", "p1", "--mode", "dirac"]):
+            assert (main([command[0], str(path), *command[1:]]) == 3) == short
+        if short:
+            assert main(["analyze", str(path)]) == 3
 
 
 # Affine sets whose shell is empty: x1 = 0 and x1 = 1, or x1 = r at r = 1.
@@ -520,7 +577,7 @@ def _outcome(ps, chis, cfg):
 def sampler_calls(monkeypatch):
     """Calls of the sampler and of each piece of its numeric rank."""
     calls = Counter()
-    for name in ("sample_on_shell", "constraint_gradients", "_Plan", "_certified", "PivotedQR"):
+    for name in ("sample_on_shell", "constraint_gradients", "_Plan", "PivotedQR"):
         original = getattr(analysis, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -563,6 +620,17 @@ class TestAffineSets:
         cfg = SamplerConfig(max_retries=3, parameter_bindings=bindings)
         assert _outcome(ps, [E(t, ps) for t in texts], cfg) == expected
         assert sampler_calls == {}
+
+
+    def test_a_constant_needs_no_binding(self):
+        """Delta of an affine set is constant, so `exact_rank` reads its
+        rank with the binding of r missing or not finite."""
+        ps = PhaseSpace(2, parameters=("r",))
+        chis = [E(t, ps) for t in ("x1 - r", "p1", "x2", "x2 + r")]
+        system = ConstraintSystem(ps, tuple(chis), delta_matrix(chis, ps))
+        for bindings in ({}, {"r": float("nan")}, {"r": 1.0}):
+            assert analysis.exact_rank(system, None, SamplerConfig(
+                parameter_bindings=bindings)) == 2
 
 
 @pytest.mark.xfail(strict=True, reason=(

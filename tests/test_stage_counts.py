@@ -19,6 +19,7 @@ from dirackit.poly import Polynomial
 
 from conftest import jacobi_triple, mix_text, replace_everywhere, tower_text
 from test_affine import MIX_SIZES
+from test_analysis import _two_spheres
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 STAGES = (
@@ -188,28 +189,39 @@ def on_shell_counts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("text,counts", [
-    ((SYSTEMS / "sphere.system").read_text(encoding="utf-8"), (1, 1, 0)),
-    (tower_text(4, sampler_seed=3), (1, 1, 0)),
-    ((SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (0, 0, 0)),
-    ((SYSTEMS / "angular_momentum.system").read_text(encoding="utf-8"), (0, 0, 0)),
-    ((SYSTEMS / "trivial.system").read_text(encoding="utf-8"), (0, 0, 0)),
-    *((mix_text(n, m, random.Random(seed)), (0, 0, 0))
+SPHERE = (SYSTEMS / "sphere.system").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,text,counts", [
+    ("analyze", SPHERE, (1, 1, 0)),
+    ("analyze", tower_text(4, sampler_seed=3), (1, 1, 0)),
+    ("analyze", (SYSTEMS / "pair_elimination.system").read_text(encoding="utf-8"), (0, 0, 0)),
+    ("analyze", (SYSTEMS / "angular_momentum.system").read_text(encoding="utf-8"), (0, 0, 0)),
+    ("analyze", (SYSTEMS / "trivial.system").read_text(encoding="utf-8"), (0, 0, 0)),
+    *(("analyze", mix_text(n, m, random.Random(seed)), (0, 0, 0))
       for seed, (m, n) in enumerate(MIX_SIZES, start=1)),
+    ("classify", SPHERE.replace("bind r = 1.0", "bind r = 0.0"), (1, 1, 0)),
+    ("classify", _two_spheres("0.0"), (1, 1, 0)),
 ], ids=["sphere", "tower_k4", "pair_elimination", "angular_momentum", "trivial",
-        *(f"mix_m{m}_n{n}" for m, n in MIX_SIZES)])
+        *(f"mix_m{m}_n{n}" for m, n in MIX_SIZES), "sphere_r0", "two_spheres_s0"])
 def test_analyze_samples_one_point_when_delta_is_constant_or_certified(
-        on_shell_counts, tmp_path, text, counts):
+        on_shell_counts, tmp_path, command, text, counts):
     """The sampler draws one point and computes Delta there once, and a
     certified Delta takes no QR: the sphere and the tower through their
     atoms.  An affine set (a shipped linear system, a mix) draws no point
     at all: its invertible constant Delta shows that the shell is
     nonempty.  Before the certificate they drew their `points` (16, 16
     and 8), computed Delta at each and took one QR per distinct value
-    (13, 16 and 1); with the certificate the affine sets drew one point."""
+    (13, 16 and 1); with the certificate the affine sets drew one point.
+    A Delta that is one constant matrix on the shell but not certified,
+    as on the sphere at r = 0 and beside a sphere of radius 0, is ranked
+    by `exact_rank` before any point is drawn, so it too draws one point
+    (it drew 16 and computed Delta 16 times when it was ranked after
+    sampling).  Those two are degenerate, so they run through classify:
+    analyze exits 3 on them."""
     path = tmp_path / "case.system"
     path.write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["analyze", str(path), "--format", "json"]) == 0
+        assert main([command, str(path), "--format", "json"]) == 0
     points, values, qrs = counts
     assert on_shell_counts == Counter(points=points, delta_values=values, delta_qrs=qrs)

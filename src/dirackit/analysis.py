@@ -33,7 +33,7 @@ from .expr import RationalExpr, add_products
 from .matrix import invert_matrix, row_reduce_fractions
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace, Record
-from .poly import affine_rows, reduce_by
+from .poly import reduce_by
 
 RANK_TOLERANCE = 1e-8
 
@@ -299,19 +299,19 @@ def exact_rank(system: ConstraintSystem, inverse, cfg: SamplerConfig) -> int | N
 
 
 def _affine_shell(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig) -> bool:
-    """True when `affine_rows` accepts the set, chi = A z + b, and its
-    shell is then decided, exactly and with no point drawn, to be
-    nonempty; False for any other set.  Delta is c A Omega A^T c for
-    nonzero scales c (see `delta_matrix`), so an invertible Delta makes A
-    of full row rank, and A z = -b has a solution.  Otherwise the shell
-    is empty (NoOnShellPointError) unless rank A = rank [A | b] over Q,
-    with b at the `Fraction` of each binding.  A missing binding is a
+    """True when every constraint is a polynomial of total degree at most
+    1 (read from its leading monomial), chi = A z + b, and its shell is
+    then decided, exactly and with no point drawn, to be nonempty; False
+    for any other set.  Delta is c A Omega A^T c for nonzero scales c
+    (see `delta_matrix`), so an invertible Delta makes A of full row
+    rank, and A z = -b has a solution.  Otherwise the shell is empty
+    (NoOnShellPointError) unless rank A = rank [A | b] over Q, with b at
+    the `Fraction` of each binding.  A missing binding is a
     ValidationError and a non-finite one that a constraint mentions a
     NoOnShellPointError, as when sampling."""
     ps, constraints = system.ps, system.constraints
     nvars = 2 * ps.n
-    if not all(chi.is_polynomial for chi in constraints) \
-            or affine_rows([chi.num for chi in constraints], nvars) is None:
+    if not all(chi.is_polynomial and chi.num.total_degree() <= 1 for chi in constraints):
         return False
     _parameter_values(ps, cfg)  # a missing binding is a ValidationError
     mentioned = {i - nvars for chi in constraints for i in chi.num.symbols_used() if i >= nvars}

@@ -19,7 +19,6 @@ with every atom that divides its numerator cancelled.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
 from .expr import RationalExpr, add_products
 from .matrix import invert_matrix
 from .phase_space import PhaseSpace, Record
-from .poly import affine_rows
+from .poly import Polynomial, affine_rows
 
 
 def _support(e: RationalExpr) -> frozenset[int]:
@@ -78,13 +77,13 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
         if all(chi.is_polynomial for chi in constraints) else None
     if rows is None:
         return bracket_table(constraints, ps)
-    n = ps.n
+    n, nsyms = ps.n, ps.nsyms
     halves = [(num, den, row[:n], row[n:]) for num, den, row in rows]
 
     def bracket(a, b):
         (na, da, xa, pa), (nb, db, xb, pb) = halves[a], halves[b]
         omega = sum(map(mul, xa, pb)) - sum(map(mul, pa, xb))
-        return RationalExpr.constant(ps, Fraction(na * nb * omega, da * db))
+        return RationalExpr.from_polynomial(ps, Polynomial.ratio(nsyms, na * nb * omega, da * db))
 
     return _skew(k, ps, bracket)
 

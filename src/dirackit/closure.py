@@ -11,6 +11,7 @@ commutators are traceless, the identity is not.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .analysis import (
     Classification,
@@ -95,18 +96,20 @@ def _solve_exact(rows: list[list[Fraction]],
 
 
 def _checked(targets, basis: PrimarySet):
-    """The targets, each one checked to be a polynomial as it is drawn and
-    the basis right after the first, so that the first failure is the one
-    a target-by-target decomposition would meet."""
-    for i, target in enumerate(targets):
-        if not target.is_polynomial:
+    """The targets, each one checked to be a polynomial as it is drawn,
+    and the basis right after the first or, when none is drawn, at the
+    end, so that the first failure is the one a target-by-target
+    decomposition would meet.  None marks the end."""
+    for i, target in enumerate(chain(targets, [None])):
+        if target is not None and not target.is_polynomial:
             raise NonPolynomialInputError(f"target is not polynomial: {target}")
         if i == 0:
             for name, e in zip(basis.names, basis.exprs):
                 if not e.is_polynomial:
                     raise NonPolynomialInputError(
                         f"basis element {name} is not polynomial: {e}")
-        yield target
+        if target is not None:
+            yield target
 
 
 def decompose_linear(targets, basis: PrimarySet) -> list[Decomposition | None]:

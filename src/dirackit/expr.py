@@ -122,8 +122,8 @@ class RationalExpr:
         self._set(ps, num, () if den.is_constant else ((_atom(den), 1),))
 
     def _set(self, ps: PhaseSpace, num: Polynomial, atoms: tuple) -> None:
-        if num.is_zero or not atoms:
-            atoms, den = (), _one(ps.nsyms)
+        if not atoms or num.is_zero:
+            atoms, den = (), _one(num.nsyms)
         else:
             den = _product(atoms)
         self.ps, self.num, self.den, self.atoms, self._partials = ps, num, den, atoms, None

@@ -6,17 +6,18 @@ share.  Pivot choice: among the nonzero candidates in the current
 column, take the entry whose numerator has the fewest monomials; ties go
 to the lowest row index.  This keeps intermediate expression swell down
 and is fully deterministic.  A matrix of constants is inverted
-fraction-free on Python ints instead (`_invert_integers`).
+fraction-free on packed Python ints instead (`_invert_integers`).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 
 from .errors import SingularMatrixError
 from .expr import RationalExpr
+from .poly import Polynomial
 
 
 def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
@@ -53,37 +54,39 @@ def row_reduce_fractions(rows: list[list], ncols: int) -> list[int]:
     return row_reduce(rows, ncols, Fraction(1), operator.not_, lambda v: 1)
 
 
-def _invert_integers(values: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular matrix of Fractions by one fraction-free
-    (Bareiss 1968) Gauss-Jordan pass over ints on [scale * A | I].
-
-    Each step replaces every row but the pivot row by
-    (p * row - f * pivot_row) // prev, which divides exactly, and drops
-    the eliminated column, whose entries are then 0 off the pivot row.
-    What is left at the end is d * (scale * A)^-1, where d, the last
-    pivot, is det(scale * A) up to the sign of the row swaps; so the
-    result is scale * adj / det, one Fraction per entry.  The pivot is the
-    first nonzero entry in the column, with a row swap, as in
-    Gauss-Jordan on Fractions (`row_reduce_fractions`); each entry here
-    is a nonzero multiple of the one there, so both meet the same first
-    column without a pivot."""
-    size = len(values)
-    scale = lcm(*(v.denominator for row in values for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row]
-            + [int(i == j) for j in range(size)] for i, row in enumerate(values)]
+def _invert_integers(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(d, d * M^-1) for a nonsingular integer matrix M, d = +-det M: one
+    fraction-free (Bareiss 1968) Gauss-Jordan pass over [M | I], each row
+    one int of w-bit two's-complement slots, the current column in the
+    lowest.  A step reads each row's head slot f, centred mod 2^w, puts
+    (p * row - f * pivot_row) / prev, whose head is 0, in place of every
+    row but the pivot row, and shifts every head off.  Every slot is a
+    minor of [M | I] (Sylvester's identity), so it is below
+    sqrt(prod_i (|row_i|^2 + 1)) < 2^(w-2) in size (Hadamard's bound)
+    and divides exactly by prev; so does the packed int, slot by slot.
+    The pivot is the first nonzero entry in the column, as in
+    `row_reduce_fractions`: each entry here is a nonzero multiple of the
+    one there, so both meet the same first column without a pivot."""
+    size = len(rows)
+    w = isqrt(prod(sum(a * a for a in row) + 1 for row in rows)).bit_length() + 2
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    rows = [sum(a << w * j for j, a in enumerate(row)) + (1 << w * (size + i))
+            for i, row in enumerate(rows)]
     prev = 1
     for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][0]), None)
+        heads = [((x & mask) ^ half) - half for x in rows]
+        piv = next((r for r in range(col, size) if heads[r]), None)
         if piv is None:
             raise SingularMatrixError(f"no nonzero pivot in column {col}")
         rows[col], rows[piv] = rows[piv], rows[col]
-        p, tail = rows[col][0], rows[col][1:]
-        for r, row in enumerate(rows):
-            f = row[0]
-            rows[r] = tail if r == col else \
-                [(p * a - f * b) // prev for a, b in zip(row[1:], tail)]
+        heads[col], heads[piv] = heads[piv], heads[col]
+        top, p = rows[col], heads[col]
+        rows = [(x - p) >> w if r == col else ((p * x - f * top) >> w) // prev
+                for r, (x, f) in enumerate(zip(rows, heads))]
         prev = p
-    return [[Fraction(scale * v, prev) for v in row] for row in rows]
+    bias = sum(half << w * j for j in range(size))  # every slot read as nonnegative
+    return prev, [[(y >> w * j & mask) - half for j in range(size)]
+                  for y in (x + bias for x in rows)]
 
 
 def invert_matrix(rows) -> tuple[tuple[RationalExpr, ...], ...]:
@@ -92,19 +95,25 @@ def invert_matrix(rows) -> tuple[tuple[RationalExpr, ...], ...]:
     Raises ValueError unless every row is as long as there are rows, and
     SingularMatrixError when some column has no nonzero pivot, i.e. the
     matrix is singular as a matrix of rational functions, naming the
-    first such column.  A matrix of constants is inverted on ints by
-    `_invert_integers`; an inverse is unique and a constant has one
-    normal form, so the entries are the ones elimination over rational
-    functions builds.
+    first such column.  A matrix A of constants is inverted on ints by
+    `_invert_integers`, from the (num, den) contents of scale * A to the
+    entries scale * v / d, each put in lowest terms by one gcd
+    (`Polynomial.ratio`), with no `Fraction`; an inverse is unique and a
+    constant has one normal form, so the entries are the ones elimination
+    over rational functions builds.
     """
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("matrix must be square")
     ps = rows[0][0].ps
     if all(e.num.is_constant and e.den.is_constant for row in rows for e in row):
-        values = [[e.num.constant_value() for e in row] for row in rows]
-        return tuple(tuple(RationalExpr.constant(ps, v) for v in row)
-                     for row in _invert_integers(values))
+        values = [[(0, 1) if e.num.is_zero else e.num.signed_content() for e in row]
+                  for row in rows]
+        scale = lcm(*(den for row in values for _, den in row))
+        d, scaled = _invert_integers([[n * (scale // den) for n, den in row] for row in values])
+        nsyms = ps.nsyms
+        return tuple(tuple(RationalExpr.from_polynomial(ps, Polynomial.ratio(nsyms, scale * v, d))
+                           for v in row) for row in scaled)
     one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
     work = [[*row, *(one if i == j else zero for j in range(size))]
             for i, row in enumerate(rows)]

@@ -207,9 +207,16 @@ class Polynomial:
             num, den = value.as_integer_ratio()
         else:
             num, den = Fraction(value).as_integer_ratio()
+        return Polynomial.ratio(nsyms, num, den)
+
+    @staticmethod
+    def ratio(nsyms: int, num: int, den: int) -> "Polynomial":
+        """The constant num/den for ints num and den != 0, put in lowest
+        terms by one gcd."""
         if num == 0:
             return Polynomial.zero(nsyms)
-        return _make(nsyms, num, den, {0: 1}, 0)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return _make(nsyms, num // g, den // g, {0: 1}, 0)
 
     @staticmethod
     def variable(nsyms: int, index: int) -> "Polynomial":

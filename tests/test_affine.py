@@ -20,13 +20,15 @@ from dirackit import (
     PhaseSpace,
     RationalExpr,
     bracket_table,
+    classify_constraints,
     delta_matrix,
     dirac_bracket,
     make_context,
     parse_expression,
     trace_identity,
 )
-from dirackit.errors import NotSecondClassError
+from dirackit.cli import main
+from dirackit.errors import NoOnShellPointError, NotSecondClassError
 from dirackit.poly import affine_rows
 from dirackit.sysfile import parse_system
 
@@ -184,3 +186,28 @@ def test_a_non_affine_set_takes_the_brackets(poisson_calls, texts):
     assert poisson_calls[0] == k * (k - 1)
     assert trace_identity(ctx).holds
     assert poisson_calls[0] == k * (k - 1)
+
+
+def test_classification_builds_the_coefficient_rows_once(monkeypatch, tmp_path):
+    """`delta_matrix` builds the rows; `_affine_shell` tells an affine set
+    by its leading monomials and reads [A | b] only when Delta is
+    singular.  The inconsistent set still exits 4."""
+    calls = []
+
+    @functools.wraps(affine_rows)
+    def counted(*args):
+        calls.append(1)
+        return affine_rows(*args)
+
+    replace_everywhere(monkeypatch, affine_rows, counted)
+    spec = parse_system(mix_text(10, 10, random.Random(1)))
+    c = classify_constraints(spec.ps, spec.constraints, spec.sampler)
+    assert (c.verdict, c.on_shell_rank, len(calls)) == ("second_class", 20, 1)
+    inconsistent = "[system]\nn = 1\n[constraints]\nchi1 = x1\nchi2 = x1 - 1\n"
+    spec = parse_system(inconsistent)
+    with pytest.raises(NoOnShellPointError, match="affine constraints are inconsistent"):
+        classify_constraints(spec.ps, spec.constraints, spec.sampler)
+    assert len(calls) == 2
+    path = tmp_path / "inconsistent.system"
+    path.write_text(inconsistent, encoding="utf-8")
+    assert main(["classify", str(path)]) == 4

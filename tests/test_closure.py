@@ -3,6 +3,7 @@
 import collections
 import functools
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -295,13 +296,23 @@ g4 = p2
 [onshell]
 use chi1
 """
+# One primary and no Hamiltonian: there is no bracket to draw, and the
+# basis is still checked.
+LONE_RATIONAL_PRIMARY = """[system]
+n = 2
+[constraints]
+chi1 = x2
+chi2 = p2
+[primaries]
+g1 = 1/x1
+"""
 
 
 class TestFirstFailure:
     """Closure checks each reduced bracket once, as decompose_linear draws
-    it, and the basis once, right after the first bracket: the first
-    failure, its message and its exit code stay those of a
-    bracket-by-bracket decomposition."""
+    it, and the basis once, right after the first bracket or, when there
+    is none, at the end: the first failure, its message and its exit code
+    stay those of a bracket-by-bracket decomposition."""
 
     @staticmethod
     def run_closure(tmp_path, text, mode, capsys):
@@ -323,6 +334,26 @@ class TestFirstFailure:
         g3, g4 = spec.primaries.exprs[2:]
         with pytest.raises(ZeroDenominatorOnShellError):
             poisson_bracket(g3, g4, spec.ps).reduce_mod(spec.on_shell_rules)
+
+    def test_lone_rational_primary(self, ps3):
+        basis = PrimarySet(("g1",), (E("1/x1", ps3),))
+        message = "basis element g1 is not polynomial: (1)/(x1)"
+        for run in (lambda: closure_analysis(basis, ps3), lambda: decompose_linear([], basis)):
+            with pytest.raises(NonPolynomialInputError, match=rf"^{re.escape(message)}$"):
+                run()
+        # A polynomial lone primary is closed, as before.
+        assert closure_analysis(PrimarySet(("g1",), (E("x1", ps3),)), ps3).closed
+
+    @pytest.mark.parametrize("second", ["", "g2 = x2\n"])
+    @pytest.mark.parametrize("command", [["closure", "--mode", "poisson"],
+                                         ["closure", "--mode", "dirac"], ["analyze"]])
+    def test_lone_rational_primary_exits_5(self, tmp_path, capsys, command, second):
+        """With or without a second primary, whose bracket is drawn first."""
+        path = tmp_path / "lone.system"
+        path.write_text(LONE_RATIONAL_PRIMARY + second, encoding="utf-8")
+        code = main([command[0], str(path), *command[1:]])
+        first = capsys.readouterr().err.splitlines()[0]
+        assert (code, first) == (5, "error: basis element g1 is not polynomial: (1)/(x1)")
 
     def test_each_bracket_and_primary_checked_once(self, monkeypatch, ps3, angular_momenta):
         reads = collections.Counter()

@@ -132,29 +132,33 @@ def test_inversion_skips_exact_zero_products(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch, seed):
-    """A constant Delta (a linear mix) is inverted on ints: it makes no
-    RationalExpr product, and its inverse has the very entries that the
-    elimination over RationalExprs gives."""
+    """A constant Delta (a linear mix of 1 to 4 pairs, and of 5 + seed
+    pairs, up to the benchmark's largest mix) is inverted on ints: it
+    makes no RationalExpr product, and its inverse has the very entries
+    that the elimination over RationalExprs gives."""
     rng = random.Random(seed)
-    ps = PhaseSpace(5)
-    mat = delta_matrix(linear_mix_constraints(ps, rng.randint(1, 4), rng), ps)
-    size = len(mat)
-    unit = identity(size, ps)
-    rows = [list(mat[i] + unit[i]) for i in range(size)]
-    assert matrix.row_reduce(rows, size, RationalExpr.constant(ps, 1),
-                             operator.attrgetter("is_zero"), lambda e: len(e.num)) \
-        == list(range(size))
+    ps = PhaseSpace(10)
+    cases = []
+    for m in (rng.randint(1, 4), 5 + seed):
+        mat = delta_matrix(linear_mix_constraints(ps, m, rng), ps)
+        size = len(mat)
+        unit = identity(size, ps)
+        rows = [list(mat[i] + unit[i]) for i in range(size)]
+        assert matrix.row_reduce(rows, size, RationalExpr.constant(ps, 1),
+                                 operator.attrgetter("is_zero"), lambda e: len(e.num)) \
+            == list(range(size))
+        cases.append((mat, [row[size:] for row in rows]))
     products = []
     original = RationalExpr.__mul__
     monkeypatch.setattr(RationalExpr, "__mul__",
                         lambda a, b: products.append(1) or original(a, b))
-    inv = invert_matrix(mat)
-    assert not products
-    for i in range(size):
-        for j in range(size):
-            general = rows[i][size + j]
-            assert (inv[i][j].num, inv[i][j].den) == (general.num, general.den)
-            assert str(inv[i][j]) == str(general)
+    for mat, general in cases:
+        inv = invert_matrix(mat)
+        assert not products
+        for inv_row, general_row in zip(inv, general, strict=True):
+            for e, g in zip(inv_row, general_row, strict=True):
+                assert (e.num, e.den) == (g.num, g.den)
+                assert str(e) == str(g)
 
 
 # -- the fraction-free inverse of a constant matrix -----------------------
@@ -188,7 +192,7 @@ def _as_matrix(values, ps):
 
 
 @pytest.mark.parametrize("fractions", [False, True])
-@pytest.mark.parametrize("size", range(1, 13))
+@pytest.mark.parametrize("size", range(1, 25))
 def test_constant_inverse_matches_fraction_elimination_and_sympy(size, fractions):
     """Nonsingular seeded matrices, skew (even sizes; an odd skew matrix
     is singular) and not skew, with int and with Fraction entries."""
@@ -212,7 +216,7 @@ def test_constant_inverse_matches_fraction_elimination_and_sympy(size, fractions
                 assert entry.num.constant_value() == Fraction(str(oracle[i, j]))
 
 
-@pytest.mark.parametrize("size", range(2, 13))
+@pytest.mark.parametrize("size", range(2, 25))
 def test_constant_singular_matrix_names_the_fraction_path_column(size):
     """A seeded column that is a combination of the ones before it, not
     the last one, is the first without a pivot; odd skew matrices are
@@ -234,3 +238,79 @@ def test_constant_singular_matrix_names_the_fraction_path_column(size):
         assert col is None or message == f"no nonzero pivot in column {col}"
         with pytest.raises(SingularMatrixError, match=f"^{message}$"):
             invert_matrix(_as_matrix(values, ps))
+
+
+# -- the width of a packed slot -------------------------------------------
+
+def _sylvester(order):
+    """The +-1 Hadamard matrix of Sylvester's doubling; |det| = order^(order/2)."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+def _skew_conference(q):
+    """Paley's skew conference matrix of order q + 1 for a prime q = 3 mod
+    4: C = -C^T, C C^T = q I, so |det| = q^((q + 1) / 2)."""
+    squares = {i * i % q for i in range(1, q)}
+    chi = [0] + [1 if i in squares else -1 for i in range(1, q)]
+    return [[0] + [1] * q] + [[-1] + [chi[(j - i) % q] for j in range(q)] for i in range(q)]
+
+
+def _hadamard_bound_squared(values):
+    """prod_i |row_i|^2, which |det|^2 never exceeds."""
+    bound = Fraction(1)
+    for row in values:
+        bound *= sum(v * v for v in row)
+    return bound
+
+
+SLOT_CASES = {
+    "sylvester_8": _sylvester(8),
+    "sylvester_16": _sylvester(16),
+    "sylvester_16_scaled": [[v * 3 ** 40 for v in row] for row in _sylvester(16)],
+    "conference_4": _skew_conference(3),
+    "conference_8": _skew_conference(7),
+    "huge_entries": [[2 ** 200 + 7, -(2 ** 199) + 3, 5],
+                     [2 ** 201 - 1, 2 ** 200, -(2 ** 200) + 1],
+                     [-3, 2 ** 198 + 11, 2 ** 200 - 5]],
+    "mixed_scales": [[Fraction(1, 10 ** 9), 10 ** 9, 0, 1],
+                     [-(10 ** 9), Fraction(1, 10 ** 9), Fraction(3, 7), 0],
+                     [0, Fraction(-3, 7), Fraction(1, 10 ** 9), 10 ** 9],
+                     [-1, 0, -(10 ** 9), Fraction(1, 10 ** 9)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_CASES))
+def test_slot_width_holds_matrices_at_hadamards_bound(name):
+    """Matrices whose determinant meets Hadamard's bound fill the widest
+    slot a minor can; huge entries and unlike scales come out exact."""
+    import sympy
+
+    values = [[Fraction(v) for v in row] for row in SLOT_CASES[name]]
+    size = len(values)
+    det = sympy.Matrix(values).det()
+    if name.startswith(("sylvester", "conference")):
+        assert det ** 2 == _hadamard_bound_squared(values)
+    expected = _fraction_inverse(values)
+    inverse = invert_matrix(_as_matrix(values, PhaseSpace(1)))
+    oracle = sympy.Matrix(values).inv()
+    for i in range(size):
+        for j in range(size):
+            value = inverse[i][j].num.constant_value()
+            assert inverse[i][j].den.constant_value() == 1
+            assert value == expected[i][j] == Fraction(str(oracle[i, j]))
+
+
+def test_first_column_zero_is_singular_at_column_0():
+    import sympy
+
+    values = [[Fraction(0), Fraction(1), Fraction(2)],
+              [Fraction(0), Fraction(3), Fraction(-1)],
+              [Fraction(0), Fraction(5), Fraction(7, 2)]]
+    assert sympy.Matrix(values).det() == 0
+    message = _fraction_inverse(values)
+    assert message == "no nonzero pivot in column 0"
+    with pytest.raises(SingularMatrixError, match=f"^{message}$"):
+        invert_matrix(_as_matrix(values, PhaseSpace(1)))

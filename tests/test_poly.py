@@ -53,6 +53,16 @@ def test_grlex_leading_monomial_prefers_x1(ps):
     assert lead == (2, 0, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("num, den", [(6, 4), (-6, 4), (6, -4), (-6, -4), (0, 5), (0, -5),
+                                      (7, 1), (2 ** 200 * 3, -(2 ** 199) * 9)])
+def test_ratio_is_the_constant_of_the_fraction(ps, num, den):
+    """One gcd gives the stored form `Polynomial.constant` gives the Fraction."""
+    got = Polynomial.ratio(ps.nsyms, num, den)
+    want = Polynomial.constant(ps.nsyms, Fraction(num, den))
+    assert got == want and got.signed_content() == want.signed_content()
+    assert got.constant_value() == Fraction(num, den) and got.is_zero == (num == 0)
+
+
 def test_content(ps):
     p = P("4*x1 + 6*x2", ps)
     assert p.content() == 2

@@ -12,7 +12,6 @@ from .analysis import (
     SamplerConfig,
     TraceIdentity,
     classify_constraints,
-    dof_count,
     reduction_check,
     sample_on_shell,
     trace_identity,
@@ -64,7 +63,6 @@ __all__ = [
     "decompose_linear",
     "delta_matrix",
     "dirac_bracket",
-    "dof_count",
     "finite_dim_obstruction",
     "invert_matrix",
     "lemma_verdict",

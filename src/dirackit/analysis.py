@@ -22,7 +22,6 @@ from .brackets import (
     poisson_bracket,
 )
 from .errors import (
-    InvalidCountsError,
     NoOnShellPointError,
     PoleAtPointError,
     PreconditionViolatedError,
@@ -427,10 +426,3 @@ def reduction_check(ctx: DiracContext, eliminated: set[int],
     if not banned.isdisjoint(_support(f) | _support(g)):
         raise PreconditionViolatedError("f or g mentions an eliminated variable")
     return (dirac_bracket(f, g, ctx) - poisson_bracket(f, g, ps)).is_zero
-
-
-def dof_count(n: int, m: int) -> int:
-    """Remaining canonical pairs after eliminating m second-class pairs."""
-    if m < 0 or n < 0 or m > n:
-        raise InvalidCountsError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return n - m

@@ -65,6 +65,7 @@ def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, Rationa
 
 def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
     """Constraint bracket matrix Delta_ab = {chi_a, chi_b} by rows; exactly skew.
+    An odd or empty set, or more than 2n constraints, is refused first.
 
     An affine set makes no bracket: chi_a is c_a times sum_j A_a[z_j] z_j
     over the variables z, with an integer row A_a, plus a term free of
@@ -73,6 +74,8 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
     k = len(constraints)
     if k < 2 or k % 2 != 0:
         raise OddConstraintCountError(f"need an even number >= 2 of constraints, got {k}")
+    if k > 2 * ps.n:
+        raise TooManyConstraintsError(f"{k} constraints exceed 2n = {2 * ps.n}")
     rows = affine_rows([chi.num for chi in constraints], 2 * ps.n) \
         if all(chi.is_polynomial for chi in constraints) else None
     if rows is None:
@@ -113,10 +116,7 @@ class DiracContext(ConstraintSystem):
 def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     """Validate a second-class constraint set and cache Delta and its inverse."""
     constraints = tuple(constraints)
-    delta = delta_matrix(constraints, ps)  # rejects an odd or empty set first
-    k = len(constraints)
-    if k > 2 * ps.n:
-        raise TooManyConstraintsError(f"{k} constraints exceed 2n = {2 * ps.n}")
+    delta = delta_matrix(constraints, ps)
     try:
         delta_inv = invert_matrix(delta)
     except SingularMatrixError as exc:

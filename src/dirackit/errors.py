@@ -63,10 +63,6 @@ class NoOnShellPointError(DiracKitError):
     """Newton sampling failed to land on the constraint surface."""
 
 
-class InvalidCountsError(DiracKitError):
-    """Degrees-of-freedom query with m > n or negative counts."""
-
-
 class PreconditionViolatedError(DiracKitError):
     """Caller broke a documented operation precondition."""
 

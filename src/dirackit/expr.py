@@ -31,7 +31,6 @@ from .errors import (
     DivisionByZeroError,
     NonPolynomialInputError,
     PoleAtPointError,
-    UnknownSymbolError,
     ZeroDenominatorOnShellError,
 )
 from .phase_space import PhaseSpace
@@ -41,12 +40,11 @@ from .poly import Polynomial, reduce_by, sum_of_products
 class _Atom:
     """An interned primitive polynomial with a positive leading coefficient."""
 
-    __slots__ = ("poly", "key", "support")
+    __slots__ = ("poly", "key")
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
         self.key = tuple(sorted(poly._t.items(), reverse=True))
-        self.support = poly.symbols_used()
 
     def __lt__(self, other: "_Atom") -> bool:
         return self.key > other.key
@@ -228,12 +226,6 @@ class RationalExpr:
 
     # -- calculus -----------------------------------------------------
 
-    def diff(self, var: str) -> "RationalExpr":
-        """Exact partial derivative; var must be a coordinate or momentum."""
-        if not self.ps.is_variable(var):
-            raise UnknownSymbolError(var)
-        return self.diff_index(self.ps.index_of(var))
-
     def diff_index(self, index: int) -> "RationalExpr":
         """The partial along variable `index`, computed once per expression."""
         if self._partials is None:
@@ -246,7 +238,7 @@ class RationalExpr:
         """d(N / prod f_i^e_i) = (dN * prod_H f_i - N * sum_H e_i df_i
         prod_{H - i} f_j) / prod f_i^(e_i + [i in H]), where H holds the
         atoms that depend on the variable."""
-        hit = [(atom.poly, e) for atom, e in self.atoms if index in atom.support]
+        hit = [(atom.poly, e) for atom, e in self.atoms if index in atom.poly.symbols_used()]
         num = self.num.derivative(index)
         for f, _ in hit:
             num = num * f
@@ -257,7 +249,7 @@ class RationalExpr:
                     term = term * g
             num = num - term
         return RationalExpr._build(self.ps, num, tuple(
-            (atom, e + (index in atom.support)) for atom, e in self.atoms))
+            (atom, e + (index in atom.poly.symbols_used())) for atom, e in self.atoms))
 
     # -- evaluation ---------------------------------------------------
 

@@ -18,20 +18,21 @@ number or a symbol raised to a power k >= 0 is one term: a coefficient
 (an int or a Fraction) and a packed monomial key (see `dirackit.poly`).
 A product of terms multiplies the coefficients and adds the keys, with
 the degree check of `Polynomial.__mul__`.  A sum collects its terms in
-one {key: coefficient} dict, normalized once into a `Polynomial` when
-the sum ends.  `Polynomial` arithmetic is used only where a sum in
-parentheses is multiplied, divided by a constant or raised to a power.
+one {key: coefficient} dict, normalized once when the sum ends into a
+polynomial `RationalExpr`.  A sum in parentheses is therefore a
+`RationalExpr`, and its products, quotients and powers use
+`RationalExpr` arithmetic; a sum of them still collects into one dict.
 A power and a product of two sums are bounded before they are expanded
 (see `dirackit.poly`).
 Polynomials have one stored form per value, so the result is the one
 any order of the same operations gives.
 
-A `RationalExpr` is made only at a "/" by a non-constant or at a
-negative power, which makes the divisor an atom of the denominator (see
-`dirackit.expr`).  From there the enclosing products and sums fold left
-to right in `RationalExpr` arithmetic.  It takes no gcd and does not
-cancel, so a quotient keeps the numerator it was written with:
-"(x1^2-1)/(x1-1)" prints as written.
+A non-polynomial `RationalExpr` is made only at a "/" by a non-constant
+or at a negative power, which makes the divisor an atom of the
+denominator (see `dirackit.expr`).  From there the enclosing products
+and sums fold left to right in `RationalExpr` arithmetic.  It takes no
+gcd and does not cancel, so a quotient keeps the numerator it was
+written with: "(x1^2-1)/(x1-1)" prints as written.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from fractions import Fraction
 from .errors import DivisionByZeroError, ExpressionSyntaxError, UnknownSymbolError
 from .expr import RationalExpr
 from .phase_space import PhaseSpace
-from .poly import (SLOT_BITS, Polynomial, _check_degree, _check_power, _check_product,
-                   _from_terms, _layout)
+from .poly import SLOT_BITS, _check_degree, _check_power, _check_product, _from_terms, _layout
 
 _TOKEN = re.compile(r"""
     (?P<number>[0-9]+(?:/[0-9]+)?)
@@ -83,7 +83,7 @@ def _integer(digits: str, pos: int) -> int:
 
 
 class _Parser:
-    """Each grammar rule returns a term, a `Polynomial` or a `RationalExpr`."""
+    """Each grammar rule returns a term or a `RationalExpr`."""
 
     def __init__(self, text: str, ps: PhaseSpace):
         self.ps = ps
@@ -119,21 +119,19 @@ class _Parser:
         return self.rational(e)
 
     def expr(self):
+        """Terms and polynomial RationalExprs collect into one dict; from
+        the first other RationalExpr on, the sum folds."""
         e = self.term()
         if not self.at("+-"):
             return e
-        if isinstance(e, RationalExpr):
-            return self.fold(e)
         terms = {}
-        self.collect(terms, e)
-        while self.at("+-"):
+        while type(e) is tuple or e.is_polynomial:
+            self.collect(terms, e)
+            if not self.at("+-"):
+                return self.finish(terms)
             minus = self.advance()[1] == "-"
-            e = self.term()
-            if isinstance(e, RationalExpr):
-                acc = self.rational(self.finish(terms))
-                return self.fold(acc - e if minus else acc + e)
-            self.collect(terms, self.neg(e) if minus else e)
-        return self.finish(terms)
+            e = self.neg(self.term()) if minus else self.term()
+        return self.fold(self.finish(terms) + e)
 
     def fold(self, e):
         """The rest of a sum whose value so far is e, folded left to right
@@ -202,31 +200,24 @@ class _Parser:
 
     # -- values -------------------------------------------------------
 
-    def polynomial(self, v) -> Polynomial:
-        if type(v) is not tuple:
-            return v
-        c, key = v
-        return _from_terms(self.nsyms, {key: c})
-
     def rational(self, v) -> RationalExpr:
-        if isinstance(v, RationalExpr):
-            return v
-        return RationalExpr.from_polynomial(self.ps, self.polynomial(v))
+        return self.finish({v[1]: v[0]}) if type(v) is tuple else v
 
     def collect(self, terms: dict, v) -> None:
-        """terms += v, for a term or a Polynomial v."""
+        """terms += v, for a term or a polynomial RationalExpr v."""
         get = terms.get
         if type(v) is tuple:
             c, key = v
             terms[key] = get(key, 0) + c
             return
-        num, den = v._n, v._d
-        for key, c in v._t.items():
+        p = v.num
+        num, den = p._n, p._d
+        for key, c in p._t.items():
             terms[key] = get(key, 0) + (num * c if den == 1 else Fraction(num * c, den))
 
-    def finish(self, terms: dict) -> Polynomial:
+    def finish(self, terms: dict) -> RationalExpr:
         """The sum of the collected terms, normalized once."""
-        return _from_terms(self.nsyms, terms)
+        return RationalExpr.from_polynomial(self.ps, _from_terms(self.nsyms, terms))
 
     def neg(self, v):
         if type(v) is tuple:
@@ -240,18 +231,14 @@ class _Parser:
                 return _ZERO
             _check_degree((ka >> self.shift) + (kb >> self.shift))
             return ca * cb, ka + kb
-        if isinstance(a, RationalExpr) or isinstance(b, RationalExpr):
-            a, b = self.rational(a), self.rational(b)
-            _check_product(a.num, b.num)
-            return a * b
-        a, b = self.polynomial(a), self.polynomial(b)
-        _check_product(a, b)
+        a, b = self.rational(a), self.rational(b)
+        _check_product(a.num, b.num)
         return a * b
 
     def div(self, a, b):
-        if type(b) is Polynomial and b.is_constant:
-            b = b.constant_value(), 0
-        if type(b) is not tuple or b[1] or isinstance(a, RationalExpr):
+        if type(b) is not tuple and b.is_polynomial and b.num.is_constant:
+            b = b.num.constant_value(), 0
+        if type(b) is not tuple or b[1]:
             return self.rational(a) / self.rational(b)
         c = b[0]
         if not c:
@@ -261,10 +248,8 @@ class _Parser:
         return a.scale(1 / Fraction(c))
 
     def power(self, v, k: int):
-        if k < 0 or isinstance(v, RationalExpr):
+        if k < 0 or type(v) is not tuple:
             return self.rational(v).int_pow(k)
-        if type(v) is not tuple:
-            return v ** k
         c, key = v
         _check_degree((key >> self.shift) * k)
         _check_power(1, max(abs(c.numerator), c.denominator), k)

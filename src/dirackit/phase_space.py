@@ -87,10 +87,6 @@ class PhaseSpace(Record):
         except KeyError:
             raise UnknownSymbolError(name) from None
 
-    def is_variable(self, name: str) -> bool:
-        """True for coordinates and momenta; parameters are constants."""
-        return name in self._index and self._index[name] < 2 * self.n
-
     def coordinate_index(self, i: int) -> int:
         """Symbol index of x_i (1-based i)."""
         return i - 1

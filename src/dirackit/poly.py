@@ -245,10 +245,6 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         return _fraction(self._n * self._t.get(0, 0), self._d)
 
-    def content(self) -> Fraction:
-        """Positive gcd of the coefficients (gcd of numerators / lcm of denominators)."""
-        return _fraction(abs(self._n), self._d)
-
     def signed_content(self) -> tuple[int, int]:
         """The content with the sign of the leading coefficient, as
         (numerator, denominator) in lowest terms, denominator positive."""

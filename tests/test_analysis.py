@@ -20,7 +20,6 @@ from dirackit import (
     classify_constraints,
     delta_matrix,
     dirac_bracket,
-    dof_count,
     make_context,
     parse_expression,
     reduction_check,
@@ -30,7 +29,6 @@ from dirackit import (
 from dirackit.cli import main
 from dirackit.errors import (
     DiracKitError,
-    InvalidCountsError,
     NoOnShellPointError,
     NotSecondClassError,
     PreconditionViolatedError,
@@ -829,14 +827,3 @@ class TestReductionCheck:
             # An oracle that does not go through poisson_bracket.
             assert abs(dirac_bracket(f, g, ctx).evaluate(point)
                        - fd_poisson(f, g, ps3, point)) <= 1e-6
-
-
-class TestDofCount:
-    def test_values(self):
-        assert dof_count(3, 1) == 2
-        assert dof_count(4, 4) == 0
-        assert dof_count(5, 0) == 5
-
-    def test_invalid(self):
-        with pytest.raises(InvalidCountsError):
-            dof_count(2, 3)

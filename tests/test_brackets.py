@@ -8,7 +8,9 @@ import pytest
 from dirackit import (
     PhaseSpace,
     RationalExpr,
+    SamplerConfig,
     bracket_table,
+    classify_constraints,
     delta_matrix,
     dirac_bracket,
     make_context,
@@ -153,6 +155,8 @@ class TestMakeContext:
         cs = [E("x1", ps), E("p1", ps), E("x1 + p1", ps), E("x1 - p1", ps)]
         with pytest.raises(TooManyConstraintsError):
             make_context(ps, cs)
+        with pytest.raises(TooManyConstraintsError, match="4 constraints exceed 2n = 2"):
+            classify_constraints(ps, cs, SamplerConfig())
 
     def test_sphere_context(self):
         ps = PhaseSpace(3, parameters=("r",))

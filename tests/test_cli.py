@@ -122,6 +122,21 @@ class TestExitCodes:
     def test_not_second_class(self, capsys):
         assert main(["analyze", DEGENERATE]) == 3
 
+    @pytest.mark.parametrize("argv", [["classify", "--format", "json"], ["analyze"], ["verdict"],
+                                      ["trace"], ["bracket", "--f", "x1", "--g", "p1",
+                                                  "--mode", "dirac"]])
+    def test_more_than_2n_constraints(self, tmp_path, capsys, argv):
+        """Four constraints on one pair are refused by every command that
+        builds Delta, before a bracket is taken."""
+        path = tmp_path / "too_many.system"
+        path.write_text("[system]\nn = 1\n[constraints]\nchi1 = x1\nchi2 = p1\n"
+                        "chi3 = x1 + p1\nchi4 = x1 - p1\n")
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 4 constraints exceed 2n = 2\n"
+        assert main(["bracket", str(path), "--f", "x1", "--g", "p1", "--mode", "poisson"]) == 0
+
     def test_sampling_failure(self, tmp_path, capsys):
         path = tmp_path / "empty_variety.system"
         path.write_text("[system]\nn = 1\n[constraints]\nchi1 = x1^2 + 1\n"

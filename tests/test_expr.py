@@ -9,7 +9,6 @@ from dirackit import PhaseSpace, RationalExpr, parse_expression
 from dirackit.errors import (
     DivisionByZeroError,
     PoleAtPointError,
-    UnknownSymbolError,
     ZeroDenominatorOnShellError,
 )
 from dirackit.poly import Polynomial
@@ -67,17 +66,13 @@ class TestArithmetic:
 
 class TestDifferentiate:
     def test_power_rule(self, ps):
-        assert E("x1^2*p2", ps).diff("x1") == E("2*x1*p2", ps)
+        assert E("x1^2*p2", ps).diff_index(ps.index_of("x1")) == E("2*x1*p2", ps)
 
     def test_quotient_rule(self, ps):
-        assert E("x1/p1", ps).diff("p1") == E("-x1/p1^2", ps)
+        assert E("x1/p1", ps).diff_index(ps.index_of("p1")) == E("-x1/p1^2", ps)
 
     def test_parameter_is_constant(self, ps):
-        assert E("r^2", ps).diff("x2").is_zero
-
-    def test_differentiating_by_parameter_rejected(self, ps):
-        with pytest.raises(UnknownSymbolError):
-            E("x1", ps).diff("r")
+        assert E("r^2", ps).diff_index(ps.index_of("x2")).is_zero
 
     def test_linearity_and_leibniz_random(self):
         ps = PhaseSpace(2)
@@ -85,9 +80,9 @@ class TestDifferentiate:
         for _ in range(50):
             f = random_rational_expr(ps, rng)
             g = random_rational_expr(ps, rng)
-            var = rng.choice(ps.symbols)
-            assert (f + g).diff(var) == f.diff(var) + g.diff(var)
-            assert (f * g).diff(var) == f.diff(var) * g + f * g.diff(var)
+            var = ps.index_of(rng.choice(ps.symbols))
+            assert (f + g).diff_index(var) == f.diff_index(var) + g.diff_index(var)
+            assert (f * g).diff_index(var) == f.diff_index(var) * g + f * g.diff_index(var)
 
     def test_numeric_consistency_with_finite_differences(self):
         ps = PhaseSpace(2, parameters=("r",))
@@ -98,7 +93,7 @@ class TestDifferentiate:
             point = random_point(ps, rng)
             var = rng.choice(ps.coordinates + ps.momenta)
             try:
-                exact = e.diff(var).evaluate(point)
+                exact = e.diff_index(ps.index_of(var)).evaluate(point)
                 approx = fd_partial(e, point, var)
             except PoleAtPointError:
                 continue

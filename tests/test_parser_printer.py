@@ -218,28 +218,48 @@ def _monomial(rng: random.Random) -> str:
     return "*".join(factors)
 
 
+def _sum_text(rng: random.Random, most: int) -> str:
+    terms = [_monomial(rng) for _ in range(rng.randint(2, most))]
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + term
+    return text
+
+
 def _sum_product(rng: random.Random) -> str:
     """(<sum>)*(<sum>) with 2 to 4 terms per sum: at most 16 terms and
     small coefficients, far inside the `*` budget (the fold has none)."""
-    def sum_text():
-        terms = [_monomial(rng) for _ in range(rng.randint(2, 4))]
-        text = terms[0]
-        for term in terms[1:]:
-            text += rng.choice([" + ", " - ", "+", "-"]) + term
-        return text
-    return f"({sum_text()}){rng.choice(['*', ' * '])}({sum_text()})"
+    return f"({_sum_text(rng, 4)}){rng.choice(['*', ' * '])}({_sum_text(rng, 4)})"
+
+
+def _parenthesized(rng: random.Random) -> str:
+    """A sum in parentheses divided by a constant (" / ", since "2/3" is
+    one literal), raised to a power, negated, or multiplied into a sum
+    before and after a rational term."""
+    paren = f"({_sum_text(rng, 3)})"
+    shape = rng.randrange(4)
+    if shape == 0:
+        return f"{paren} / {rng.randint(0, 9)}"
+    if shape == 1:
+        return f"{paren}^{rng.choice(['2', '3', '-1', '-2'])}"
+    if shape == 2:
+        return rng.choice([f"-{paren} + {_monomial(rng)}", f"{_monomial(rng)} - {paren}"])
+    rational = rng.choice(["1/x1", "x2/(p1 + 1)", "(x1 - p2)^-1", "r/(x1*p1 + 2)"])
+    return f"{paren}*({_sum_text(rng, 3)}) + {rational} - {paren}*{_monomial(rng)}"
 
 
 def test_parser_matches_the_fold(monkeypatch):
-    """On 3,200 seeded texts, and 400 products of two sums, the parser
-    gives the fold's printed form, its stored num and den, or its
-    exception type and message."""
+    """On 3,200 seeded texts, 400 products of two sums and 400 other uses
+    of a sum in parentheses, the parser gives the fold's printed form,
+    its stored num and den, or its exception type and message."""
     ps = PhaseSpace(2, parameters=("r",))
     rng = random.Random(20260615)
     texts = [_expression(rng, 0) for _ in range(2400)]
     texts += [_malformed(rng, rng.choice(texts)) for _ in range(800)]
     products = random.Random(20261019)
     texts += [_sum_product(products) for _ in range(400)]
+    parenthesized = random.Random(20261020)
+    texts += [_parenthesized(parenthesized) for _ in range(400)]
     multi_term, check_product = set(), parser._check_product
 
     def counted(a, b):
@@ -248,10 +268,29 @@ def test_parser_matches_the_fold(monkeypatch):
         return check_product(a, b)
 
     monkeypatch.setattr(parser, "_check_product", counted)
+    # the texts that reach each parser branch taking a parenthesized sum
+    reached = {"scale": set(), "int_pow": set(), "collect": set()}
+    parsing = False
+
+    def counting(name, method, reaches):
+        def counted(self, *args):
+            if parsing and reaches(self, *args):
+                reached[name].add(text)
+            return method(self, *args)
+        return counted
+
+    rational = parser.RationalExpr
+    monkeypatch.setattr(rational, "scale", counting("scale", rational.scale, lambda e, c: True))
+    monkeypatch.setattr(rational, "int_pow", counting(
+        "int_pow", rational.int_pow, lambda e, k: e.is_polynomial and len(e.num) > 1))
+    monkeypatch.setattr(parser._Parser, "collect", counting(
+        "collect", parser._Parser.collect, lambda p, terms, v: type(v) is not tuple))
     results = {"parsed": 0, "rational": 0, "error": 0}
     for text in texts:
         expected = _outcome(fold_parse, text, ps)
+        parsing = True
         assert _outcome(parse_expression, text, ps) == expected, text
+        parsing = False
         if isinstance(expected[0], type):
             results["error"] += 1
         else:
@@ -259,8 +298,11 @@ def test_parser_matches_the_fold(monkeypatch):
             results["rational"] += expected[0].startswith("(") and ")/(" in expected[0]
     # the sweep reaches every kind of outcome in quantity
     assert min(results.values()) > 300, results
-    # and multiplies two sums in at least one text per hundred
+    # and multiplies two sums, and takes each branch above, in at least
+    # one text per hundred
     assert len(multi_term) >= len(texts) // 100, len(multi_term)
+    assert all(len(hits) >= len(texts) // 100 for hits in reached.values()), \
+        {name: len(hits) for name, hits in reached.items()}
 
 
 TOKENS = ("x1", "x2", "p1", "p2", "r", "y", "_", "0", "1", "2", "3", "12", "1/2", "2/0",

@@ -65,9 +65,9 @@ def test_ratio_is_the_constant_of_the_fraction(ps, num, den):
 
 def test_content(ps):
     p = P("4*x1 + 6*x2", ps)
-    assert p.content() == 2
+    assert abs(Fraction(*p.signed_content())) == 2
     q = P("x1/2 + x2/3", ps)
-    assert q.content() == Fraction(1, 6)
+    assert abs(Fraction(*q.signed_content())) == Fraction(1, 6)
 
 
 def test_pow(ps):
@@ -353,7 +353,8 @@ def divisor_lists(rng, nsyms, tb):
     pair = [Polynomial(nsyms, random_terms(rng, nsyms, 3, 2)) for _ in range(2)]
     u, v = random_monomial(rng, nsyms, 2), random_monomial(rng, nsyms, rng.randint(0, 1))
     non_monic = Polynomial(nsyms, {u: Fraction(6, 5), v: Fraction(-4, 5)})
-    assert non_monic.content() == Fraction(2, 5) and non_monic.sorted_terms()[0][1] == Fraction(6, 5)
+    assert non_monic.signed_content() == (2, 5)
+    assert non_monic.sorted_terms()[0][1] == Fraction(6, 5)
     return [pair, pair[::-1], [non_monic], [non_monic, *pair],
             [Polynomial.constant(nsyms, Fraction(-3, 7))], [Polynomial(nsyms, tb)]]
 
@@ -380,7 +381,7 @@ def test_kernel_matches_reference(case):
     assert dict(a.scale(f).terms) == ref_scale(ta, f)
     i = rng.randrange(nsyms)
     assert dict(a.derivative(i).terms) == ref_derivative(ta, i)
-    assert a.content() == ref_content(ta)
+    assert abs(Fraction(*a.signed_content())) == ref_content(ta)
     assert a.sorted_terms() == sorted(ta.items(), key=lambda t: grlex_key(t[0]),
                                       reverse=True)
     assert a.is_constant == all(sum(m) == 0 for m in ta)

@@ -23,6 +23,7 @@ from .brackets import (
 )
 from .errors import (
     NoOnShellPointError,
+    NotSecondClassError,
     PoleAtPointError,
     PreconditionViolatedError,
     SingularMatrixError,
@@ -379,6 +380,16 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
         dof_pairs=ps.n - k // 2,
         context=context,
     )
+
+
+def second_class_context(c: Classification) -> DiracContext:
+    """c's context if c is second class, else NotSecondClassError saying why not."""
+    if c.context is None:
+        raise NotSecondClassError("constraint bracket matrix is symbolically singular")
+    if c.verdict != "second_class":
+        raise NotSecondClassError("constraint bracket matrix is singular on the shell "
+                                  f"(rank {c.on_shell_rank} < {2 * c.m})")
+    return c.context
 
 
 def trace_identity(ctx: DiracContext) -> TraceIdentity:

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 not second class, 4 sampling
-failure, 5 non-polynomial closure input, 1 internal error.  Standard
-output carries only the report; all diagnostics go to stderr so JSON
-can be piped directly.
+A command returns, for exit 0, or raises a DiracKitError, which `main`
+prints once as `error: ...` and maps to an exit code by `EXIT_CODES`:
+3 not second class (Delta symbolically singular, or singular on the
+shell with its rank r < 2m), 4 no on-shell point, 5 non-polynomial
+closure input, 2 any other input error.  A reader that closes stdout
+early gets 141 (128 + SIGPIPE) and no message; anything else is 1,
+an internal error.  Standard output carries only the report; all
+diagnostics go to stderr so JSON can be piped directly.
 """
 
 from __future__ import annotations
@@ -11,14 +15,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .analysis import classify_constraints, exact_rank, trace_identity
+from .analysis import classify_constraints, exact_rank, second_class_context, trace_identity
 from .brackets import bracket_table, make_context
 from .closure import closure_analysis, finite_dim_obstruction, lemma_verdict, trace_verdict
 from .errors import (
@@ -26,16 +31,14 @@ from .errors import (
     NoOnShellPointError,
     NonPolynomialInputError,
     NotSecondClassError,
+    ValidationError,
 )
 from .parser import parse_expression
 from .sysfile import SystemSpec, load_system
 
-EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_INPUT = 2
-EXIT_NOT_SECOND_CLASS = 3
-EXIT_SAMPLING = 4
-EXIT_NON_POLYNOMIAL = 5
+# An error's exit code: that of the first type, in this order, it is an instance of.
+EXIT_CODES = ((NotSecondClassError, 3), (NoOnShellPointError, 4),
+              (NonPolynomialInputError, 5), (DiracKitError, 2))
 
 # Reported timing resolution.  Coarse on purpose: reports must be
 # byte-identical across runs for fixed input and seed; precise timings
@@ -77,10 +80,6 @@ class _Timings:
     def rounded(self) -> dict[str, int]:
         return {k: int(round((v - self.gc[k]) / TIMING_RESOLUTION_MS)) * TIMING_RESOLUTION_MS
                 for k, v in self.raw.items()}
-
-    def report_stderr(self):
-        for stage, ms in self.raw.items():
-            print(f"[timing] {stage}: {ms:.2f} ms", file=sys.stderr)
 
 
 def _classification_dict(c) -> dict:
@@ -209,12 +208,14 @@ def _space(spec: SystemSpec, mode: str):
     if mode != "dirac":
         return spec.ps
     context = make_context(spec.ps, spec.constraints)
-    if exact_rank(context, context.delta_inv, spec.sampler) in range(2 * context.m):
-        raise NotSecondClassError("constraint bracket matrix is singular on the shell")
+    rank = exact_rank(context, context.delta_inv, spec.sampler)
+    if rank in range(2 * context.m):
+        raise NotSecondClassError("constraint bracket matrix is singular on the shell "
+                                  f"(rank {rank} < {2 * context.m})")
     return context
 
 
-def run_report(spec: SystemSpec, args) -> int:
+def run_report(spec: SystemSpec, args):
     """The one driver of the report commands analyze, classify and closure.
 
     analyze runs classify -> trace -> closure -> verdict, each stage once,
@@ -223,8 +224,7 @@ def run_report(spec: SystemSpec, args) -> int:
     """
     command = args.command
     if command == "closure" and spec.primaries is None:
-        print("error: the system file declares no [primaries]", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValidationError("the system file declares no [primaries]")
     timings = _Timings()
     report = _base_report(spec)
     if command == "closure":
@@ -234,10 +234,7 @@ def run_report(spec: SystemSpec, args) -> int:
             classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
         report["classification"] = _classification_dict(classification)
     if command == "analyze":
-        if classification.verdict != "second_class":
-            print("error: constraint set is not second class", file=sys.stderr)
-            return EXIT_NOT_SECOND_CLASS
-        space = classification.context
+        space = second_class_context(classification)
         with timings.time("trace"):
             trace = trace_identity(space)
         report["trace_identity"] = _trace_dict(trace)
@@ -254,31 +251,32 @@ def run_report(spec: SystemSpec, args) -> int:
         report["verdict"] = None
         print("note: algebra is not closed; no obstruction verdict", file=sys.stderr)
     report["timings_ms"] = timings.rounded()
-    timings.report_stderr()
+    for stage, ms in timings.raw.items():
+        print(f"[timing] {stage}: {ms:.2f} ms", file=sys.stderr)
     emit_report(report, args.format)
-    return EXIT_OK
 
 
-def cmd_bracket(spec: SystemSpec, f_text: str, g_text: str, mode: str) -> int:
-    items = [parse_expression(f_text, spec.ps), parse_expression(g_text, spec.ps)]
-    sys.stdout.write(str(bracket_table(items, _space(spec, mode))[0][1]) + "\n")
-    return EXIT_OK
+def cmd_bracket(spec: SystemSpec, args):
+    items = [parse_expression(args.f, spec.ps), parse_expression(args.g, spec.ps)]
+    sys.stdout.write(str(bracket_table(items, _space(spec, args.mode))[0][1]) + "\n")
 
 
-def cmd_trace(spec: SystemSpec) -> int:
+def cmd_trace(spec: SystemSpec, args):
     t = trace_identity(_space(spec, "dirac"))
     sys.stdout.write(
         f"value={t.value_text} expected={t.expected} holds={str(t.holds).lower()}\n")
-    return EXIT_OK
 
 
-def cmd_verdict(spec: SystemSpec) -> int:
+def cmd_verdict(spec: SystemSpec, args):
     verdict = lemma_verdict(spec.ps, spec.constraints, spec.sampler)
     sys.stdout.write(f"{verdict.kind}\n")
     if verdict.witness:
         sys.stdout.write(f"witness: {json.dumps(_verdict_dict(verdict)['witness'])}\n")
     sys.stdout.write(f"{verdict.explanation}\n")
-    return EXIT_OK
+
+
+COMMANDS = {"analyze": run_report, "classify": run_report, "closure": run_report,
+            "bracket": cmd_bracket, "trace": cmd_trace, "verdict": cmd_verdict}
 
 
 @cache
@@ -315,33 +313,28 @@ def main(argv=None) -> int:
         try:
             spec = load_system(args.file)
         except OSError as exc:
-            print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-
-        if args.command in ("analyze", "classify", "closure"):
-            return run_report(spec, args)
-        if args.command == "bracket":
-            return cmd_bracket(spec, args.f, args.g, args.mode)
-        if args.command == "trace":
-            return cmd_trace(spec)
-        return cmd_verdict(spec)
-    except NotSecondClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SECOND_CLASS
-    except NoOnShellPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    except NonPolynomialInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: add [onshell] rules so brackets reduce to polynomials",
-              file=sys.stderr)
-        return EXIT_NON_POLYNOMIAL
+            raise ValidationError(f"cannot read {args.file}: {exc}") from exc
+        COMMANDS[args.command](spec, args)
+        sys.stdout.flush()  # so that a reader gone early raises here
     except DiracKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, NonPolynomialInputError):
+            print("hint: add [onshell] rules so brackets reduce to polynomials",
+                  file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    except BrokenPipeError:
+        # What stdout still buffers goes to devnull, or the flush at exit
+        # reports the closed pipe.
+        with suppress(OSError, ValueError):  # stdout has no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,14 +18,11 @@ from .analysis import (
     SamplerConfig,
     TraceIdentity,
     classify_constraints,
+    second_class_context,
     trace_identity,
 )
 from .brackets import DiracContext, bracket_table
-from .errors import (
-    NonPolynomialInputError,
-    NotSecondClassError,
-    ReportNotClosedError,
-)
+from .errors import NonPolynomialInputError, ReportNotClosedError
 from .expr import RationalExpr
 from .matrix import row_reduce_fractions
 from .phase_space import PhaseSpace, Record
@@ -248,12 +245,9 @@ def lemma_verdict(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Verdict:
     with m < n carries the central Dirac bracket sum(x_i, p_i) = n - m
     and therefore has no finite-dimensional quantization."""
     classification = classify_constraints(ps, constraints, cfg)
-    if classification.verdict != "second_class":
-        raise NotSecondClassError(
-            "constraint set is degenerate; the obstruction analysis needs an "
-            "invertible constraint bracket matrix")
+    context = second_class_context(classification)
     # With m = n the verdict needs no trace; skip its cost.
-    ti = trace_identity(classification.context) if classification.dof_pairs else None
+    ti = trace_identity(context) if classification.dof_pairs else None
     return trace_verdict(classification, ti)
 
 

@@ -56,7 +56,7 @@ class SingularMatrixError(DiracKitError):
 
 
 class NotSecondClassError(DiracKitError):
-    """The constraint bracket matrix is symbolically singular."""
+    """The constraint bracket matrix is singular, symbolically or on the shell."""
 
 
 class NoOnShellPointError(DiracKitError):

@@ -641,6 +641,20 @@ def test_rational_constraint_that_tends_to_zero_is_second_class():
     assert _classified(text) == ("second_class", 2, True, 4, 0)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 13: Newton stops once chi1 is below the tolerance, at "
+    "|x1| ~ 7e-6 (4e-4 for x1^3), where Delta is about 1e-5 (6e-7), and the "
+    "QR cutoff is relative to the largest pivot"))
+def test_non_reduced_shell_is_degenerate():
+    """chi1 vanishes to second or third order on the real shell x1 = p1 = 0,
+    so Delta = {chi1, p1} (2*x1, or 3*x1^2) is 0 on the whole of it: x1 lies
+    in the radical of <chi1, p1>.  Sampler defaults."""
+    texts = [f"[system]\nn = {n}\n[constraints]\nchi1 = {chi1}\nchi2 = p1\n"
+             for n, chi1 in [(1, "x1^2"), (1, "x1^3"), (1, "x1^2 + p1^2"), (2, "x1^2")]]
+    assert [_classified(text) for text in texts] == [
+        ("degenerate", 1, True, 0, 0)] * 3 + [("degenerate", 1, True, 0, 1)]
+
+
 def test_constraint_too_large_for_a_float_has_a_shell():
     """Delta is the constant [[0, 10^400], [-10^400, 0]] and the shell
     x1 = p1 = 0 is not empty.  The residual 10^400*x1 overflows a float at

@@ -16,12 +16,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dirackit import PhaseSpace, RationalExpr, cli, expr, load_system
+from dirackit import PhaseSpace, RationalExpr, cli, errors, expr, load_system
 from dirackit.analysis import classify_constraints
 from dirackit.cli import main
 from dirackit.errors import ValidationError
 from dirackit.poly import MAX_DEGREE, Polynomial
 from dirackit.sysfile import parse_system
+
+from conftest import tower_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -31,6 +33,21 @@ DEGENERATE = str(SYSTEMS / "degenerate.system")
 PAIR = str(SYSTEMS / "pair_elimination.system")
 ANGULAR = str(SYSTEMS / "angular_momentum.system")
 SYSTEM_FILES = sorted(str(p) for p in SYSTEMS.glob("*.system"))
+ERROR_TYPES = sorted((t for t in vars(errors).values()
+                      if isinstance(t, type) and issubclass(t, errors.DiracKitError)),
+                     key=lambda t: t.__name__)
+HINT = "hint: add [onshell] rules so brackets reduce to polynomials"
+
+
+def _sphere_r0(tmp_path) -> str:
+    path = tmp_path / "sphere_r0.system"
+    path.write_text(Path(SPHERE).read_text().replace("bind r = 1.0", "bind r = 0.0"))
+    return str(path)
+
+
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def schema():
@@ -107,6 +124,8 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent.system"]) == 2
+        assert capsys.readouterr().err == ("error: cannot read /nonexistent.system: [Errno 2] "
+                                           "No such file or directory: '/nonexistent.system'\n")
 
     def test_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.system"
@@ -121,6 +140,63 @@ class TestExitCodes:
 
     def test_not_second_class(self, capsys):
         assert main(["analyze", DEGENERATE]) == 3
+
+    @pytest.mark.parametrize("command", ["analyze", "verdict"])
+    @pytest.mark.parametrize("system, reason", [
+        ("degenerate", "constraint bracket matrix is symbolically singular"),
+        ("sphere_r0", "constraint bracket matrix is singular on the shell (rank 0 < 2)")])
+    def test_not_second_class_names_its_reason(self, tmp_path, capsys, command, system, reason):
+        """The degenerate file's Delta is 0 and has no inverse.  The r = 0
+        sphere's Delta inverts, but is 0 on its shell x = 0."""
+        path = DEGENERATE if system == "degenerate" else _sphere_r0(tmp_path)
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda t: t.__name__)
+    def test_each_error_type_has_its_documented_code(self, monkeypatch, capsys, error):
+        """Every error of the package ends in 3, 4, 5 or 2 with one `error:`
+        line, and the [onshell] hint only for a non-polynomial input."""
+        exc = error("bad input", 7) if error is errors.ExpressionSyntaxError else error("bad input")
+
+        def load_system(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_system", load_system)
+        code = {errors.NotSecondClassError: 3, errors.NoOnShellPointError: 4,
+                errors.NonPolynomialInputError: 5}.get(error, 2)
+        assert main(["analyze", SPHERE]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0] == f"error: {exc}"
+        assert lines[1:] == ([HINT] if error is errors.NonPolynomialInputError else [])
+        assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["analyze", SPHERE], ["trace", SPHERE], ["verdict", SPHERE],
+                                      ["analyze", "tower_k4", "--format", "json"]],
+                             ids=["analyze", "trace", "verdict", "analyze_tower_k4_json"])
+    def test_closed_stdout(self, tmp_path, argv):
+        """A reader that closes stdout before the command writes ends it with
+        141 (128 + SIGPIPE) and no message, as SIGPIPE's default action
+        would, not with an internal error.  The tower's 34 KB report breaks
+        the pipe inside the write, the others at the final flush."""
+        if argv[1] == "tower_k4":
+            path = tmp_path / "tower_k4.system"
+            path.write_text(tower_text(4, 1))
+            argv = [argv[0], str(path), *argv[2:]]
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dirackit.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "internal error" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [["classify", "--format", "json"], ["analyze"], ["verdict"],
                                       ["trace"], ["bracket", "--f", "x1", "--g", "p1",
@@ -184,9 +260,7 @@ class TestExitCodes:
         """At r = 0 the sphere's shell is x = 0, where Delta is 0, so every
         Dirac bracket has a pole on the whole shell: each command that
         needs a Dirac context refuses the set, as analyze does."""
-        path = tmp_path / "sphere_r0.system"
-        path.write_text(Path(SPHERE).read_text().replace("bind r = 1.0", "bind r = 0.0"))
-        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert main([argv[0], _sphere_r0(tmp_path), *argv[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: constraint bracket matrix is singular on the shell" in captured.err
@@ -358,11 +432,9 @@ class TestAnalyze:
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_piped_input_reports_the_digest_of_its_bytes(self):
         data = Path(SPHERE).read_bytes()
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-m", "dirackit.cli", "analyze", "/dev/stdin", "--format", "json"],
-            input=data, capture_output=True, env=env, check=True).stdout
+            input=data, capture_output=True, env=_env(), check=True).stdout
         report = json.loads(out)
         assert report["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
         assert report["trace_identity"]["holds"] is True

@@ -124,8 +124,23 @@ class _Plan:
         return out
 
 
-def _delta_plan(delta) -> _Plan:
-    return _Plan(len(delta) ** 2, enumerate(e for row in delta for e in row))
+def _delta_plan(delta):
+    """Delta's k * k values by rows at a point, a list of floats: only the
+    triangle of the `Skew` is planned and evaluated, and each value is
+    mirrored below the diagonal, negated (an exact zero stays 0.0)."""
+    k = len(delta)
+    below = {a * k + b: b * k + a for a in range(k) for b in range(a + 1, k)}
+    plan = _Plan(k * k, zip(below, delta.entries()))
+    for i, j in below.items():
+        plan.base[j] = -plan.base[i] or 0.0
+    mirrored = [(i, below[i]) for i, _ in plan.varying]
+
+    def values(point) -> list[float]:
+        out = plan(point)
+        for i, j in mirrored:
+            out[j] = -out[i]
+        return out
+    return values
 
 
 def _finite(values) -> bool:
@@ -253,15 +268,14 @@ def _on_shell(ps: PhaseSpace, constraints, cfg: SamplerConfig):
 
 
 def _shell_matrix(delta, value) -> list[list] | None:
-    """Delta on the shell as one exact matrix of constants, or None: each
-    entry above the diagonal, Delta being skew, is a constant there when
-    its numerator is and each of its atoms is a nonzero one, as `value`
-    (from `_on_shell`) reads them."""
+    """Delta on the shell as one exact matrix of constants, by rows, or
+    None: each entry of the triangle of the `Skew` is a constant there
+    when its numerator is and each of its atoms is a nonzero one, as
+    `value` (from `_on_shell`) reads them."""
     k = len(delta)
     at = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            e = delta[a][b]
+    for a, row in enumerate(delta.upper):
+        for b, e in enumerate(row, a + 1):
             if e.is_zero:
                 continue
             entry = value(e.num)
@@ -280,7 +294,7 @@ def exact_rank(system: ConstraintSystem, inverse, cfg: SamplerConfig) -> int | N
     """The rank of Delta on the shell, decided exactly with no point
     drawn, or None.
 
-    It is 2m when inverse, the rows of Delta^-1, is given and each
+    It is 2m when inverse, Delta^-1 as a `Skew`, is given and each
     distinct atom of Delta and Delta^-1, in order, is an exactly nonzero
     constant on the shell: Delta Delta^-1 = I holds at every point where
     no atom of their denominators vanishes, since evaluation is a ring map
@@ -291,8 +305,7 @@ def exact_rank(system: ConstraintSystem, inverse, cfg: SamplerConfig) -> int | N
     value = _on_shell(system.ps, system.constraints, cfg)
     delta, k = system.delta, len(system.delta)
     if inverse is not None and all(value(atom.poly) for atom in sorted(
-            {atom for rows in (delta, inverse) for row in rows
-             for e in row for atom, _ in e.atoms})):
+            {atom for m in (delta, inverse) for e in m.entries() for atom, _ in e.atoms})):
         return k
     at = _shell_matrix(delta, value)
     return None if at is None else len(row_reduce_fractions(at, k))
@@ -401,14 +414,13 @@ def trace_identity(ctx: DiracContext) -> TraceIdentity:
     sum_ab (Delta^-1)_ab S_ab with S_ab = sum_i u_a w_b, and Delta = S^T - S.
     Delta^-1 is skew, so that is -1/2 sum_ab (Delta^-1)_ab Delta_ab, and the
     trace is n + sum_{a<b} (Delta^-1)_ab Delta_ab: one `add_products` over
-    entries the context holds, with no partial.  The value thus checks
-    tr(Delta^-1 Delta) = 2m, not the partials; a value over atoms that
-    share a factor can print otherwise than a sum of `dirac_bracket`s
-    while the two are equal."""
-    ps, inv, delta = ctx.ps, ctx.delta_inv, ctx.delta
-    k = len(delta)
-    total = add_products(RationalExpr.constant(ps, ps.n), [
-        (inv[a][b], delta[a][b]) for a in range(k) for b in range(a + 1, k)]).cancel()
+    the two triangles the context holds, zipped in (a, b) order, with no
+    partial.  The value thus checks tr(Delta^-1 Delta) = 2m, not the
+    partials; a value over atoms that share a factor can print otherwise
+    than a sum of `dirac_bracket`s while the two are equal."""
+    ps = ctx.ps
+    total = add_products(RationalExpr.constant(ps, ps.n),
+                         zip(ctx.delta_inv.entries(), ctx.delta.entries())).cancel()
     expected = ps.n - ctx.m
     holds = (total - RationalExpr.constant(ps, expected)).is_zero
     return TraceIdentity(value=total, expected=expected, holds=holds)

@@ -15,6 +15,9 @@ rational functions.  The denominators of Delta^-1's entries are products
 of powers of atoms (see `dirackit.expr`), so the corrections are summed
 over the lcm of their denominators, and each Dirac bracket is returned
 with every atom that divides its numerator cancelled.
+
+Delta, Delta^-1 and every bracket table are skew, so each is a
+`matrix.Skew`: only the entries with a < b are built and stored.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     TooManyConstraintsError,
 )
 from .expr import RationalExpr, add_products
-from .matrix import invert_matrix
+from .matrix import Skew, invert_matrix
 from .phase_space import PhaseSpace, Record
 from .poly import Polynomial, affine_rows
 
@@ -63,8 +66,8 @@ def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, Rationa
                  for chi in constraints)
 
 
-def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
-    """Constraint bracket matrix Delta_ab = {chi_a, chi_b} by rows; exactly skew.
+def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> Skew:
+    """Constraint bracket matrix Delta_ab = {chi_a, chi_b}, a `Skew`.
     An odd or empty set, or more than 2n constraints, is refused first.
 
     An affine set makes no bracket: chi_a is c_a times sum_j A_a[z_j] z_j
@@ -92,10 +95,10 @@ def delta_matrix(constraints: list[RationalExpr], ps: PhaseSpace) -> tuple:
 
 
 class ConstraintSystem(Record):
-    """A constraint set with its bracket matrix Delta by rows; it may be singular."""
+    """A constraint set with its bracket matrix Delta, a `Skew`; it may be singular."""
     __slots__ = _fields = ("ps", "constraints", "delta")
 
-    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...], delta: tuple):
+    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...], delta: Skew):
         self._assign(ps, constraints, delta)
 
     @property
@@ -104,12 +107,12 @@ class ConstraintSystem(Record):
 
 
 class DiracContext(ConstraintSystem):
-    """A second-class constraint system with the rows of Delta^-1."""
+    """A second-class constraint system with Delta^-1, a `Skew`."""
     __slots__ = ("delta_inv",)
     _fields = ConstraintSystem._fields + __slots__
 
-    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...], delta: tuple,
-                 delta_inv: tuple):
+    def __init__(self, ps: PhaseSpace, constraints: tuple[RationalExpr, ...], delta: Skew,
+                 delta_inv: Skew):
         self._assign(ps, constraints, delta, delta_inv)
 
 
@@ -131,20 +134,31 @@ def _dirac_correct(acc: RationalExpr, f_row, g_row, ctx: DiracContext) -> Ration
     and (b, {g, chi_b}), summed in (a, b) order by `add_products` with a
     pair skipped before its product when (Delta^-1)_ab is an exact zero,
     and the atoms that divide the sum's numerator cancelled, also when no
-    pair is left."""
-    inv = ctx.delta_inv
-    return add_products(acc, [(fa * inv[a][b], gb) for a, fa in f_row
-                              for b, gb in g_row if not inv[a][b].is_zero]).cancel()
+    pair is left.  The sum is split by sign and read from the triangle U
+    of Delta^-1: a pair with a < b adds {f, chi_a} U_ab {g, chi_b}, one
+    with a > b adds -{f, chi_a} U_ba {g, chi_b}, with {f, chi_a} negated
+    once for all its pairs below the diagonal."""
+    upper = ctx.delta_inv.upper
+    pairs = []
+    for a, fa in f_row:
+        minus_fa = None
+        for b, gb in g_row:
+            if a == b or (u := upper[min(a, b)][abs(a - b) - 1]).is_zero:
+                continue
+            if b < a and minus_fa is None:
+                minus_fa = -fa
+            pairs.append((fa * u if a < b else minus_fa * u, gb))
+    return add_products(acc, pairs).cancel()
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
-    return bracket_table([f, g], ctx)[0][1]
+    return bracket_table([f, g], ctx).upper[0][0]  # entry (0, 1)
 
 
-def bracket_table(items, space) -> tuple:
-    """All pairwise brackets of items, by rows; exactly skew-symmetric by
-    construction.  The space picks the bracket: Poisson on a PhaseSpace,
-    Dirac in a DiracContext.
+def bracket_table(items, space) -> Skew:
+    """All pairwise brackets of items, a `Skew`: only the bracket of each
+    pair a < b is made.  The space picks the bracket: Poisson on a
+    PhaseSpace, Dirac in a DiracContext.
 
     In a context each item's row {item, chi_a} is computed once, every
     entry of it (none for a single item), and kept as its nonzero entries
@@ -165,14 +179,8 @@ def bracket_table(items, space) -> tuple:
     return _skew(len(items), ps, bracket)
 
 
-def _skew(k: int, ps: PhaseSpace, bracket) -> tuple:
-    """The k x k rows with bracket(a, b) above the diagonal, its negation
-    below and zeros on it."""
-    zero = RationalExpr.zero(ps)
-    entries = [[zero] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            v = bracket(a, b)
-            entries[a][b] = v
-            entries[b][a] = -v
-    return tuple(map(tuple, entries))
+def _skew(k: int, ps: PhaseSpace, bracket) -> Skew:
+    """The k x k `Skew` with bracket(a, b) above the diagonal, called for
+    each a < b in (a, b) order and for no other pair."""
+    rows = [[bracket(a, b) for b in range(a + 1, k)] for a in range(k)]
+    return Skew(ps, tuple(map(tuple, rows)))

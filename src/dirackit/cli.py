@@ -5,9 +5,11 @@ prints once as `error: ...` and maps to an exit code by `EXIT_CODES`:
 3 not second class (Delta symbolically singular, or singular on the
 shell with its rank r < 2m), 4 no on-shell point, 5 non-polynomial
 closure input, 2 any other input error.  A reader that closes stdout
-early gets 141 (128 + SIGPIPE) and no message; anything else is 1,
-an internal error.  Standard output carries only the report; all
-diagnostics go to stderr so JSON can be piped directly.
+early gets 141 (128 + SIGPIPE) and no message; any other failure to
+write the report, such as a full disk, is 2 with `error: cannot write
+the report: ...`; anything else is 1, an internal error.  Standard
+output carries only the report; all diagnostics go to stderr so JSON
+can be piped directly.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def run_report(spec: SystemSpec, args):
 
 def cmd_bracket(spec: SystemSpec, args):
     items = [parse_expression(args.f, spec.ps), parse_expression(args.g, spec.ps)]
-    sys.stdout.write(str(bracket_table(items, _space(spec, args.mode))[0][1]) + "\n")
+    sys.stdout.write(str(bracket_table(items, _space(spec, args.mode))[0, 1]) + "\n")
 
 
 def cmd_trace(spec: SystemSpec, args):
@@ -322,15 +324,18 @@ def main(argv=None) -> int:
             print("hint: add [onshell] rules so brackets reduce to polynomials",
                   file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
-    except BrokenPipeError:
+    except OSError as exc:  # after loading, stdout is the only file written
         # What stdout still buffers goes to devnull, or the flush at exit
-        # reports the closed pipe.
+        # fails again.
         with suppress(OSError, ValueError):  # stdout has no descriptor
             fd = sys.stdout.fileno()
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        return 141  # 128 + SIGPIPE
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

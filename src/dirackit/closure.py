@@ -167,7 +167,7 @@ def closure_analysis(primaries: PrimarySet, space,
 
     def reduced():
         for a, b in keys:
-            brackets.append(_reduced(table[a][b], on_shell_rules))
+            brackets.append(_reduced(table[a, b], on_shell_rules))
             yield brackets[-1]
 
     decompositions = decompose_linear(reduced(), basis)

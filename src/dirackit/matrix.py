@@ -1,23 +1,64 @@
-"""Exact inversion of a square matrix given by its rows.
+"""Exact inversion of a square matrix, and the skew matrix kept as one
+triangle.
 
-A symbolic matrix is inverted by Gauss-Jordan elimination over the
+A general matrix is a tuple of rows.  A skew-symmetric one (Delta,
+Delta^-1, a bracket table) is a `Skew`: only its entries above the
+diagonal are built and stored, and `m[a, b]` reads any entry with its
+sign.  A symbolic matrix is inverted by Gauss-Jordan elimination over the
 rational-function field, `row_reduce`, which exact ranks and solves
 share.  Pivot choice: among the nonzero candidates in the current
 column, take the entry whose numerator has the fewest monomials; ties go
 to the lowest row index.  This keeps intermediate expression swell down
-and is fully deterministic.  A matrix of constants is inverted
-fraction-free on packed Python ints instead (`_invert_integers`).
+and is fully deterministic.  A matrix of constants is inverted on
+numbers instead: a skew one fraction-free on packed Python ints, two
+columns at a time (`_invert_skew_integers`), any other one, or a
+singular one, by Gauss-Jordan on Fractions (`row_reduce_fractions`),
+whose first-nonzero pivots name the first column of a singular one.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain, islice
 from math import isqrt, lcm, prod
 
 from .errors import SingularMatrixError
 from .expr import RationalExpr
+from .phase_space import PhaseSpace, Record
 from .poly import Polynomial
+
+
+class Skew(Record):
+    """A k x k skew-symmetric matrix of RationalExprs on the phase space
+    ps, stored as its strict upper triangle: `upper[a]` holds the entries
+    (a, b) for b = a+1..k-1, so `upper[k - 1]` is empty.  `m[a, b]` is the
+    one accessor of an entry: the stored one above the diagonal, its
+    negation below and zero on it.  A Skew is not iterable; `entries()`
+    reads the triangle in (a, b) order."""
+    __slots__ = _fields = ("ps", "upper")
+    __iter__ = None
+
+    def __init__(self, ps: PhaseSpace, upper: tuple):
+        self._assign(ps, upper)
+
+    def __len__(self) -> int:
+        return len(self.upper)
+
+    def __getitem__(self, pair) -> RationalExpr:
+        a, b = pair
+        k = len(self.upper)
+        if not (0 <= a < k and 0 <= b < k):
+            raise IndexError(f"entry {pair} outside a {k} x {k} matrix")
+        if a < b:
+            return self.upper[a][b - a - 1]
+        if a > b:
+            return -self.upper[b][a - b - 1]
+        return RationalExpr.zero(self.ps)
+
+    def entries(self):
+        """The entries above the diagonal, in (a, b) order."""
+        return chain.from_iterable(self.upper)
 
 
 def row_reduce(rows: list[list], ncols: int, one, is_zero, weight) -> list[int]:
@@ -54,71 +95,122 @@ def row_reduce_fractions(rows: list[list], ncols: int) -> list[int]:
     return row_reduce(rows, ncols, Fraction(1), operator.not_, lambda v: 1)
 
 
-def _invert_integers(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(d, d * M^-1) for a nonsingular integer matrix M, d = +-det M: one
-    fraction-free (Bareiss 1968) Gauss-Jordan pass over [M | I], each row
-    one int of w-bit two's-complement slots, the current column in the
-    lowest.  A step reads each row's head slot f, centred mod 2^w, puts
-    (p * row - f * pivot_row) / prev, whose head is 0, in place of every
-    row but the pivot row, and shifts every head off.  Every slot is a
-    minor of [M | I] (Sylvester's identity), so it is below
-    sqrt(prod_i (|row_i|^2 + 1)) < 2^(w-2) in size (Hadamard's bound)
-    and divides exactly by prev; so does the packed int, slot by slot.
-    The pivot is the first nonzero entry in the column, as in
-    `row_reduce_fractions`: each entry here is a nonzero multiple of the
-    one there, so both meet the same first column without a pivot."""
+def _invert_skew_integers(rows: list[list[int]]) -> tuple[int, list[list[int]]] | None:
+    """(pf, pf * M^-1) for a skew integer matrix M, pf = +-Pf M, or None
+    when M is singular.  A fraction-free Gauss-Jordan pass over [M | I]
+    that pivots on the 2 x 2 blocks [[0, b], [-b, 0]] of columns c, c + 1
+    (Bunch 1982).  Each row is one int of w-bit two's-complement slots,
+    the current column in the lowest, read as residues mod 2^w centred on
+    0; a step shifts the two pivot columns off, and an exact division of
+    every slot is one of the int.  After columns 0..c-1
+    the state is pi * G, with G exact Gauss-Jordan's and pi = Pf M[:c, :c]
+    (M as permuted so far); its rows c, c + 1 then hold 0, b and -b, 0
+    there, b = Pf M[:c+2, :c+2].  When b is 0, index c + 1 trades places,
+    as a row and as a column, with the first c + j whose entry in row c
+    is not 0 (none: M is singular); the rows of the inverse are put back
+    at the end.  Pivot rows c and c + 1 become -row_{c+1} and row_c; every
+    other row, with heads f0 and f1, becomes (b * row + f0 * row_{c+1} -
+    f1 * row_c) / pi.  Every slot is a Pfaffian of a principal submatrix
+    of M, or 0 or 1, so below (prod_i (|row_i|^2 + 1))^(1/4) < 2^(w-2) in
+    size (Hadamard's bound on its square), half the bits of a minor, and
+    every division is exact."""
     size = len(rows)
-    w = isqrt(prod(sum(a * a for a in row) + 1 for row in rows)).bit_length() + 2
+    if size % 2:
+        return None
+    w = isqrt(isqrt(prod(sum(a * a for a in row) + 1 for row in rows))).bit_length() + 2
     mask, half = (1 << w) - 1, 1 << (w - 1)
+    bias = sum(half << w * j for j in range(2 * size))  # every slot read as nonnegative
     rows = [sum(a << w * j for j, a in enumerate(row)) + (1 << w * (size + i))
             for i, row in enumerate(rows)]
-    prev = 1
-    for col in range(size):
-        heads = [((x & mask) ^ half) - half for x in rows]
-        piv = next((r for r in range(col, size) if heads[r]), None)
-        if piv is None:
-            raise SingularMatrixError(f"no nonzero pivot in column {col}")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        heads[col], heads[piv] = heads[piv], heads[col]
-        top, p = rows[col], heads[col]
-        rows = [(x - p) >> w if r == col else ((p * x - f * top) >> w) // prev
-                for r, (x, f) in enumerate(zip(rows, heads))]
-        prev = p
-    bias = sum(half << w * j for j in range(size))  # every slot read as nonnegative
-    return prev, [[(y >> w * j & mask) - half for j in range(size)]
-                  for y in (x + bias for x in rows)]
+    order, prev = list(range(size)), 1
+    for c in range(0, size, 2):
+        b = (((rows[c] >> w) & mask) ^ half) - half  # slot (c, c) holds 0
+        if not b:
+            top = rows[c] + bias
+            j = next((j for j in range(2, size - c) if (top >> w * j) & mask != half), None)
+            if j is None:
+                return None
+            for r, x in enumerate(rows):  # swap the slots of columns c + 1 and c + j
+                d = (((x + bias) >> w * j) & mask) - (((x + bias) >> w) & mask)
+                rows[r] = x + (d << w) - (d << w * j)
+            rows[c + 1], rows[c + j] = rows[c + j], rows[c + 1]
+            order[c + 1], order[c + j] = order[c + j], order[c + 1]
+            b = (((rows[c] >> w) & mask) ^ half) - half
+        top, low = rows[c], rows[c + 1]
+        out = []
+        for x in rows:
+            f0 = ((x & mask) ^ half) - half
+            f1 = ((((x - f0) >> w) & mask) ^ half) - half
+            out.append(((b * x + f0 * low - f1 * top) >> 2 * w) // prev)
+        out[c], out[c + 1] = (-low - b) >> 2 * w, (top - (b << w)) >> 2 * w
+        rows, prev = out, b
+    inverse = [None] * size
+    for i, y in zip(order, (x + bias for x in rows)):
+        inverse[i] = [(y >> w * j & mask) - half for j in range(size)]
+    return prev, inverse
 
 
-def invert_matrix(rows) -> tuple[tuple[RationalExpr, ...], ...]:
-    """Exact inverse over the rational-function field, as a tuple of rows.
+def _check_pivots(pivots: list[int], size: int) -> None:
+    """SingularMatrixError naming the first of size columns with no pivot."""
+    missing = sorted(set(range(size)).difference(pivots))
+    if missing:
+        raise SingularMatrixError(f"no nonzero pivot in column {missing[0]}")
+
+
+def invert_matrix(matrix):
+    """Exact inverse over the rational-function field: a `Skew` for a
+    `Skew`, whose inverse is skew, else a tuple of rows.
 
     Raises ValueError unless every row is as long as there are rows, and
     SingularMatrixError when some column has no nonzero pivot, i.e. the
     matrix is singular as a matrix of rational functions, naming the
-    first such column.  A matrix A of constants is inverted on ints by
-    `_invert_integers`, from the (num, den) contents of scale * A to the
-    entries scale * v / d, each put in lowest terms by one gcd
-    (`Polynomial.ratio`), with no `Fraction`; an inverse is unique and a
-    constant has one normal form, so the entries are the ones elimination
-    over rational functions builds.
+    first such column.  A matrix A of constants is inverted on numbers,
+    from the (num, den) contents of scale * A (a Skew's rows filled from
+    its triangle) to the entries scale * v / d of d * (scale * A)^-1, each
+    put in lowest terms by one gcd (`Polynomial.ratio`); an inverse is
+    unique and a constant has one normal form, so the entries are the
+    ones elimination over rational functions builds.  A Skew takes
+    `_invert_skew_integers`, with no `Fraction`; any other matrix, and a
+    singular Skew, Gauss-Jordan on Fractions, whose pivots name the
+    column.  A symbolic Skew is expanded to full rows for `row_reduce`.
+    Of a Skew's inverse only the k(k - 1)/2 entries above the diagonal
+    are built.
     """
-    size = len(rows)
-    if any(len(row) != size for row in rows):
+    skew = isinstance(matrix, Skew)
+    size = len(matrix)
+    if not skew and any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
-    ps = rows[0][0].ps
-    if all(e.num.is_constant and e.den.is_constant for row in rows for e in row):
-        values = [[(0, 1) if e.num.is_zero else e.num.signed_content() for e in row]
-                  for row in rows]
-        scale = lcm(*(den for row in values for _, den in row))
-        d, scaled = _invert_integers([[n * (scale // den) for n, den in row] for row in values])
+    ps = matrix.ps if skew else matrix[0][0].ps
+    cells = [(a, b) for a in range(size) for b in range(a + 1 if skew else 0, size)]
+    entries = list(matrix.entries()) if skew else [e for row in matrix for e in row]
+    if all(e.num.is_constant and e.den.is_constant for e in entries):
+        contents = [(0, 1) if e.num.is_zero else e.num.signed_content() for e in entries]
+        scale = lcm(*(den for _, den in contents))
+        ints = [[0] * size for _ in range(size)]
+        for (a, b), (num, den) in zip(cells, contents):
+            ints[a][b] = num * (scale // den)
+            if skew:
+                ints[b][a] = -ints[a][b]
+        found = _invert_skew_integers(ints) if skew else None
+        if found is None:
+            work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+                    for i, row in enumerate(ints)]
+            _check_pivots(row_reduce_fractions(work, size), size)
+            d = lcm(*(v.denominator for row in work for v in row[size:]))
+            found = d, [[v.numerator * (d // v.denominator) for v in row[size:]] for row in work]
+        d, scaled = found
         nsyms = ps.nsyms
-        return tuple(tuple(RationalExpr.from_polynomial(ps, Polynomial.ratio(nsyms, scale * v, d))
-                           for v in row) for row in scaled)
-    one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
-    work = [[*row, *(one if i == j else zero for j in range(size))]
-            for i, row in enumerate(rows)]
-    pivots = row_reduce(work, size, one, operator.attrgetter("is_zero"), lambda e: len(e.num))
-    missing = sorted(set(range(size)).difference(pivots))
-    if missing:
-        raise SingularMatrixError(f"no nonzero pivot in column {missing[0]}")
-    return tuple(tuple(row[size:]) for row in work)
+        inverse = [RationalExpr.from_polynomial(
+            ps, Polynomial.ratio(nsyms, scale * scaled[a][b], d)) for a, b in cells]
+    else:
+        one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
+        rows = [[matrix[a, b] for b in range(size)] for a in range(size)] if skew else matrix
+        work = [[*row, *(one if i == j else zero for j in range(size))]
+                for i, row in enumerate(rows)]
+        _check_pivots(row_reduce(work, size, one, operator.attrgetter("is_zero"),
+                                 lambda e: len(e.num)), size)
+        inverse = [work[a][size + b] for a, b in cells]
+    flat = iter(inverse)
+    if skew:
+        return Skew(ps, tuple(tuple(islice(flat, size - a - 1)) for a in range(size)))
+    return tuple(tuple(islice(flat, size)) for _ in range(size))

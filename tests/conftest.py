@@ -16,7 +16,7 @@ from hypothesis import settings
 from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
 from dirackit.errors import ExpressionSyntaxError, UnknownSymbolError
 from dirackit.expr import add_products
-from dirackit.matrix import row_reduce
+from dirackit.matrix import Skew, row_reduce
 from dirackit.parser import _tokenize
 from dirackit.poly import Polynomial, _unpack
 
@@ -289,7 +289,7 @@ def trace_by_partials(ctx) -> RationalExpr:
     for i in range(1, ps.n + 1):
         u = [chi.diff_index(ps.momentum_index(i)) for chi in chis]
         w = [chi.diff_index(ps.coordinate_index(i)) for chi in chis]
-        total = total + pair_by_partials(one, u, ctx.delta_inv, w).cancel()
+        total = total + pair_by_partials(one, u, full_rows(ctx.delta_inv), w).cancel()
     return total.cancel()
 
 
@@ -298,8 +298,18 @@ def identity(size: int, ps) -> tuple:
     return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
 
+def full_rows(m) -> tuple:
+    """Every entry of a `Skew` by rows, read through its accessor; a
+    matrix given as rows as it is."""
+    if not isinstance(m, Skew):
+        return m
+    k = len(m)
+    return tuple(tuple(m[a, b] for b in range(k)) for a in range(k))
+
+
 def matmul(a, b) -> tuple:
-    """The product of two matrices given as tuples of rows."""
+    """The product of two matrices given as tuples of rows or as `Skew`s."""
+    a, b = full_rows(a), full_rows(b)
     assert all(len(row) == len(b) for row in a)
     out = []
     for row in a:
@@ -314,10 +324,11 @@ def matmul(a, b) -> tuple:
 
 
 def transpose(m) -> tuple:
-    return tuple(zip(*m))
+    return tuple(zip(*full_rows(m)))
 
 
 def is_skew_symmetric(m) -> bool:
+    m = full_rows(m)
     return all(len(row) == len(m) for row in m) and all(
         (m[i][j] + m[j][i]).is_zero for i in range(len(m)) for j in range(i, len(m)))
 

@@ -36,10 +36,11 @@ from dirackit.errors import (
 )
 
 from dirackit import analysis
+from dirackit.matrix import Skew
 from dirackit.sysfile import parse_system
 
-from conftest import (fd_poisson, identity, is_skew_symmetric, linear_mix_constraints, matmul,
-                      mix_text, random_point, random_polynomial, random_rational_expr,
+from conftest import (fd_poisson, full_rows, identity, is_skew_symmetric, linear_mix_constraints,
+                      matmul, mix_text, random_point, random_polynomial, random_rational_expr,
                       replace_everywhere, tower_text, trace_by_partials)
 from test_affine import affine_sets
 from test_golden import family_files
@@ -276,7 +277,7 @@ class TestClassification:
         assert points == sample_on_shell(sphere_ctx, cfg)
         assert len(at) == len(points)
         for point, values in zip(points, at):
-            assert values == [e.evaluate(point) for row in sphere_ctx.delta for e in row]
+            assert values == [e.evaluate(point) for row in full_rows(sphere_ctx.delta) for e in row]
 
 
 def _classified(text: str):
@@ -786,10 +787,11 @@ class TestTraceIdentityIsACheck:
         for ctx in self.contexts(sphere_ctx):
             k = len(ctx.delta)
             a, b = next((a, b) for a in range(k) for b in range(a + 1, k)
-                        if not ctx.delta[a][b].is_zero)
-            rows = [list(row) for row in ctx.delta_inv]
-            rows[a][b] = rows[a][b] + RationalExpr.constant(ctx.ps, 1)
-            changed = DiracContext(ctx.ps, ctx.constraints, ctx.delta, tuple(map(tuple, rows)))
+                        if not ctx.delta[a, b].is_zero)
+            rows = [list(row) for row in ctx.delta_inv.upper]
+            rows[a][b - a - 1] = ctx.delta_inv[a, b] + RationalExpr.constant(ctx.ps, 1)
+            changed = DiracContext(ctx.ps, ctx.constraints, ctx.delta,
+                                   Skew(ctx.ps, tuple(map(tuple, rows))))
             t = trace_identity(changed)
             assert t.holds is False
             assert t.expected == trace_identity(ctx).expected == ctx.ps.n - ctx.m
@@ -798,7 +800,8 @@ class TestTraceIdentityIsACheck:
         for ctx in self.contexts(sphere_ctx):
             two = RationalExpr.constant(ctx.ps, 2)
             scaled = DiracContext(ctx.ps, ctx.constraints, ctx.delta,
-                                  tuple(tuple(two * e for e in row) for row in ctx.delta_inv))
+                                  Skew(ctx.ps, tuple(tuple(two * e for e in row)
+                                                     for row in ctx.delta_inv.upper)))
             t = trace_identity(scaled)
             assert t.holds is False
             assert t.expected == ctx.ps.n - ctx.m

@@ -24,7 +24,7 @@ from dirackit.errors import (
 )
 from dirackit.sysfile import parse_system
 
-from conftest import (Opaque, fd_poisson, is_skew_symmetric, matmul, opaque_dirac,
+from conftest import (Opaque, fd_poisson, full_rows, is_skew_symmetric, matmul, opaque_dirac,
                       opaque_inverse, random_point, random_polynomial, random_rational_expr,
                       tower_text)
 
@@ -105,20 +105,20 @@ class TestSparsePoissonBracket:
 class TestDeltaMatrix:
     def test_canonical_pair(self, ps3):
         delta = delta_matrix([E("x1", ps3), E("p1", ps3)], ps3)
-        assert delta[0][1] == E("1", ps3)
-        assert delta[1][0] == E("-1", ps3)
-        assert delta[0][0].is_zero and delta[1][1].is_zero
+        assert delta[0, 1] == E("1", ps3)
+        assert delta[1, 0] == E("-1", ps3)
+        assert delta[0, 0].is_zero and delta[1, 1].is_zero
 
     def test_sphere_pair(self, ps3):
         chi1 = E("x1^2 + x2^2 + x3^2", ps3)  # radius folded into a constant shift
         chi2 = E("p1*x1 + p2*x2 + p3*x3", ps3)
         delta = delta_matrix([chi1, chi2], ps3)
-        assert delta[0][1] == E("2*x1^2 + 2*x2^2 + 2*x3^2", ps3)
+        assert delta[0, 1] == E("2*x1^2 + 2*x2^2 + 2*x3^2", ps3)
         assert is_skew_symmetric(delta)
 
     def test_commuting_pair_is_zero(self, ps3):
         delta = delta_matrix([E("x1", ps3), E("x2", ps3)], ps3)
-        assert all(e.is_zero for row in delta for e in row)
+        assert all(e.is_zero for row in full_rows(delta) for e in row)
 
     def test_odd_count_rejected(self, ps3):
         with pytest.raises(OddConstraintCountError):
@@ -143,7 +143,7 @@ class TestMakeContext:
             spec = parse_system(text)
             inv = make_context(spec.ps, spec.constraints).delta_inv
             assert is_skew_symmetric(inv)
-            assert all(str(inv[a][b]) == str(-inv[b][a])
+            assert all(str(inv[a, b]) == str(-inv[b, a])
                        for a in range(len(inv)) for b in range(len(inv)))
 
     def test_not_second_class(self, ps3):
@@ -220,16 +220,16 @@ class TestBracketTable:
         for a in range(2 * n):
             for b in range(2 * n):
                 if b == a + n:
-                    assert table[a][b] == E("1", ps3)
+                    assert table[a, b] == E("1", ps3)
                 elif a == b + n:
-                    assert table[a][b] == E("-1", ps3)
+                    assert table[a, b] == E("-1", ps3)
                 else:
-                    assert table[a][b].is_zero
+                    assert table[a, b].is_zero
 
     def test_single_item(self, ps3):
         table = bracket_table([E("x1^2", ps3)], ps3)
-        assert len(table) == len(table[0]) == 1
-        assert table[0][0].is_zero
+        assert len(table) == len(full_rows(table)[0]) == 1
+        assert table[0, 0].is_zero
 
     @pytest.mark.parametrize("seed", range(4))
     def test_the_space_picks_the_bracket(self, sphere_ctx, seed):
@@ -240,14 +240,14 @@ class TestBracketTable:
         dirac = bracket_table(items, sphere_ctx)
         for a in range(3):
             for b in range(3):
-                assert poisson[a][b] == poisson_bracket(items[a], items[b], ps)
-                assert dirac[a][b] == dirac_bracket(items[a], items[b], sphere_ctx)
+                assert poisson[a, b] == poisson_bracket(items[a], items[b], ps)
+                assert dirac[a, b] == dirac_bracket(items[a], items[b], sphere_ctx)
 
     def test_dirac_mode(self, ps3):
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])
         table = bracket_table([E("x2", ps3), E("p2", ps3)], ctx)
-        assert table[0][1] == E("1", ps3)
-        assert table[1][0] == E("-1", ps3)
+        assert table[0, 1] == E("1", ps3)
+        assert table[1, 0] == E("-1", ps3)
 
     def test_dirac_entries_print_as_dirac_bracket(self, sphere_ctx):
         # Above the diagonal an entry is {items[a], items[b]}_D with the
@@ -262,8 +262,8 @@ class TestBracketTable:
             for a in range(len(items)):
                 for b in range(a + 1, len(items)):
                     expected = str(dirac_bracket(items[a], items[b], sphere_ctx))
-                    assert str(table[a][b]) == expected
-                    assert str(-table[b][a]) == expected
+                    assert str(table[a, b]) == expected
+                    assert str(-table[b, a]) == expected
 
 
     def test_dirac_table_makes_no_product_with_an_exact_zero(self, monkeypatch):
@@ -284,7 +284,7 @@ class TestBracketTable:
         table = bracket_table(items, ctx)
         monkeypatch.undo()
         assert zero_operands == []
-        assert str(table[0][1]) == str(dirac_bracket(items[0], items[1], ctx))
+        assert str(table[0, 1]) == str(dirac_bracket(items[0], items[1], ctx))
 
     def test_sparse_rows_equal_the_opaque_dirac_bracket(self, sphere_ctx):
         # Items of three kinds: first class (the L_a, whose rows {L_a, chi}
@@ -301,9 +301,9 @@ class TestBracketTable:
         for a, f in enumerate(items):
             for b, g in enumerate(items):
                 if a != b:
-                    assert table[a][b] == opaque_dirac(Opaque.of(f), Opaque.of(g), chis,
+                    assert table[a, b] == opaque_dirac(Opaque.of(f), Opaque.of(g), chis,
                                                        inverse).expr()
-                    assert str(table[a][b]) == str(dirac_bracket(f, g, sphere_ctx))
+                    assert str(table[a, b]) == str(dirac_bracket(f, g, sphere_ctx))
 
 
 class TestBracketAxioms:

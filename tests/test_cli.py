@@ -198,6 +198,30 @@ class TestExitCodes:
         assert proc.returncode == 141
         assert "internal error" not in proc.stderr and "Exception ignored" not in proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("argv", [["trace", SPHERE], ["analyze", SPHERE, "--format", "json"],
+                                      ["analyze", "tower_k4", "--format", "json"]],
+                             ids=["trace", "analyze_json", "analyze_tower_k4_json"])
+    def test_full_disk(self, tmp_path, argv):
+        """A report that cannot be written for want of space ends the
+        command with exit 2 and one line, not with an internal error: the
+        sphere's reports fail at the final flush, the tower's inside the
+        write."""
+        if argv[1] == "tower_k4":
+            path = tmp_path / "tower_k4.system"
+            path.write_text(tower_text(4, 1))
+            argv = [argv[0], str(path), *argv[2:]]
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "dirackit.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 2
+        errors_printed = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors_printed == ["error: cannot write the report: [Errno 28] "
+                                  "No space left on device"]
+        assert "internal error" not in proc.stderr and "Exception ignored" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [["classify", "--format", "json"], ["analyze"], ["verdict"],
                                       ["trace"], ["bracket", "--f", "x1", "--g", "p1",
                                                   "--mode", "dirac"]])

@@ -212,7 +212,7 @@ class TestClosureAnalysis:
                 for c in range(3):
                     recon = recon + angular_momenta.exprs[c].scale(report.c[a][b][c])
                 recon = recon + E("1", ps3).scale(report.z[a][b])
-                assert (table[a][b] - recon).is_zero
+                assert (table[a, b] - recon).is_zero
 
     def test_basis_permutation_consistency(self, ps3, angular_momenta):
         report = closure_analysis(angular_momenta, ps3)
@@ -463,7 +463,7 @@ def reference_closure(primaries, space, rules):
     z = [[Fraction(0)] * k for _ in range(k)]
     residuals, notes = {}, []
     for a, b in keys:
-        bracket = reduce(table[a][b])
+        bracket = reduce(table[a, b])
         (dec,) = decompose_linear([bracket], basis)
         if dec is None and b == k:
             residuals[(a, "H")] = bracket

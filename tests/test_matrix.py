@@ -3,6 +3,7 @@
 import operator
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -15,9 +16,10 @@ from dirackit import (
 )
 from dirackit import matrix
 from dirackit.errors import SingularMatrixError
+from dirackit.matrix import Skew
 from dirackit.sysfile import parse_system
 
-from conftest import (identity, is_skew_symmetric, linear_mix_constraints, matmul,
+from conftest import (full_rows, identity, is_skew_symmetric, linear_mix_constraints, matmul,
                       random_polynomial, tower_text, transpose)
 
 
@@ -65,7 +67,7 @@ def test_rank_deficient_singular(ps):
     with pytest.raises(SingularMatrixError):
         invert_matrix(mat)
     # Column 1 has no pivot and column 2 has one; the error names column 1,
-    # on the general path and on the integer path alike.
+    # on the general path and on the Fraction path alike.
     for texts in ((("x1", "x1", "1"), ("x1", "x1", "2"), ("x1", "x1", "p1")),
                   (("1", "1", "2"), ("2", "2", "3"), ("3", "3", "5"))):
         mat = [[E(t, ps) for t in row] for row in texts]
@@ -143,7 +145,7 @@ def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch,
         mat = delta_matrix(linear_mix_constraints(ps, m, rng), ps)
         size = len(mat)
         unit = identity(size, ps)
-        rows = [list(mat[i] + unit[i]) for i in range(size)]
+        rows = [list(full_rows(mat)[i] + unit[i]) for i in range(size)]
         assert matrix.row_reduce(rows, size, RationalExpr.constant(ps, 1),
                                  operator.attrgetter("is_zero"), lambda e: len(e.num)) \
             == list(range(size))
@@ -155,13 +157,13 @@ def test_constant_matrix_inverts_on_fractions_like_the_general_path(monkeypatch,
     for mat, general in cases:
         inv = invert_matrix(mat)
         assert not products
-        for inv_row, general_row in zip(inv, general, strict=True):
+        for inv_row, general_row in zip(full_rows(inv), general, strict=True):
             for e, g in zip(inv_row, general_row, strict=True):
                 assert (e.num, e.den) == (g.num, g.den)
                 assert str(e) == str(g)
 
 
-# -- the fraction-free inverse of a constant matrix -----------------------
+# -- the inverse of a constant matrix -------------------------------------
 
 def _fraction_inverse(values):
     """Gauss-Jordan on Fractions with the first-nonzero pivot rule: the
@@ -284,8 +286,9 @@ SLOT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SLOT_CASES))
 def test_slot_width_holds_matrices_at_hadamards_bound(name):
-    """Matrices whose determinant meets Hadamard's bound fill the widest
-    slot a minor can; huge entries and unlike scales come out exact."""
+    """Matrices whose determinant meets Hadamard's bound, the skew
+    conference ones given as a Skew, so that they fill the widest slot of
+    the skew kernel; huge entries and unlike scales come out exact."""
     import sympy
 
     values = [[Fraction(v) for v in row] for row in SLOT_CASES[name]]
@@ -294,7 +297,9 @@ def test_slot_width_holds_matrices_at_hadamards_bound(name):
     if name.startswith(("sylvester", "conference")):
         assert det ** 2 == _hadamard_bound_squared(values)
     expected = _fraction_inverse(values)
-    inverse = invert_matrix(_as_matrix(values, PhaseSpace(1)))
+    ps = PhaseSpace(1)
+    mat = _as_matrix(values, ps)
+    inverse = full_rows(invert_matrix(_skew(mat, ps) if name.startswith("conference") else mat))
     oracle = sympy.Matrix(values).inv()
     for i in range(size):
         for j in range(size):
@@ -314,3 +319,164 @@ def test_first_column_zero_is_singular_at_column_0():
     assert message == "no nonzero pivot in column 0"
     with pytest.raises(SingularMatrixError, match=f"^{message}$"):
         invert_matrix(_as_matrix(values, PhaseSpace(1)))
+
+
+# -- the inverse of a Skew, one triangle, against sympy -------------------
+
+def _skew(rows, ps) -> Skew:
+    """The Skew whose triangle is that of rows, given as RationalExprs."""
+    return Skew(ps, tuple(tuple(row[a + 1:]) for a, row in enumerate(rows)))
+
+
+def _sympy_of(e, ps):
+    import sympy
+    return sympy.sympify(str(e).replace("^", "**"),
+                         locals={name: sympy.Symbol(name) for name in ps.symbols})
+
+
+def _check_against_sympy(delta: Skew, ps):
+    """invert_matrix(delta) is a Skew whose every entry above the diagonal
+    equals sympy's inverse there, and the full inverse of delta's rows
+    entry by entry, and delta times it, read through the accessor, is
+    exactly the identity."""
+    import sympy
+
+    size = len(delta)
+    inverse = invert_matrix(delta)
+    assert isinstance(inverse, Skew) and len(inverse) == size
+    for e, full in zip(chain.from_iterable(full_rows(inverse)),
+                       chain.from_iterable(invert_matrix(full_rows(delta))), strict=True):
+        assert (e.num, e.den) == (full.num, full.den) and str(e) == str(full)
+    oracle = sympy.Matrix(size, size, lambda a, b: _sympy_of(delta[a, b], ps)).inv()
+    for a in range(size):
+        for b in range(a + 1, size):
+            assert sympy.cancel(_sympy_of(inverse[a, b], ps) - oracle[a, b]) == 0
+    assert is_identity(matmul(delta, inverse), ps)
+
+
+@pytest.mark.parametrize("size", range(2, 25, 2))
+def test_constant_skew_inverse_matches_sympy(size):
+    """Seeded nonsingular integer skew matrices, 2 x 2 to 24 x 24."""
+    ps = PhaseSpace(1)
+    rng = random.Random(300 + size)
+    while True:
+        values = _constant_matrix(rng, size, fractions=False, skew=True)
+        if not isinstance(_fraction_inverse(values), str):
+            break
+    _check_against_sympy(_skew(_as_matrix(values, ps), ps), ps)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23])
+@pytest.mark.parametrize("scale", [1, 3 ** 40])
+def test_skew_slot_width_holds_pfaffians_at_hadamards_bound(q, scale):
+    """Paley's skew conference matrices, 4 x 4 to 24 x 24, meet
+    Hadamard's bound, so their Pfaffian meets the skew kernel's bound:
+    the widest slot it sizes."""
+    import sympy
+
+    values = [[Fraction(v * scale) for v in row] for row in _skew_conference(q)]
+    assert sympy.Matrix(values).det() ** 2 == _hadamard_bound_squared(values)
+    ints = [[int(v) for v in row] for row in values]
+    assert matrix._invert_skew_integers(ints) is not None
+    ps = PhaseSpace(1)
+    _check_against_sympy(_skew(_as_matrix(values, ps), ps), ps)
+
+
+@pytest.mark.parametrize("size", [4, 6, 10])
+def test_skew_with_a_zero_leading_pfaffian_is_inverted_after_a_swap(size):
+    """A skew matrix whose leading 2 x 2 Pfaffian is 0 (Delta of x1, x2,
+    p1, p2, ... in that order) has no pivot block at (0, 1): the skew
+    kernel swaps index 1 with a later one, and puts the rows of the
+    inverse back."""
+    ps = PhaseSpace(1)
+    rng = random.Random(500 + size)
+    while True:
+        values = _constant_matrix(rng, size, fractions=False, skew=True)
+        values[0][1] = values[1][0] = Fraction(0)
+        if not isinstance(_fraction_inverse(values), str):
+            break
+    d, scaled = matrix._invert_skew_integers([[int(v) for v in row] for row in values])
+    assert [[Fraction(v, d) for v in row] for row in scaled] == _fraction_inverse(values)
+    _check_against_sympy(_skew(_as_matrix(values, ps), ps), ps)
+
+
+def test_skew_kernel_declines_exactly_the_singular_matrices():
+    """None for every singular skew matrix drawn, and an inverse for every
+    nonsingular one, over seeded 2 x 2 to 10 x 10 matrices of entries in
+    [-1, 1], where zero Pfaffian blocks and singular matrices are common."""
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        size = rng.choice([2, 4, 6, 8, 10])
+        values = [[0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(a + 1, size):
+                values[a][b] = rng.randint(-1, 1)
+                values[b][a] = -values[a][b]
+        expected = _fraction_inverse([[Fraction(v) for v in row] for row in values])
+        found = matrix._invert_skew_integers(values)
+        singular = isinstance(expected, str)
+        assert (found is None) == singular
+        if not singular:
+            d, scaled = found
+            assert [[Fraction(v, d) for v in row] for row in scaled] == expected
+        seen[singular] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_odd_skew_is_singular_with_the_fraction_path_message(size):
+    ps = PhaseSpace(1)
+    values = _constant_matrix(random.Random(600 + size), size, fractions=True, skew=True)
+    message = _fraction_inverse(values)
+    with pytest.raises(SingularMatrixError, match=f"^{message}$"):
+        invert_matrix(_skew(_as_matrix(values, ps), ps))
+
+
+@pytest.mark.parametrize("name", ["tower_k1.system", "tower_k2.system",
+                                  "nonpolynomial_closure.system"])
+def test_symbolic_skew_inverse_of_a_golden_family_matches_sympy(name):
+    """The symbolic Deltas of the golden families: 2 x 2 (one sphere) and
+    4 x 4 (two spheres)."""
+    from test_golden import family_files
+
+    spec = parse_system(family_files()[name])
+    delta = delta_matrix(spec.constraints, spec.ps)
+    assert len(delta) in (2, 4)
+    _check_against_sympy(delta, spec.ps)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_symbolic_skew_inverse_matches_sympy(size, seed):
+    """Seeded skew matrices of random polynomials, 2 x 2 and 4 x 4."""
+    ps = PhaseSpace(2)
+    rng = random.Random(400 + 10 * size + seed)
+    while True:
+        delta = Skew(ps, tuple(
+            tuple(random_polynomial(ps, rng, max_degree=1, max_terms=2)
+                  for _ in range(a + 1, size)) for a in range(size)))
+        try:
+            invert_matrix(delta)
+        except SingularMatrixError:
+            continue
+        break
+    _check_against_sympy(delta, ps)
+
+
+def test_skew_reads_each_entry_through_one_accessor(ps):
+    """m[a, b] is the stored entry above the diagonal, its negation below
+    and zero on it; a Skew has no rows to iterate or index."""
+    c, d, e = E("x1*p2", ps), E("2", ps), E("1/(1 + x3^2)", ps)
+    m = Skew(ps, ((c, d), (e,), ()))
+    assert len(m) == 3 and list(m.entries()) == [c, d, e]
+    assert m[0, 1] is c and m[0, 2] is d and m[1, 2] is e
+    assert str(m[1, 0]) == str(-c) and str(m[2, 0]) == "-2" and str(m[2, 1]) == str(-e)
+    assert all(m[a, a].is_zero for a in range(3))
+    for pair in ((0, 3), (3, 0), (-1, 0)):
+        with pytest.raises(IndexError):
+            m[pair]
+    with pytest.raises(TypeError):
+        m[0]
+    with pytest.raises(TypeError):
+        iter(m)

@@ -10,14 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from dirackit import analysis, sysfile
-from dirackit.brackets import DiracContext, dirac_bracket
+from dirackit import analysis, brackets, sysfile
+from dirackit.brackets import DiracContext, bracket_table, delta_matrix, dirac_bracket, make_context
 from dirackit.expr import RationalExpr
 from dirackit.parser import parse_expression
 from dirackit.cli import main
+from dirackit.matrix import invert_matrix
+from dirackit.phase_space import PhaseSpace
 from dirackit.poly import Polynomial
 
-from conftest import jacobi_triple, mix_text, replace_everywhere, tower_text
+from conftest import (jacobi_triple, linear_mix_constraints, mix_text, random_polynomial,
+                      replace_everywhere, tower_text)
 from test_affine import MIX_SIZES
 from test_analysis import _two_spheres
 
@@ -225,3 +228,95 @@ def test_analyze_samples_one_point_when_delta_is_constant_or_certified(
         assert main([command, str(path), "--format", "json"]) == 0
     points, values, qrs = counts
     assert on_shell_counts == Counter(points=points, delta_values=values, delta_qrs=qrs)
+
+
+# -- skew matrices are built as one triangle ------------------------------
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_constant_inverse_builds_only_the_triangle(monkeypatch, m):
+    """A constant 2m x 2m Delta is inverted with one `Polynomial.ratio`
+    per entry above the diagonal, m(2m - 1) of them; the full inverse
+    took 4m^2."""
+    ps = PhaseSpace(10)
+    delta = delta_matrix(linear_mix_constraints(ps, m, random.Random(m)), ps)
+    calls = []
+    ratio = Polynomial.ratio
+    monkeypatch.setattr(Polynomial, "ratio",
+                        staticmethod(lambda *args: calls.append(1) or ratio(*args)))
+    invert_matrix(delta)
+    assert len(calls) == m * (2 * m - 1)
+
+
+@pytest.fixture
+def negations(monkeypatch):
+    """The operands of `RationalExpr.__neg__` calls made while the test
+    runs, apart from those a Poisson bracket makes for its own
+    -df/dp_i dg/dx_i terms, which are only counted."""
+    calls = {"outside": [], "inside": 0}
+    depth = [0]
+    negate, poisson = RationalExpr.__neg__, brackets.poisson_bracket
+
+    def counted_negate(self):
+        if depth[0]:
+            calls["inside"] += 1
+        else:
+            calls["outside"].append(self)
+        return negate(self)
+
+    def counted_poisson(*args):
+        depth[0] += 1
+        try:
+            return poisson(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(RationalExpr, "__neg__", counted_negate)
+    monkeypatch.setattr(brackets, "poisson_bracket", counted_poisson)
+    return calls
+
+
+@pytest.mark.parametrize("text,affine", [
+    (mix_text(10, 10, random.Random(4)), True),
+    (mix_text(4, 2, random.Random(1)), True),
+    (tower_text(2, sampler_seed=1), False),
+    ((SYSTEMS / "sphere.system").read_text(encoding="utf-8"), False),
+], ids=["mix_m10_n10", "mix_m2_n4", "tower_k2", "sphere"])
+def test_delta_matrix_negates_nothing(negations, text, affine):
+    """Delta is built above the diagonal only: an affine set negates
+    nothing at all, and any other set nothing outside its brackets.
+    The entries below the diagonal were each a negation."""
+    spec = sysfile.parse_system(text)
+    delta_matrix(spec.constraints, spec.ps)
+    assert negations["outside"] == []
+    if affine:
+        assert negations["inside"] == 0
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_poisson_table_negates_nothing(negations, count):
+    """A Poisson table of N items makes N(N - 1)/2 brackets and negates
+    nothing outside them."""
+    ps = PhaseSpace(3)
+    rng = random.Random(count)
+    items = [random_polynomial(ps, rng, max_degree=2, max_terms=3) for _ in range(count)]
+    bracket_table(items, ps)
+    assert negations["outside"] == []
+
+
+@pytest.mark.parametrize("spheres", [1, 2])
+@pytest.mark.parametrize("count", [2, 4, 6])
+def test_dirac_table_negates_no_entry(negations, spheres, count):
+    """A Dirac table of N items negates no entry of its own nor of
+    Delta^-1: a pair below the diagonal of Delta^-1 takes the negated
+    row entry {f, chi_a}, at most one per constraint for each pair of
+    items."""
+    spec = sysfile.parse_system(tower_text(spheres, sampler_seed=1))
+    ctx = make_context(spec.ps, spec.constraints)
+    rng = random.Random(count)
+    items = [random_polynomial(ctx.ps, rng, max_degree=2, max_terms=2, variables_only=True)
+             for _ in range(count)]
+    negations["outside"].clear()
+    table = bracket_table(items, ctx)
+    held = [*table.entries(), *ctx.delta_inv.entries()]
+    assert not any(x is e for x in negations["outside"] for e in held)
+    assert len(negations["outside"]) <= count * (count - 1) // 2 * 2 * ctx.m

@@ -22,7 +22,7 @@ from dirackit.errors import DegreeOverflowError
 from dirackit.expr import add_products
 from dirackit.poly import MAX_DEGREE, Polynomial, sum_of_products
 
-from conftest import pair_by_partials, random_polynomial, random_rational_expr
+from conftest import full_rows, pair_by_partials, random_polynomial, random_rational_expr
 
 
 def stored(p: Polynomial):
@@ -167,7 +167,7 @@ class TestFold:
         ctx = make_context(ps, [parse_expression("x1^2 + x2^2 + x3^2 - r^2", ps),
                                 parse_expression("p1*x1 + p2*x2 + p3*x3", ps)])
         shared = random_rational_expr(ps, rng)
-        tables = [ctx.delta_inv,
+        tables = [full_rows(ctx.delta_inv),
                   [[random_rational_expr(ps, rng) * shared for _ in range(2)]
                    for _ in range(2)]]
         one = RationalExpr.constant(ps, 1)

@@ -9,7 +9,8 @@ early gets 141 (128 + SIGPIPE) and no message; any other failure to
 write the report, such as a full disk, is 2 with `error: cannot write
 the report: ...`; anything else is 1, an internal error.  Standard
 output carries only the report; all diagnostics go to stderr so JSON
-can be piped directly.
+can be piped directly.  A diagnostic that stderr cannot take is
+dropped and leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -82,6 +83,26 @@ class _Timings:
     def rounded(self) -> dict[str, int]:
         return {k: int(round((v - self.gc[k]) / TIMING_RESOLUTION_MS)) * TIMING_RESOLUTION_MS
                 for k, v in self.raw.items()}
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's descriptor at devnull, so that what it still buffers
+    is dropped and the flush at exit does not fail again."""
+    with suppress(OSError, ValueError):  # stream has no descriptor
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _note(line: str) -> None:
+    """Write one diagnostic line to stderr, best-effort: once stderr
+    cannot take one (a full disk), it and the later ones are dropped, and
+    the exit code stays the command's."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def _classification_dict(c) -> dict:
@@ -251,10 +272,10 @@ def run_report(spec: SystemSpec, args):
         report["verdict"] = _verdict_dict(finite_dim_obstruction(closure))
     elif command == "closure":
         report["verdict"] = None
-        print("note: algebra is not closed; no obstruction verdict", file=sys.stderr)
+        _note("note: algebra is not closed; no obstruction verdict")
     report["timings_ms"] = timings.rounded()
     for stage, ms in timings.raw.items():
-        print(f"[timing] {stage}: {ms:.2f} ms", file=sys.stderr)
+        _note(f"[timing] {stage}: {ms:.2f} ms")
     emit_report(report, args.format)
 
 
@@ -319,25 +340,18 @@ def main(argv=None) -> int:
         COMMANDS[args.command](spec, args)
         sys.stdout.flush()  # so that a reader gone early raises here
     except DiracKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         if isinstance(exc, NonPolynomialInputError):
-            print("hint: add [onshell] rules so brackets reduce to polynomials",
-                  file=sys.stderr)
+            _note("hint: add [onshell] rules so brackets reduce to polynomials")
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
     except OSError as exc:  # after loading, stdout is the only file written
-        # What stdout still buffers goes to devnull, or the flush at exit
-        # fails again.
-        with suppress(OSError, ValueError):  # stdout has no descriptor
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+        _to_devnull(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return 141  # 128 + SIGPIPE
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        _note(f"error: cannot write the report: {exc}")
         return 2
     except Exception as exc:  # pragma: no cover
-        print(f"internal error: {exc}", file=sys.stderr)
+        _note(f"internal error: {exc}")
         return 1
     return 0
 

@@ -13,6 +13,11 @@ minus.  A rational literal requires the "/" to sit directly between the
 two integers with no whitespace ("1/2" is the literal, "1 / 2" is a
 division; both denote the same value).
 
+The tokens are the plain strings of one regex scan of the text.  A
+bad character anywhere in it is reported before any other error; the
+character offset an error reports is found by a second scan with the
+same regex, and only then.
+
 Polynomial input is built without rational-expression arithmetic.  A
 number or a symbol raised to a power k >= 0 is one term: a coefficient
 (an int or a Fraction) and a packed monomial key (see `dirackit.poly`).
@@ -45,158 +50,137 @@ from .expr import RationalExpr
 from .phase_space import PhaseSpace
 from .poly import SLOT_BITS, _check_degree, _check_power, _check_product, _from_terms, _layout
 
-_TOKEN = re.compile(r"""
-    (?P<number>[0-9]+(?:/[0-9]+)?)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[-+*/^()]|\S")
+# The first characters of the tokens the grammar reads: a number, an
+# identifier or an operator.  Any other token is one bad character.
+_STARTS = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz-+*/^()")
 
 # A term is a (coefficient, packed key) pair; zero is always (0, 0).
 _ZERO = (0, 0)
 
 
-def _tokenize(text: str):
-    """(kind, text, offset) per token, whitespace dropped, then an "end"
-    token, from one scan: the catch-all `bad` group matches any character
-    the others do not, and the first one is an error.  A rational literal
-    needs digits on both sides of its "/", so "1/" before a non-digit is
-    the number 1 and a division."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _integer(digits: str, pos: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() converts
-        raise ExpressionSyntaxError("integer literal too long", pos) from None
-
-
 class _Parser:
-    """Each grammar rule returns a term or a `RationalExpr`."""
+    """Each grammar rule returns a term or a `RationalExpr`.  The tokens
+    are those of `_TOKEN.findall`, then "" for the end; a token's kind is
+    its first character.  A rational literal needs digits on both sides
+    of its "/", so "1/" before a non-digit is the number 1 and a division."""
 
     def __init__(self, text: str, ps: PhaseSpace):
+        self.text = text
         self.ps = ps
         self.nsyms = ps.nsyms
         self.shift = _layout(ps.nsyms)[0]
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
+        for i, tok in enumerate(self.tokens):
+            if tok[0] not in _STARTS:
+                raise self.error(f"unexpected character {tok!r}", i)
+        self.tokens.append("")
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def offset(self, i: int) -> int:
+        """The offset of token i, from a second scan: only errors need it."""
+        for j, m in enumerate(_TOKEN.finditer(self.text)):
+            if j == i:
+                return m.start()
+        return len(self.text)
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message: str, i: int, expected: str = "") -> ExpressionSyntaxError:
+        return ExpressionSyntaxError(message, self.offset(i), expected)
 
-    def at(self, ops: str) -> bool:
-        kind, value, _ = self.tokens[self.i]
-        return kind == "op" and value in ops
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == op:
-            return self.advance()
-        raise ExpressionSyntaxError("unexpected token", pos, expected=repr(op))
+    def literal(self, digits: str, i: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise self.error("integer literal too long", i) from None
 
     def parse(self) -> RationalExpr:
         e = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ExpressionSyntaxError(f"trailing input {value!r}", pos,
-                                        expected="end of expression")
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.i, "end of expression")
         return self.rational(e)
 
     def expr(self):
         """Terms and polynomial RationalExprs collect into one dict; from
         the first other RationalExpr on, the sum folds."""
         e = self.term()
-        if not self.at("+-"):
+        if self.tokens[self.i] not in ("+", "-"):
             return e
         terms = {}
         while type(e) is tuple or e.is_polynomial:
             self.collect(terms, e)
-            if not self.at("+-"):
+            op = self.tokens[self.i]
+            if op not in ("+", "-"):
                 return self.finish(terms)
-            minus = self.advance()[1] == "-"
-            e = self.neg(self.term()) if minus else self.term()
+            self.i += 1
+            e = self.neg(self.term()) if op == "-" else self.term()
         return self.fold(self.finish(terms) + e)
 
     def fold(self, e):
         """The rest of a sum whose value so far is e, folded left to right
         in RationalExpr arithmetic."""
-        while self.at("+-"):
-            op = self.advance()[1]
+        while (op := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
             rhs = self.rational(self.term())
             e = e + rhs if op == "+" else e - rhs
         return e
 
     def term(self):
         e = self.factor()
-        while self.at("*/"):
-            op = self.advance()[1]
+        while (op := self.tokens[self.i]) in ("*", "/"):
+            self.i += 1
             rhs = self.factor()
             e = self.mul(e, rhs) if op == "*" else self.div(e, rhs)
         return e
 
     def factor(self):
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.tokens[self.i] == "-":
+            self.i += 1
             return self.neg(self.factor())
         e = self.base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
+        if self.tokens[self.i] == "^":
+            self.i += 1
             e = self.power(e, self.integer())
         return e
 
     def integer(self) -> int:
         sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.tokens[self.i] == "-":
+            self.i += 1
             sign = -1
-            kind, value, pos = self.peek()
-        if kind != "number" or "/" in value:
-            raise ExpressionSyntaxError("bad exponent", pos, expected="an integer")
-        self.advance()
-        return sign * _integer(value, pos)
+        i = self.i
+        tok = self.tokens[i]
+        if not tok[:1].isdigit() or "/" in tok:
+            raise self.error("bad exponent", i, "an integer")
+        self.i = i + 1
+        return sign * self.literal(tok, i)
 
     def base(self):
-        kind, value, pos = self.advance()
-        if kind == "number":
-            num, _, den = value.partition("/")
-            if not den:
-                return _integer(num, pos), 0
-            den = _integer(den, pos)
-            if den == 0:
-                raise ExpressionSyntaxError("rational literal with zero denominator", pos)
-            return Fraction(_integer(num, pos), den), 0
-        if kind == "ident":
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
+        if tok[:1].isalpha():
             try:
-                index = self.ps.index_of(value)
+                index = self.ps.index_of(tok)
             except UnknownSymbolError:
-                raise UnknownSymbolError(value, pos) from None
+                raise UnknownSymbolError(tok, self.offset(i)) from None
             return 1, 1 << self.shift | 1 << SLOT_BITS * (self.nsyms - 1 - index)
-        if kind == "op" and value == "(":
+        if tok[:1].isdigit():
+            num, _, den = tok.partition("/")
+            if not den:
+                return self.literal(num, i), 0
+            den = self.literal(den, i)
+            if den == 0:
+                raise self.error("rational literal with zero denominator", i)
+            return Fraction(self.literal(num, i), den), 0
+        if tok == "(":
             e = self.expr()
-            self.expect_op(")")
+            if self.tokens[self.i] != ")":
+                raise self.error("unexpected token", self.i, "')'")
+            self.i += 1
             return e
-        shown = value if value else "end of input"
-        raise ExpressionSyntaxError(f"unexpected {shown!r}", pos,
-                                    expected="a number, identifier, or '('")
+        raise self.error(f"unexpected {tok or 'end of input'!r}", i,
+                         "a number, identifier, or '('")
 
     # -- values -------------------------------------------------------
 
@@ -262,5 +246,4 @@ def parse_expression(text: str, ps: PhaseSpace) -> RationalExpr:
     try:
         return parser.parse()
     except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply",
-                                    parser.peek()[2]) from None
+        raise parser.error("expression nested too deeply", parser.i) from None

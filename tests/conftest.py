@@ -6,6 +6,7 @@ evaluation, so they can serve as an independent cross-check.
 """
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from dirackit import PhaseSpace, RationalExpr, make_context, parse_expression
 from dirackit.errors import ExpressionSyntaxError, UnknownSymbolError
 from dirackit.expr import add_products
 from dirackit.matrix import Skew, row_reduce
-from dirackit.parser import _tokenize
 from dirackit.poly import Polynomial, _unpack
 
 FD_STEP = 1e-5
@@ -73,6 +73,32 @@ def leading_monomial(poly: Polynomial):
     if poly.is_zero:
         raise ValueError("the zero polynomial has no leading monomial")
     return _unpack(poly.nsyms, poly._lead)
+
+
+_TOKEN = re.compile(r"""
+    (?P<number>[0-9]+(?:/[0-9]+)?)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^()])
+  | (?P<ws>\s+)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _tokenize(text: str):
+    """(kind, text, offset) per token, whitespace dropped, then an "end"
+    token; the first character no other group matches is an error.  Kept
+    apart from the parser's own scan, so the two are checked against
+    each other."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _FoldParser:

@@ -222,6 +222,38 @@ class TestExitCodes:
                                   "No space left on device"]
         assert "internal error" not in proc.stderr and "Exception ignored" not in proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", SPHERE], 0), (["analyze", SPHERE, "--format", "json"], 0),
+        (["classify", SPHERE], 0), (["closure", SPHERE], 0),
+        (["closure", "open_algebra", "--mode", "poisson"], 0),
+        (["analyze", "no_such.system"], 2), (["analyze", DEGENERATE], 3)],
+        ids=["analyze", "analyze_json", "classify", "closure", "closure_not_closed",
+             "missing_file", "not_second_class"])
+    def test_full_stderr(self, tmp_path, argv, code):
+        """A stderr that cannot be written leaves the command's own exit
+        code and its whole report on stdout: the [timing], note and
+        error lines are dropped.  Stderr is block-buffered here, so a
+        lost line must not fail the flush at exit either."""
+        if argv[1] == "open_algebra":
+            path = tmp_path / "open_algebra.system"
+            path.write_text("[system]\nn = 2\n[constraints]\nchi1 = x1\nchi2 = p1\n"
+                            "[hamiltonian]\nH = p2 + x2^3\n[primaries]\ng1 = x2\ng2 = p2^2\n")
+            argv = [argv[0], str(path), *argv[2:]]
+        elif argv[1] == "no_such.system":
+            argv = [argv[0], str(tmp_path / argv[1])]
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)
+        command = [sys.executable, "-m", "dirackit.cli", *argv]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, text=True,
+                                  env=env)
+        assert proc.returncode == code
+        written = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert written.returncode == code
+        assert written.stderr  # a line was lost on the full device
+        assert _without_timings(proc.stdout) == _without_timings(written.stdout)
+
     @pytest.mark.parametrize("argv", [["classify", "--format", "json"], ["analyze"], ["verdict"],
                                       ["trace"], ["bracket", "--f", "x1", "--g", "p1",
                                                   "--mode", "dirac"]])
@@ -566,16 +598,18 @@ def _run(argv):
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    stdout = out.getvalue()
+    stderr = [line for line in err.getvalue().splitlines() if not line.startswith("[timing]")]
+    return code, _without_timings(out.getvalue()), stderr
+
+
+def _without_timings(stdout: str) -> str:
+    """A report with its timings left out."""
     if stdout.startswith("{"):
         report = json.loads(stdout)
         report.pop("timings_ms")
-        stdout = json.dumps(report, indent=2)
-    else:
-        stdout = "".join(line for line in stdout.splitlines(keepends=True)
-                         if not line.startswith("timings_ms:"))
-    stderr = [line for line in err.getvalue().splitlines() if not line.startswith("[timing]")]
-    return code, stdout, stderr
+        return json.dumps(report, indent=2)
+    return "".join(line for line in stdout.splitlines(keepends=True)
+                   if not line.startswith("timings_ms:"))
 
 
 class TestRepeatedCalls:

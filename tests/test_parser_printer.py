@@ -82,6 +82,33 @@ def test_integer_literal_too_long(ps, text):
         parse_expression(text, ps)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("x1 + " + "7" * 5000, ExpressionSyntaxError, "integer literal too long at offset 5"),
+    ("x1^" + "7" * 5000, ExpressionSyntaxError, "integer literal too long at offset 3"),
+    ("1/" + "7" * 5000, ExpressionSyntaxError, "integer literal too long at offset 0"),
+    ("x1 + + \u00a4", ExpressionSyntaxError, "unexpected character '\u00a4' at offset 7"),
+    ("_", ExpressionSyntaxError, "unexpected character '_' at offset 0"),
+    ("1_", ExpressionSyntaxError, "unexpected character '_' at offset 1"),
+    ("x1 x2", ExpressionSyntaxError,
+     "trailing input 'x2' at offset 3 (expected end of expression)"),
+    ("(x1 + p1", ExpressionSyntaxError, "unexpected token at offset 8 (expected ')')"),
+    ("1/0", ExpressionSyntaxError, "rational literal with zero denominator at offset 0"),
+    ("x1^1/2", ExpressionSyntaxError, "bad exponent at offset 3 (expected an integer)"),
+    ("x1^", ExpressionSyntaxError, "bad exponent at offset 3 (expected an integer)"),
+    ("x1 + y1", UnknownSymbolError, "unknown symbol 'y1' at offset 5"),
+    ("x1 +", ExpressionSyntaxError,
+     "unexpected 'end of input' at offset 4 (expected a number, identifier, or '(')"),
+], ids=["long_summand", "long_exponent", "long_denominator", "bad_after_syntax_error",
+        "underscore", "underscore_after_number", "trailing", "unclosed", "zero_denominator",
+        "rational_exponent", "missing_exponent", "unknown_symbol", "missing_summand"])
+def test_error_message_and_offset(ps, text, error, message):
+    """Each error's full message, with its offset: a bad character is
+    reported before a syntax error that comes earlier in the text."""
+    with pytest.raises(error) as err:
+        parse_expression(text, ps)
+    assert str(err.value) == message
+
+
 def test_caret_binds_tighter_than_unary_minus(ps):
     e = parse_expression("-x1^2", ps)
     assert e == -parse_expression("x1^2", ps)
@@ -315,5 +342,22 @@ def test_fuzz_parse_or_dirackit_error(text):
     ps = PhaseSpace(2, parameters=("r",))
     try:
         parse_expression(text, ps)
+    except DiracKitError:
+        pass
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join))
+def test_fuzz_error_offsets_point_into_the_text(text):
+    """An error's offset lies in the text or at its end, on the bad
+    character or the unknown symbol it names."""
+    ps = PhaseSpace(2, parameters=("r",))
+    try:
+        parse_expression(text, ps)
+    except (ExpressionSyntaxError, UnknownSymbolError) as exc:
+        assert 0 <= exc.position <= len(text)
+        if str(exc).startswith("unexpected character"):
+            assert str(exc).startswith(f"unexpected character {text[exc.position]!r}")
+        if isinstance(exc, UnknownSymbolError):
+            assert text.startswith(exc.name, exc.position)
     except DiracKitError:
         pass

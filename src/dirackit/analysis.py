@@ -17,20 +17,18 @@ from .brackets import (
     DiracContext,
     _support,
     constraint_gradients,
-    delta_matrix,
+    constraint_system,
     dirac_bracket,
     poisson_bracket,
 )
 from .errors import (
     NoOnShellPointError,
-    NotSecondClassError,
     PoleAtPointError,
     PreconditionViolatedError,
-    SingularMatrixError,
     ValidationError,
 )
 from .expr import RationalExpr, add_products
-from .matrix import invert_matrix, row_reduce_fractions
+from .matrix import row_reduce_fractions
 from .numeric import PivotedQR
 from .phase_space import PhaseSpace, Record
 from .poly import reduce_by
@@ -290,22 +288,22 @@ def _shell_matrix(delta, value) -> list[list] | None:
     return at
 
 
-def exact_rank(system: ConstraintSystem, inverse, cfg: SamplerConfig) -> int | None:
+def exact_rank(system: ConstraintSystem, cfg: SamplerConfig) -> int | None:
     """The rank of Delta on the shell, decided exactly with no point
     drawn, or None.
 
-    It is 2m when inverse, Delta^-1 as a `Skew`, is given and each
-    distinct atom of Delta and Delta^-1, in order, is an exactly nonzero
-    constant on the shell: Delta Delta^-1 = I holds at every point where
-    no atom of their denominators vanishes, since evaluation is a ring map
-    there.  A constant Delta and its inverse have no atom.  Otherwise it
-    is the rank by Gauss-Jordan on Fractions of `_shell_matrix`, Delta's
-    value on the shell, when that is one matrix of constants.  A constant
+    It is 2m when system is a DiracContext and each distinct atom of
+    Delta and its Delta^-1, in order, is an exactly nonzero constant on
+    the shell: Delta Delta^-1 = I holds at every point where no atom of
+    their denominators vanishes, since evaluation is a ring map there.
+    A constant Delta and its inverse have no atom.  Otherwise it is the
+    rank by Gauss-Jordan on Fractions of `_shell_matrix`, Delta's value
+    on the shell, when that is one matrix of constants.  A constant
     needs no binding, and each distinct polynomial is reduced once."""
     value = _on_shell(system.ps, system.constraints, cfg)
     delta, k = system.delta, len(system.delta)
-    if inverse is not None and all(value(atom.poly) for atom in sorted(
-            {atom for m in (delta, inverse) for e in m.entries() for atom, _ in e.atoms})):
+    if isinstance(system, DiracContext) and all(value(a.poly) for a in sorted(
+            {a for m in (delta, system.delta_inv) for e in m.entries() for a, _ in e.atoms})):
         return k
     at = _shell_matrix(delta, value)
     return None if at is None else len(row_reduce_fractions(at, k))
@@ -354,26 +352,20 @@ def _affine_shell(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig
 
 def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Classification:
     """Second-class test: symbolic invertibility of Delta plus full rank
-    on the shell.  Delta is built once and inverted once; the resulting
-    context rides along on the classification.  `_affine_shell` first
-    decides exactly whether an affine set's shell is nonempty, then
-    `exact_rank` decides the rank, with no point drawn.  When it
-    answers, an affine set draws no point and any other set one, which
-    only shows that the shell is nonempty (NoOnShellPointError when it is
-    not found); no QR is taken.  Only when it cannot answer does the
-    sampler draw its `point_count` points, and the rank is numeric: a
-    pivoted QR of each distinct value of Delta the sampler computed."""
-    constraints = tuple(constraints)
-    delta = delta_matrix(constraints, ps)
-    try:
-        context = DiracContext(ps, constraints, delta, invert_matrix(delta))
-    except SingularMatrixError:
-        context = None
-
-    k = len(constraints)
-    system = ConstraintSystem(ps, constraints, delta)
+    on the shell.  `constraint_system` builds Delta and inverts it once;
+    its context rides along.  `_affine_shell` first decides exactly
+    whether an affine set's shell is nonempty, then `exact_rank` decides
+    the rank, with no point drawn.  When it answers, an affine set draws
+    no point and any other set one, which only shows that the shell is
+    nonempty (NoOnShellPointError when it is not found); no QR is taken.
+    Only when it cannot answer does the sampler draw its `point_count`
+    points, and the rank is numeric: a pivoted QR of each distinct value
+    of Delta the sampler computed."""
+    system = constraint_system(ps, constraints)
+    context = system if isinstance(system, DiracContext) else None
+    k = len(system.constraints)
     affine = _affine_shell(system, context is not None, cfg)
-    rank = exact_rank(system, None if context is None else context.delta_inv, cfg)
+    rank = exact_rank(system, cfg)
     if rank is None:
         at_points = []
         sample_on_shell(system, cfg, at_points)
@@ -384,25 +376,14 @@ def classify_constraints(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Cla
         sample_on_shell(system, SamplerConfig(cfg.seed, cfg.tolerance, cfg.max_newton_iters,
                                               cfg.max_retries, 1, cfg.parameter_bindings))
 
-    second_class = context is not None and rank == k
     return Classification(
-        verdict="second_class" if second_class else "degenerate",
+        verdict="second_class" if context is not None and rank == k else "degenerate",
         m=k // 2,
         symbolic_det_nonzero=context is not None,
         on_shell_rank=rank,
         dof_pairs=ps.n - k // 2,
         context=context,
     )
-
-
-def second_class_context(c: Classification) -> DiracContext:
-    """c's context if c is second class, else NotSecondClassError saying why not."""
-    if c.context is None:
-        raise NotSecondClassError("constraint bracket matrix is symbolically singular")
-    if c.verdict != "second_class":
-        raise NotSecondClassError("constraint bracket matrix is singular on the shell "
-                                  f"(rank {c.on_shell_rank} < {2 * c.m})")
-    return c.context
 
 
 def trace_identity(ctx: DiracContext) -> TraceIdentity:

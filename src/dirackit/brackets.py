@@ -11,7 +11,9 @@ set chi_1..chi_2m the Dirac bracket is
     {f, g}_D = {f, g} - {f, chi_a} * (Delta^-1)_ab * {chi_b, g}
 
 where Delta_ab = {chi_a, chi_b} must be invertible as a matrix of
-rational functions.  The denominators of Delta^-1's entries are products
+rational functions: `constraint_system` alone builds and inverts Delta
+for a constraint set, and `second_class` alone refuses a set that is
+not second class.  The denominators of Delta^-1's entries are products
 of powers of atoms (see `dirackit.expr`), so the corrections are summed
 over the lcm of their denominators, and each Dirac bracket is returned
 with every atom that divides its numerator cancelled.
@@ -116,16 +118,31 @@ class DiracContext(ConstraintSystem):
         self._assign(ps, constraints, delta, delta_inv)
 
 
-def make_context(ps: PhaseSpace, constraints) -> DiracContext:
-    """Validate a second-class constraint set and cache Delta and its inverse."""
+def constraint_system(ps: PhaseSpace, constraints) -> ConstraintSystem:
+    """The constraint set with Delta, built once and inverted once: a
+    DiracContext when Delta inverts, else a plain ConstraintSystem."""
     constraints = tuple(constraints)
     delta = delta_matrix(constraints, ps)
     try:
-        delta_inv = invert_matrix(delta)
-    except SingularMatrixError as exc:
-        raise NotSecondClassError(
-            "constraint bracket matrix is symbolically singular") from exc
-    return DiracContext(ps, constraints, delta, delta_inv)
+        return DiracContext(ps, constraints, delta, invert_matrix(delta))
+    except SingularMatrixError:
+        return ConstraintSystem(ps, constraints, delta)
+
+
+def second_class(system: ConstraintSystem | None, rank: int | None) -> DiracContext:
+    """system if it is second class, else NotSecondClassError: when system is None
+    or no DiracContext (Delta symbolically singular), or rank, if known, is below 2m."""
+    if not isinstance(system, DiracContext):
+        raise NotSecondClassError("constraint bracket matrix is symbolically singular")
+    if rank in range(2 * system.m):
+        raise NotSecondClassError("constraint bracket matrix is singular on the shell "
+                                  f"(rank {rank} < {2 * system.m})")
+    return system
+
+
+def make_context(ps: PhaseSpace, constraints) -> DiracContext:
+    """The DiracContext of a constraint set whose Delta inverts."""
+    return second_class(constraint_system(ps, constraints), None)
 
 
 def _dirac_correct(acc: RationalExpr, f_row, g_row, ctx: DiracContext) -> RationalExpr:

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .analysis import classify_constraints, exact_rank, second_class_context, trace_identity
-from .brackets import bracket_table, make_context
+from .analysis import classify_constraints, exact_rank, trace_identity
+from .brackets import bracket_table, make_context, second_class
 from .closure import closure_analysis, finite_dim_obstruction, lemma_verdict, trace_verdict
 from .errors import (
     DiracKitError,
@@ -226,16 +226,12 @@ def _base_report(spec: SystemSpec) -> dict:
 
 def _space(spec: SystemSpec, mode: str):
     """The space whose brackets --mode names: the phase space, or a Dirac
-    context, refused when `exact_rank` shows Delta of rank below 2m on
-    the shell (None, undecided, is not below); no point is drawn."""
+    context that `second_class` refuses when Delta is symbolically
+    singular, then when `exact_rank` ranks it below 2m; no point is drawn."""
     if mode != "dirac":
         return spec.ps
     context = make_context(spec.ps, spec.constraints)
-    rank = exact_rank(context, context.delta_inv, spec.sampler)
-    if rank in range(2 * context.m):
-        raise NotSecondClassError("constraint bracket matrix is singular on the shell "
-                                  f"(rank {rank} < {2 * context.m})")
-    return context
+    return second_class(context, exact_rank(context, spec.sampler))
 
 
 def run_report(spec: SystemSpec, args):
@@ -257,7 +253,7 @@ def run_report(spec: SystemSpec, args):
             classification = classify_constraints(spec.ps, spec.constraints, spec.sampler)
         report["classification"] = _classification_dict(classification)
     if command == "analyze":
-        space = second_class_context(classification)
+        space = second_class(classification.context, classification.on_shell_rank)
         with timings.time("trace"):
             trace = trace_identity(space)
         report["trace_identity"] = _trace_dict(trace)

@@ -18,10 +18,9 @@ from .analysis import (
     SamplerConfig,
     TraceIdentity,
     classify_constraints,
-    second_class_context,
     trace_identity,
 )
-from .brackets import DiracContext, bracket_table
+from .brackets import DiracContext, bracket_table, second_class
 from .errors import NonPolynomialInputError, ReportNotClosedError
 from .expr import RationalExpr
 from .matrix import row_reduce_fractions
@@ -245,7 +244,7 @@ def lemma_verdict(ps: PhaseSpace, constraints, cfg: SamplerConfig) -> Verdict:
     with m < n carries the central Dirac bracket sum(x_i, p_i) = n - m
     and therefore has no finite-dimensional quantization."""
     classification = classify_constraints(ps, constraints, cfg)
-    context = second_class_context(classification)
+    context = second_class(classification.context, classification.on_shell_rank)
     # With m = n the verdict needs no trace; skip its cost.
     ti = trace_identity(context) if classification.dof_pairs else None
     return trace_verdict(classification, ti)

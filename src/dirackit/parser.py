@@ -75,7 +75,7 @@ class _Parser:
             if tok[0] not in _STARTS:
                 raise self.error(f"unexpected character {tok!r}", i)
         self.tokens.append("")
-        self.i = 0
+        self.i = self.depth = self.outer = 0  # outer: token where nesting last rose from 0
 
     def offset(self, i: int) -> int:
         """The offset of token i, from a second scan: only errors need it."""
@@ -135,8 +135,12 @@ class _Parser:
 
     def factor(self):
         if self.tokens[self.i] == "-":
+            self.outer = self.outer if self.depth else self.i
+            self.depth += 1
             self.i += 1
-            return self.neg(self.factor())
+            e = self.factor()
+            self.depth -= 1
+            return self.neg(e)
         e = self.base()
         if self.tokens[self.i] == "^":
             self.i += 1
@@ -174,7 +178,10 @@ class _Parser:
                 raise self.error("rational literal with zero denominator", i)
             return Fraction(self.literal(num, i), den), 0
         if tok == "(":
+            self.outer = self.outer if self.depth else i
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             if self.tokens[self.i] != ")":
                 raise self.error("unexpected token", self.i, "')'")
             self.i += 1
@@ -204,9 +211,7 @@ class _Parser:
         return RationalExpr.from_polynomial(self.ps, _from_terms(self.nsyms, terms))
 
     def neg(self, v):
-        if type(v) is tuple:
-            return -v[0], v[1]
-        return -v
+        return (-v[0], v[1]) if type(v) is tuple else -v
 
     def mul(self, a, b):
         if type(a) is tuple and type(b) is tuple:
@@ -246,4 +251,4 @@ def parse_expression(text: str, ps: PhaseSpace) -> RationalExpr:
     try:
         return parser.parse()
     except RecursionError:
-        raise parser.error("expression nested too deeply", parser.i) from None
+        raise parser.error("expression nested too deeply", parser.outer) from None

@@ -36,6 +36,7 @@ from dirackit.errors import (
 )
 
 from dirackit import analysis
+from dirackit.brackets import constraint_system
 from dirackit.matrix import Skew
 from dirackit.sysfile import parse_system
 
@@ -300,11 +301,10 @@ def _inverse(text: str):
 
 
 def _exact_rank(text: str) -> int | None:
-    """`exact_rank` of a `.system` text: with the inverse of Delta when
-    it has one, else without."""
+    """`exact_rank` of a `.system` text's `constraint_system`: a context
+    holding the inverse of Delta when it has one, else a plain system."""
     spec = parse_system(text)
-    system = ConstraintSystem(spec.ps, spec.constraints, delta_matrix(spec.constraints, spec.ps))
-    return analysis.exact_rank(system, _inverse(text), spec.sampler)
+    return analysis.exact_rank(constraint_system(spec.ps, spec.constraints), spec.sampler)
 
 
 def _certified(text: str) -> bool:
@@ -475,7 +475,7 @@ class TestOnePointCertificate:
         """The sampler reports a missing binding and fails every attempt
         with a non-finite one, as it did before the certificate."""
         cfg = SamplerConfig(seed=1, max_retries=3, parameter_bindings=bindings)
-        assert analysis.exact_rank(sphere_ctx, sphere_ctx.delta_inv, cfg) is None
+        assert analysis.exact_rank(sphere_ctx, cfg) is None
         with pytest.raises((ValidationError, NoOnShellPointError)) as error:
             classify_constraints(sphere_ctx.ps, sphere_ctx.constraints, cfg)
         assert error.type is (NoOnShellPointError if bindings else ValidationError)
@@ -628,7 +628,7 @@ class TestAffineSets:
         chis = [E(t, ps) for t in ("x1 - r", "p1", "x2", "x2 + r")]
         system = ConstraintSystem(ps, tuple(chis), delta_matrix(chis, ps))
         for bindings in ({}, {"r": float("nan")}, {"r": 1.0}):
-            assert analysis.exact_rank(system, None, SamplerConfig(
+            assert analysis.exact_rank(system, SamplerConfig(
                 parameter_bindings=bindings)) == 2
 
 

@@ -310,16 +310,34 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["trace"], ["bracket", "--f", "x1", "--g", "p1", "--mode", "dirac"],
-        ["closure", "--mode", "dirac"]], ids=["trace", "bracket", "closure"])
+        ["analyze"], ["verdict"], ["trace"], ["bracket", "--f", "x1", "--g", "p1", "--mode", "dirac"],
+        ["closure", "--mode", "dirac"]], ids=["analyze", "verdict", "trace", "bracket", "closure"])
     def test_dirac_space_singular_on_the_shell(self, tmp_path, capsys, argv):
-        """At r = 0 the sphere's shell is x = 0, where Delta is 0, so every
-        Dirac bracket has a pole on the whole shell: each command that
-        needs a Dirac context refuses the set, as analyze does."""
-        assert main([argv[0], _sphere_r0(tmp_path), *argv[1:]]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: constraint bracket matrix is singular on the shell" in captured.err
+        """Each command that needs a second-class set refuses one that is
+        not, on three inputs that declare [primaries].  The degenerate
+        file's Delta is 0 and has no inverse.  At r = 0 the sphere's shell
+        is x = 0, where Delta is 0, so every Dirac bracket has a pole on
+        the whole shell.  x1, x1 - 1 has Delta 0 and an empty shell, which
+        pins the order of the gates: analyze and verdict classify first,
+        whose affine check finds the shell empty (exit 4); the Dirac
+        commands refuse the singular Delta before any rank work (exit 3)."""
+        singular = (3, "constraint bracket matrix is symbolically singular")
+        degenerate = tmp_path / "degenerate.system"
+        degenerate.write_text(Path(DEGENERATE).read_text() + "[primaries]\ng1 = x3\ng2 = p3\n")
+        inconsistent = tmp_path / "inconsistent.system"
+        inconsistent.write_text("[system]\nn = 1\n[constraints]\nchi1 = x1\nchi2 = x1 - 1\n"
+                                "[primaries]\ng1 = x1\ng2 = p1\n")
+        classified = argv[0] in ("analyze", "verdict")
+        for path, (code, reason) in [
+                (degenerate, singular),
+                (_sphere_r0(tmp_path),
+                 (3, "constraint bracket matrix is singular on the shell (rank 0 < 2)")),
+                (inconsistent, (4, "no on-shell point: the affine constraints are inconsistent")
+                 if classified else singular)]:
+            assert main([argv[0], str(path), *argv[1:]]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {reason}\n"
 
     @pytest.mark.parametrize("command", ["analyze", "verdict"])
     @pytest.mark.parametrize("line", [

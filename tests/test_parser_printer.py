@@ -137,6 +137,27 @@ def test_deep_nesting_is_a_syntax_error(ps, text):
         parse_expression(text, ps)
 
 
+def _parse_from_depth(frames: int, text: str, ps):
+    """parse_expression called with `frames` more frames on the stack."""
+    return parse_expression(text, ps) if frames == 0 else _parse_from_depth(frames - 1, text, ps)
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("text,offset", [
+    ("-" * 5000 + "x1", 0),
+    ("(" * 2000 + "x1" + ")" * 2000, 0),
+    ("x1 + " + "-" * 5000 + "x1", 5),
+], ids=["unary_minus", "parentheses", "after_a_term"])
+def test_deep_nesting_points_where_the_nesting_starts(ps, frames, text, offset):
+    """The offset is that of the "(" or unary "-" where the nesting rose
+    from depth 0, a property of the text: not the token at which the
+    interpreter's recursion limit was hit, which moved with the caller's
+    stack (988, 990 or 790 for 5,000 minus signs)."""
+    with pytest.raises(ExpressionSyntaxError) as err:
+        _parse_from_depth(frames, text, ps)
+    assert str(err.value) == f"expression nested too deeply at offset {offset}"
+
+
 def test_print_zero(ps):
     assert str(parse_expression("0", ps)) == "0"
 

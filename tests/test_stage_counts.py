@@ -1,4 +1,5 @@
-"""`dirackit analyze` runs each stage of the analysis exactly once."""
+"""`dirackit analyze` and `dirackit verdict` run each stage of the
+analysis exactly once, and the Dirac commands each stage they need."""
 
 import contextlib
 import functools
@@ -28,6 +29,7 @@ SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 STAGES = (
     ("dirackit.brackets", "delta_matrix"),
     ("dirackit.matrix", "invert_matrix"),
+    ("dirackit.analysis", "exact_rank"),
     ("dirackit.analysis", "sample_on_shell"),
     ("dirackit.analysis", "classify_constraints"),
     ("dirackit.analysis", "trace_identity"),
@@ -74,6 +76,35 @@ def test_analyze_runs_each_stage_at_most_once(stage_calls, contexts, capsys, nam
 def test_analyze_sphere_runs_each_stage_exactly_once(stage_calls, contexts, capsys):
     assert main(["analyze", str(SYSTEMS / "sphere.system")]) == 0
     assert stage_calls == {attr: 1 for _, attr in STAGES}
+    (ctx,) = contexts
+    assert ctx.delta_inv is not ctx.delta
+
+
+def test_verdict_sphere_runs_each_stage_exactly_once(stage_calls, contexts, capsys):
+    assert main(["verdict", str(SYSTEMS / "sphere.system")]) == 0
+    assert stage_calls == {attr: 1 for _, attr in STAGES}
+    (ctx,) = contexts
+    assert ctx.delta_inv is not ctx.delta
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace"], ["bracket", "--f", "x1", "--g", "p1", "--mode", "dirac"],
+    ["closure", "--mode", "dirac"]], ids=["trace", "bracket", "closure"])
+@pytest.mark.parametrize("text", [
+    (SYSTEMS / "sphere.system").read_text(encoding="utf-8"), tower_text(2, sampler_seed=1)],
+    ids=["sphere", "tower_k2"])
+def test_dirac_commands_build_and_rank_one_context(stage_calls, contexts, tmp_path, capsys,
+                                                   argv, text):
+    """trace, bracket --mode dirac and closure --mode dirac build Delta
+    once, invert it once and rank it on the shell once, through
+    `constraint_system` and `exact_rank`; they classify nothing and draw
+    no point.  Only trace takes the trace."""
+    path = tmp_path / "case.system"
+    path.write_text(text, encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    assert stage_calls == Counter(delta_matrix=1, invert_matrix=1, exact_rank=1,
+                                  sample_on_shell=0, classify_constraints=0,
+                                  trace_identity=int(argv[0] == "trace"))
     (ctx,) = contexts
     assert ctx.delta_inv is not ctx.delta
 

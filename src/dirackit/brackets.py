@@ -5,8 +5,8 @@ The Poisson bracket of f and g is
 
     {f, g} = sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i)
 
-with the canonical pairing x_i <-> p_i.  For a second-class constraint
-set chi_1..chi_2m the Dirac bracket is
+over the canonical pairs x_i <-> p_i read off the two supports.  For a
+second-class constraint set chi_1..chi_2m the Dirac bracket is
 
     {f, g}_D = {f, g} - {f, chi_a} * (Delta^-1)_ab * {chi_b, g}
 
@@ -45,18 +45,19 @@ def _support(e: RationalExpr) -> frozenset[int]:
 
 
 def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> RationalExpr:
-    """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) over the pairs whose
-    two partials can both be nonzero, summed by `add_products`: a
-    skipped term is an exact zero, and with none left the bracket is."""
+    """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) by `add_products` over the
+    i the supports share (x_i in f and p_i in g, or p_i in f and x_i in g), in
+    ascending i, x_i in f first; with none shared, the exact zero at once."""
     f_has, g_has = _support(f), _support(g)
+    n = ps.n  # x_i is symbol i - 1 and p_i symbol n + i - 1; parameters come after
     pairs = []
-    for i in range(1, ps.n + 1):
-        xi = ps.coordinate_index(i)
-        pi = ps.momentum_index(i)
-        if xi in f_has and pi in g_has:
-            pairs.append((f.diff_index(xi), g.diff_index(pi)))
-        if pi in f_has and xi in g_has:
-            pairs.append((-f.diff_index(pi), g.diff_index(xi)))
+    for j in sorted(f_has | g_has):
+        if j >= n:
+            break
+        if j in f_has and j + n in g_has:
+            pairs.append((f.diff_index(j), g.diff_index(j + n)))
+        if j in g_has and j + n in f_has:
+            pairs.append((-f.diff_index(j + n), g.diff_index(j)))
     zero = RationalExpr.zero(ps)
     return add_products(zero, pairs) if pairs else zero
 

@@ -10,7 +10,8 @@ write the report, such as a full disk, is 2 with `error: cannot write
 the report: ...`; anything else is 1, an internal error.  Standard
 output carries only the report; all diagnostics go to stderr so JSON
 can be piped directly.  A diagnostic that stderr cannot take is
-dropped and leaves the exit code as it is.
+dropped and leaves the exit code as it is.  The JSON report is written
+in one walk (`_json`), byte-identical to `json.dumps(report, indent=2)`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import time
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import classify_constraints, exact_rank, trace_identity
@@ -106,12 +108,8 @@ def _note(line: str) -> None:
 
 
 def _classification_dict(c) -> dict:
-    return {
-        "verdict": c.verdict,
-        "symbolic_det_nonzero": c.symbolic_det_nonzero,
-        "on_shell_rank": c.on_shell_rank,
-        "dof_pairs": c.dof_pairs,
-    }
+    return {name: getattr(c, name)
+            for name in ("verdict", "symbolic_det_nonzero", "on_shell_rank", "dof_pairs")}
 
 
 def _trace_dict(t) -> dict:
@@ -123,53 +121,53 @@ def _residual_key(key, names) -> str:
     return f"{names[a]},{b if b == 'H' else names[b]}"
 
 
-def _printed(v):
-    """Nested tuples of coefficients as lists of strings; None stays JSON null."""
-    if v is None:
-        return None
-    return [_printed(x) for x in v] if isinstance(v, tuple) else str(v)
-
-
 def _closure_dict(report) -> dict:
-    out = {
-        "mode": report.mode,
-        "closed": report.closed,
-        "names": list(report.names),
-        "c": _printed(report.c),
-        "z": _printed(report.z),
-        "h": _printed(report.h),
-        "h_const": _printed(report.h_const),
-        "residuals": {k: str(v) for k, v in sorted(
-            ((_residual_key(key, report.names), expr)
-             for key, expr in report.residuals.items()))},
-    }
+    out = {name: getattr(report, name)
+           for name in ("mode", "closed", "names", "c", "z", "h", "h_const")}
+    out["residuals"] = {k: str(v) for k, v in sorted(
+        (_residual_key(key, report.names), expr) for key, expr in report.residuals.items())}
     if report.notes:
-        out["notes"] = list(report.notes)
+        out["notes"] = report.notes
     return out
 
 
 def _verdict_dict(v) -> dict:
-    witness = v.witness
-    if witness is not None:
-        witness = {k: (str(val) if isinstance(val, Fraction)
-                       else list(val) if isinstance(val, tuple) else val)
-                   for k, val in witness.items()}
-    return {"kind": v.kind, "witness": witness, "explanation": v.explanation}
+    return {"kind": v.kind, "witness": v.witness, "explanation": v.explanation}
 
 
-def _combination(coeffs, constant: str, names) -> str:
+def _combination(coeffs, constant: Fraction, names) -> str:
     """The printed c1*g1 + ... + z, its zero terms left out; "0" if all are."""
-    terms = [f"{c}*{name}" for c, name in zip(coeffs, names) if c != "0"]
-    if constant != "0":
-        terms.append(constant)
+    terms = [f"{c}*{name}" for c, name in zip(coeffs, names) if c]
+    if constant:
+        terms.append(str(constant))
     return " + ".join(terms) or "0"
+
+
+def _json(v, indent: str, written: dict) -> str:
+    """v as json.dumps(v, indent=2) writes it at this indent, a Fraction as
+    its quoted str.  A container met again at this indent, such as c's zero
+    row, reuses its text in written, keyed by id: the report keeps it alive."""
+    if isinstance(v, (str, Fraction)):
+        return encode_basestring_ascii(str(v))
+    if type(v) is int:
+        return repr(v)
+    if not v or not isinstance(v, (dict, list, tuple)):
+        return json.dumps(v)  # another scalar, or an empty container: "{}" or "[]"
+    key = (id(v), indent)
+    if key not in written:
+        inner = indent + "  "
+        items = ([f"{encode_basestring_ascii(k)}: {_json(x, inner, written)}"
+                  for k, x in v.items()] if isinstance(v, dict)
+                 else [_json(x, inner, written) for x in v])
+        ends = "{}" if isinstance(v, dict) else "[]"
+        written[key] = f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+    return written[key]
 
 
 def emit_report(report: dict, fmt: str):
     """Write the report to stdout; JSON is byte-stable for fixed inputs."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2))
-        sys.stdout.write("\n")
+        sys.stdout.write(_json(report, "", {}) + "\n")
         return
     lines = [f"dirackit report (version {report['version']})",
              f"input_digest: {report['input_digest']}"]
@@ -205,7 +203,7 @@ def emit_report(report: dict, fmt: str):
         v = report["verdict"]
         lines.append(f"verdict: {v['kind']}")
         if v["witness"]:
-            lines.append(f"witness: {json.dumps(v['witness'])}")
+            lines.append(f"witness: {json.dumps(v['witness'], default=str)}")
         lines.append(f"explanation: {v['explanation']}")
     timings = report.get("timings_ms", {})
     lines.append("timings_ms: " + " ".join(f"{k}={v}" for k, v in timings.items()))
@@ -290,7 +288,7 @@ def cmd_verdict(spec: SystemSpec, args):
     verdict = lemma_verdict(spec.ps, spec.constraints, spec.sampler)
     sys.stdout.write(f"{verdict.kind}\n")
     if verdict.witness:
-        sys.stdout.write(f"witness: {json.dumps(_verdict_dict(verdict)['witness'])}\n")
+        sys.stdout.write(f"witness: {json.dumps(verdict.witness, default=str)}\n")
     sys.stdout.write(f"{verdict.explanation}\n")
 
 

@@ -148,7 +148,8 @@ def closure_analysis(primaries: PrimarySet, space,
                        tuple(_reduced(e, on_shell_rules) for e in primaries.exprs))
     k = len(primaries)
     zero = Fraction(0)
-    c = [[(zero,) * k] * k for _ in range(k)]
+    zeros = (zero,) * k  # every zero row of c is this one tuple
+    c = [[zeros] * k for _ in range(k)]
     z = [[zero] * k for _ in range(k)]
     h = h_const = None
     # {g_a, H} is column k of the table when a Hamiltonian is declared.

@@ -22,11 +22,13 @@ from dirackit.errors import (
     OddConstraintCountError,
     TooManyConstraintsError,
 )
+from dirackit import brackets
 from dirackit.sysfile import parse_system
 
 from conftest import (Opaque, fd_poisson, full_rows, is_skew_symmetric, matmul, opaque_dirac,
                       opaque_inverse, random_point, random_polynomial, random_rational_expr,
                       tower_text)
+from test_sum_of_products import poisson_loop
 
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -100,6 +102,49 @@ class TestSparsePoissonBracket:
             g = rng.choice([random_rational_expr, random_polynomial])(ps, rng)
             assert str(poisson_bracket(f, g, ps)) == str(dense_poisson(f, g, ps))
             assert str(poisson_bracket(g, f, ps)) == str(dense_poisson(g, f, ps))
+
+
+class TestPairsFromSupports:
+    """`poisson_bracket` reads the shared canonical pairs off the two
+    supports, with parameters in them: each result prints as the n-loop
+    references print it, and operands that share no pair give the exact
+    zero with no call of `add_products`."""
+
+    @pytest.mark.parametrize("parameters", [("r", "s"), ()])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_prints_as_the_loops(self, n, parameters):
+        """Polynomials, quotients, and their sums and products: operands over
+        shared denominators, whose fold order can show in the printed form
+        (without parameters, n = 3 has such pairs)."""
+        ps = PhaseSpace(n, parameters=parameters)
+        rng = random.Random(200 + n)
+        pool = [random_polynomial(ps, rng) for _ in range(3)] \
+            + [random_rational_expr(ps, rng) for _ in range(3)]
+        pool += [pool[3] * pool[4], pool[4].int_pow(2) + pool[5], pool[0] / pool[3]]
+        for _ in range(40):
+            f, g = rng.choice(pool), rng.choice(pool)
+            printed = str(poisson_bracket(f, g, ps))
+            assert printed == str(poisson_loop(f, g, ps)) == str(dense_poisson(f, g, ps))
+
+    @pytest.mark.parametrize("f, g", [
+        ("r*x1", "s*x2 + r"),          # a parameter only
+        ("r^2 + s", "r*s*p3"),
+        ("x1*r + x2", "x1^2*s"),        # x_i on both sides only
+        ("p2/(1 + r)", "p2^2 + x3"),    # p_i on both sides only
+        ("x1*p1", "x2*p2 + s"),         # each pair on one side only
+        ("x3*s/(x1 + r)", "x1*x3"),
+    ])
+    def test_no_shared_pair_is_the_exact_zero_without_a_sum(self, monkeypatch, f, g):
+        ps = PhaseSpace(3, parameters=("r", "s"))
+        calls = []
+        original = brackets.add_products
+        monkeypatch.setattr(brackets, "add_products",
+                            lambda *args: calls.append(args) or original(*args))
+        f, g = E(f, ps), E(g, ps)
+        assert poisson_bracket(f, g, ps).is_zero and poisson_bracket(g, f, ps).is_zero
+        assert calls == []
+        assert not poisson_bracket(f + E("x1", ps), g + E("p1", ps), ps).is_zero
+        assert len(calls) == 1
 
 
 class TestDeltaMatrix:

@@ -13,10 +13,11 @@ second-class constraint set chi_1..chi_2m the Dirac bracket is
 where Delta_ab = {chi_a, chi_b} must be invertible as a matrix of
 rational functions: `constraint_system` alone builds and inverts Delta
 for a constraint set, and `second_class` alone refuses a set that is
-not second class.  The denominators of Delta^-1's entries are products
-of powers of atoms (see `dirackit.expr`), so the corrections are summed
-over the lcm of their denominators, and each Dirac bracket is returned
-with every atom that divides its numerator cancelled.
+not second class.  An expression keeps its row {f, chi_a} for the last
+context it was bracketed in, so a repeated operand costs one Poisson
+bracket.  The corrections are one sum over the lcm of their atoms' powers
+(see `dirackit.expr`), and each Dirac bracket is returned with every atom
+that divides its numerator cancelled.
 
 Delta, Delta^-1 and every bracket table are skew, so each is a
 `matrix.Skew`: only the entries with a < b are built and stored.
@@ -146,6 +147,18 @@ def make_context(ps: PhaseSpace, constraints) -> DiracContext:
     return second_class(constraint_system(ps, constraints), None)
 
 
+def _row(f: RationalExpr, ctx: DiracContext) -> list:
+    """f's constraint row in ctx, its nonzero entries (a, {f, chi_a}) in a
+    order, kept in f._row for the last context (by identity) f was
+    bracketed in; both are immutable, so a kept row never goes stale."""
+    if f._row is not None and f._row[0] is ctx:
+        return f._row[1]
+    row = [(a, v) for a, v in enumerate(poisson_bracket(f, chi, ctx.ps) for chi in ctx.constraints)
+           if not v.is_zero]
+    f._row = (ctx, row)
+    return row
+
+
 def _dirac_correct(acc: RationalExpr, f_row, g_row, ctx: DiracContext) -> RationalExpr:
     """acc + {f, chi_a} (Delta^-1)_ab {g, chi_b}, that is acc - {f, chi_a}
     (Delta^-1)_ab {chi_b, g}, over the rows' nonzero entries (a, {f, chi_a})
@@ -170,7 +183,9 @@ def _dirac_correct(acc: RationalExpr, f_row, g_row, ctx: DiracContext) -> Ration
 
 
 def dirac_bracket(f: RationalExpr, g: RationalExpr, ctx: DiracContext) -> RationalExpr:
-    return bracket_table([f, g], ctx).upper[0][0]  # entry (0, 1)
+    """{f, g}_D: the rows of f and g (see `_row`), {f, g}, the correction."""
+    f_row, g_row = _row(f, ctx), _row(g, ctx)
+    return _dirac_correct(poisson_bracket(f, g, ctx.ps), f_row, g_row, ctx)
 
 
 def bracket_table(items, space) -> Skew:
@@ -178,17 +193,13 @@ def bracket_table(items, space) -> Skew:
     pair a < b is made.  The space picks the bracket: Poisson on a
     PhaseSpace, Dirac in a DiracContext.
 
-    In a context each item's row {item, chi_a} is computed once, every
-    entry of it (none for a single item), and kept as its nonzero entries
-    (a, {item, chi_a}) in a order; {f, g}_D = {f, g} + {f, chi_a}
-    (Delta^-1)_ab {g, chi_b} sums over those alone."""
+    In a context every item's row (see `_row`) is taken before any pair."""
     items = list(items)
     if not items:
         raise ValueError("items must be nonempty")
     if isinstance(space, DiracContext):
-        ps, chis = space.ps, space.constraints
-        rows = [[(a, v) for a, v in enumerate(poisson_bracket(f, chi, ps) for chi in chis)
-                 if not v.is_zero] for f in items] if len(items) > 1 else None  # one item: no pair
+        ps = space.ps
+        rows = [_row(f, space) for f in items] if len(items) > 1 else None  # one item: no pair
         bracket = lambda a, b: _dirac_correct(
             poisson_bracket(items[a], items[b], ps), rows[a], rows[b], space)
     else:

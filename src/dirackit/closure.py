@@ -205,38 +205,73 @@ def closure_analysis(primaries: PrimarySet, space,
 
 
 def finite_dim_obstruction(report: AlgebraReport) -> Verdict:
-    """Trace argument on a closed algebra.
+    """Trace argument on a closed algebra, decided by the Fredholm
+    alternative.
 
-    A nonzero central charge z_ab means the operator image of
-    {g_a, g_b} is a nonzero multiple of the identity; in dimension D the
-    left side has trace 0 and the right side trace proportional to D.
+    Each row r of the report, a pair {g_a, g_b} with a < b and, with a
+    Hamiltonian, each {g_a, H}, reads sum_k C_rk g_k + z_r.  In a finite
+    dimension D every commutator is traceless, so the operator images
+    give sum_k C_rk tr(g_k) + z_r D = 0 for each r.  A lambda with
+    lambda^T C = 0 and lambda^T z != 0 then forces (lambda^T z) D = 0:
+    no finite-dimensional realization exists.  Otherwise z = C t for
+    some t, and the shift g_k -> g_k + t_k removes every constant (the
+    central term is a trivial extension), so the argument does not
+    apply.  One `row_reduce_fractions` of [C | z | I] finds both: a row
+    whose C part reduces to zero holds lambda in its I part and
+    lambda^T z in its z entry, and the pivot rows hold t.  A row with a
+    zero C and a nonzero z is its own witness, the first such is named.
     """
     if not report.closed:
         raise ReportNotClosedError("obstruction logic requires a closed algebra")
-    k = len(report.names)
-    for a in range(k):
-        for b in range(k):
-            if report.z[a][b] != 0:
-                return Verdict(
-                    kind="infinite_dimensional",
-                    witness={"pair": (report.names[a], report.names[b]),
-                             "central_charge": report.z[a][b]},
-                    explanation=(
-                        f"{{{report.names[a]}, {report.names[b]}}} contains the "
-                        f"constant {report.z[a][b]}; its operator image is a nonzero "
-                        "multiple of the identity, whose trace in a finite dimension D "
-                        "would be proportional to D, while every commutator is "
-                        "traceless. No finite-dimensional realization exists."),
-                )
+    names, k = report.names, len(report.names)
+    rows = [((names[a], names[b]), report.c[a][b], report.z[a][b])
+            for a in range(k) for b in range(a + 1, k)]
+    if report.h is not None:
+        rows += [((names[a], "H"), report.h[a], report.h_const[a]) for a in range(k)]
+    for (a, b), c, z in rows:
+        if z and not any(c):
+            return _obstruction({"pair": (a, b), "central_charge": z},
+                                f"{{{a}, {b}}} contains the constant {z}")
+    if not any(z for _, _, z in rows):
+        return _no_obstruction("All central charges vanish, so the trace argument does not apply.")
+    zero, one = Fraction(0), Fraction(1)
+    table = [list(c) + [z] + [one if i == r else zero for i in range(len(rows))]
+             for r, (_, c, z) in enumerate(rows)]
+    pivots = row_reduce_fractions(table, k)
+    for row in table[len(pivots):]:
+        if row[k]:
+            combination = {f"{{{a},{b}}}": v for ((a, b), _, _), v in zip(rows, row[k + 1:]) if v}
+            terms = " + ".join(f"{v}*{label}" for label, v in combination.items())
+            return _obstruction({"combination": combination, "central_charge": row[k]},
+                                f"The generator parts cancel in {terms}, which is the "
+                                f"constant {row[k]}")
+    shift = ", ".join(f"{names[col]} -> {names[col]} {'-' if row[k] < 0 else '+'} {abs(row[k])}"
+                      for col, row in zip(pivots, table) if row[k])
+    return _no_obstruction(
+        f"The shift {shift} removes every constant: the central charges are a trivial "
+        "central extension, so the trace argument does not apply.")
+
+
+def _obstruction(witness: dict, statement: str) -> Verdict:
+    return Verdict(
+        kind="infinite_dimensional",
+        witness=witness,
+        explanation=(
+            f"{statement}; its operator image is a nonzero multiple of the identity, "
+            "whose trace in a finite dimension D would be proportional to D, while every "
+            "commutator is traceless. No finite-dimensional realization exists."),
+    )
+
+
+def _no_obstruction(reason: str) -> Verdict:
     return Verdict(
         kind="no_obstruction_detected",
         witness=None,
         explanation=(
-            "All central charges vanish, so the trace argument does not apply. "
-            "This is a necessary condition only: the algebra may still fail to "
+            f"{reason} This is a necessary condition only: the algebra may still fail to "
             "admit a finite-dimensional realization for other reasons. Algebras "
-            "representable by traceless matrices (e.g. angular momentum / spin) "
-            "do admit finite-dimensional operators."),
+            "representable by traceless matrices (e.g. angular momentum / spin) do admit "
+            "finite-dimensional operators."),
     )
 
 

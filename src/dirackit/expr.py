@@ -5,11 +5,11 @@ product of powers of atoms: interned primitive polynomials with a
 positive leading coefficient.  The expression keeps the sorted
 (atom, exponent) pairs in `atoms` and their expanded product in `den`.
 A `/` by a non-constant makes the primitive part of the divisor's
-numerator an atom; `*` adds exponents; `+` and `-` scale each numerator
-by the powers the other side has more of, so a sum is written over the
-lcm of the denominators (over the shorter atom tuple when the two
-expand to the same denominator); a partial raises the exponent of each atom
-that depends on the variable by one.  Distinct atoms are treated as
+numerator an atom; `*` adds exponents; a sum, `+`, `-` or `add_products`,
+is one kernel pass over the lcm of the denominators, written over the
+atoms a left fold of `+` would leave (see `_sum_atoms`); a partial
+raises the exponent of each atom that depends on the variable by one.
+Distinct atoms are treated as
 coprime and no polynomial gcd is ever taken, so equality of a/b and c/d
 is decided by expanding a*d - c*b.  `cancel` divides the numerator by
 each atom as long as it divides exactly.  All values are immutable and
@@ -80,10 +80,6 @@ def _one(nsyms: int) -> Polynomial:
     return Polynomial.constant(nsyms, 1)
 
 
-def _times(num: Polynomial, atoms: tuple) -> Polynomial:
-    return num * _product(atoms) if atoms else num
-
-
 def _combine(a: tuple, b: tuple, op) -> tuple:
     """The atoms of both, an atom in both with exponent op(e_a, e_b):
     `add` for a product, `max` for the lcm of a sum."""
@@ -97,6 +93,17 @@ def _combine(a: tuple, b: tuple, op) -> tuple:
     return tuple(sorted(exps.items()))
 
 
+def _sum_atoms(a: tuple, b: tuple) -> tuple:
+    """The atoms of a sum over a and over b: their lcm, or the shorter (a
+    on a tie) when the two expand alike, which needs neither to divide
+    the other and equal degrees, since atoms are not constants."""
+    lcm = _combine(a, b, max)
+    degree = lambda atoms: sum(t.poly.total_degree() * e for t, e in atoms)
+    if lcm in (a, b) or degree(a) != degree(b) or _product(a) != _product(b):
+        return lcm
+    return b if len(b) < len(a) else a
+
+
 def _missing(lcm: tuple, atoms: tuple) -> tuple:
     """The powers by which atoms falls short of lcm, a multiple of it."""
     if atoms == lcm:
@@ -106,7 +113,7 @@ def _missing(lcm: tuple, atoms: tuple) -> tuple:
 
 
 class RationalExpr:
-    __slots__ = ("ps", "num", "den", "atoms", "_partials")
+    __slots__ = ("ps", "num", "den", "atoms", "_partials", "_row")
 
     def __init__(self, ps: PhaseSpace, num: Polynomial, den: Polynomial):
         """num / den for a nonzero polynomial den; a non-constant den's
@@ -124,7 +131,8 @@ class RationalExpr:
             atoms, den = (), _one(num.nsyms)
         else:
             den = _product(atoms)
-        self.ps, self.num, self.den, self.atoms, self._partials = ps, num, den, atoms, None
+        self.ps, self.num, self.den, self.atoms = ps, num, den, atoms
+        self._partials = self._row = None
 
     @classmethod
     def _build(cls, ps: PhaseSpace, num: Polynomial, atoms: tuple) -> "RationalExpr":
@@ -176,14 +184,8 @@ class RationalExpr:
 
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
         self._check(other)
-        a, b = self.atoms, other.atoms
-        if a == b:
-            return RationalExpr._build(self.ps, self.num + other.num, a)
-        if self.den == other.den:  # atoms that share factors, one product
-            return RationalExpr._build(self.ps, self.num + other.num, b if len(b) < len(a) else a)
-        lcm = _combine(a, b, max)
-        return RationalExpr._build(self.ps, _times(self.num, _missing(lcm, a))
-                                   + _times(other.num, _missing(lcm, b)), lcm)
+        lcm = _combine(self.atoms, other.atoms, max)
+        return _one_pass(self, [(_one(self.ps.nsyms), other.num, other.atoms)], lcm)
 
     def __sub__(self, other: "RationalExpr") -> "RationalExpr":
         return self + (-other)
@@ -299,31 +301,48 @@ class RationalExpr:
 
 
 def add_products(start: RationalExpr, pairs) -> RationalExpr:
-    """start + a_1*b_1 + a_2*b_2 + ..., skipping pairs with an exact zero.
-
-    When start and every operand are polynomials on start's phase space,
-    the sum is one pass of `poly.sum_of_products`; the result is
-    canonical, so it equals the fold.  Otherwise it folds acc + a*b left
-    to right, so each partial sum is over the lcm of the denominators so
-    far, and one that is exactly zero starts again from denominator 1.
-    A skipped product would leave num and atoms as they are, and
-    acc - a*b builds the same num and atoms as acc + (-a)*b.  With no
-    pair left the sum is start itself.
+    """start + a_1*b_1 + a_2*b_2 + ..., skipping pairs with an exact zero,
+    printed as the left fold acc = acc + a*b prints it, in one pass
+    (`_one_pass`).  With no pair left the sum is start itself.
     """
     ps = start.ps
     pairs = [(a, b) for a, b in pairs if not (a.is_zero or b.is_zero)]
     if not pairs:
         return start
-    if start.is_polynomial and all(
-            a.ps is ps and b.ps is ps and a.is_polynomial and b.is_polynomial
-            for a, b in pairs):
-        one = start.den
-        return RationalExpr.from_polynomial(ps, sum_of_products(
-            ps.nsyms, [(start.num, one)] + [(a.num, b.num) for a, b in pairs]))
-    acc = start
+    lcm, run = start.atoms, []
     for a, b in pairs:
-        acc = acc + a * b
-    return acc
+        if a.ps is not ps or b.ps is not ps:
+            start._check(a)
+            start._check(b)
+        p = _combine(a.atoms, b.atoms, add)
+        if p != lcm:
+            lcm = _combine(lcm, p, max)
+        run.append((a.num, b.num, p))
+    return _one_pass(start, run, lcm)
+
+
+def _one_pass(start: RationalExpr, run: list, lcm: tuple) -> RationalExpr:
+    """start + a*b for each (a, b, atoms of a*b) of run in one kernel pass
+    over lcm, the lcm of all their atoms, each a*b times the powers of
+    atoms it lacks.  The atoms the fold would end with are tracked:
+    `_sum_atoms` at each step, none after an exactly zero partial sum
+    (where the kernel's running sum is empty); an exact division by the
+    powers of lcm they lack finishes the sum."""
+    ps = start.ps
+    if not lcm:  # polynomials: no atom to track
+        return RationalExpr._build(ps, sum_of_products(
+            ps.nsyms, [(start.num, start.den)] + [(a, b) for a, b, _ in run]), lcm)
+    lacks = _missing(lcm, start.atoms)
+    terms = [(start.num, _product(lacks) if lacks else _one(ps.nsyms))]
+    terms += [(a, b) if p == lcm else (a * b, _product(_missing(lcm, p))) for a, b, p in run]
+    empty = []
+    num = sum_of_products(ps.nsyms, terms, empty)
+    atoms = start.atoms
+    for i, (_, _, p) in enumerate(run, 1):
+        atoms = () if i in empty else atoms if atoms == p else _sum_atoms(atoms, p)
+    if atoms != lcm:
+        num = num.exact_quotient(_product(_missing(lcm, atoms)))
+    return RationalExpr._build(ps, num, atoms)
 
 
 def format_polynomial(poly: Polynomial, names) -> str:

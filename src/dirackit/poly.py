@@ -443,36 +443,39 @@ def _accumulate(out: dict[int, int], a: dict[int, int], b: dict[int, int],
                 del out[k]
 
 
-def sum_of_products(nsyms: int, pairs) -> Polynomial:
+def sum_of_products(nsyms: int, pairs, empty: list | None = None) -> Polynomial:
     """sum(f * g for f, g in pairs) in one int dict, over one common
     denominator (the lcm of the products' content denominators), with
     one normalization at the end instead of one per product and per
     partial sum.  The stored form is canonical, so the result is the one
     folding `*` and `+` gives.  Each product's total degree is checked
-    as `*` checks it; pairs with a zero operand are skipped.
+    as `*` checks it; pairs with a zero operand are skipped.  A list
+    `empty` gets each position in pairs where the running sum is 0.
     """
-    pairs = [(f, g) for f, g in pairs if f._t and g._t]
-    den = math.lcm(*(f._d * g._d for f, g in pairs))
+    live = [(i, f, g) for i, (f, g) in enumerate(pairs) if f._t and g._t]
+    den = math.lcm(*(f._d * g._d for _, f, g in live))
     shift = _layout(nsyms)[0]
     out = {}
     get = out.get
-    for f, g in pairs:
+    for i, f, g in live:
         _check_degree((f._lead >> shift) + (g._lead >> shift))
         scale = f._n * g._n * (den // (f._d * g._d))
         if len(f._t) == 1:
             f, g = g, f
         if len(g._t) > 1:
             _accumulate(out, f._t, g._t, scale)
-            continue
-        # A primitive single term has coefficient 1: it shifts the keys of f.
-        lead = g._lead
-        for k, v in f._t.items():
-            k += lead
-            s = get(k, 0) + v * scale
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+        else:
+            # A primitive single term has coefficient 1: it shifts the keys of f.
+            lead = g._lead
+            for k, v in f._t.items():
+                k += lead
+                s = get(k, 0) + v * scale
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        if not out and empty is not None:
+            empty.append(i)
     return _normalized(nsyms, 1, den, out)
 
 

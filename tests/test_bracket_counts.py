@@ -25,6 +25,7 @@ from dirackit import (
     dirac_bracket,
     make_context,
     parse_expression,
+    poisson_bracket,
     trace_identity,
 )
 from dirackit import brackets, closure
@@ -32,7 +33,7 @@ from dirackit.cli import main
 from dirackit.poly import Polynomial
 from dirackit.sysfile import parse_system
 
-from conftest import mix_text, random_polynomial, replace_everywhere, tower_text
+from conftest import jacobi_triple, mix_text, random_polynomial, replace_everywhere, tower_text
 
 SPHERE = (Path(__file__).resolve().parent.parent / "systems" / "sphere.system").read_text(
     encoding="utf-8")
@@ -84,15 +85,83 @@ def tower_items(spheres: int, count: int):
                                    variables_only=True) for _ in range(count)]
 
 
+def fresh(e: RationalExpr) -> RationalExpr:
+    """An expression equal to e that keeps no row of its own."""
+    return RationalExpr.from_polynomial(e.ps, e.as_polynomial())
+
+
 @pytest.mark.parametrize("spheres", [1, 2])
 def test_two_item_dirac_table_costs_one_dirac_bracket(counts, spheres):
+    """Fresh operands: 2m brackets for each row and one {f, g}, in the
+    table as in `dirac_bracket`; the rows the table took stay with f and
+    g, so bracketing them again makes {f, g} alone."""
     ctx, (f, g) = tower_items(spheres, 2)
     counts["poisson"] = 0
-    bracket_table([f, g], ctx)
+    table = bracket_table([f, g], ctx)
     assert counts["poisson"] == 4 * ctx.m + 1
     counts["poisson"] = 0
-    dirac_bracket(f, g, ctx)
+    assert str(dirac_bracket(fresh(f), fresh(g), ctx)) == str(table[0, 1])
     assert counts["poisson"] == 4 * ctx.m + 1
+    counts["poisson"] = 0
+    assert str(dirac_bracket(f, g, ctx)) == str(table[0, 1])
+    assert counts["poisson"] == 1
+
+
+@pytest.mark.parametrize("spheres", [1, 2])
+def test_dirac_bracket_takes_each_operand_row_once_per_context(counts, spheres):
+    ctx, (f, g) = tower_items(spheres, 2)
+    counts["poisson"] = 0
+    first = str(dirac_bracket(f, g, ctx))
+    assert counts["poisson"] == 4 * ctx.m + 1
+    for a, b in [(f, g), (g, f), (f, f)]:
+        counts["poisson"] = 0
+        again = str(dirac_bracket(a, b, ctx))
+        assert counts["poisson"] == 1
+    assert again == "0" and str(dirac_bracket(g, f, ctx)) == str(-dirac_bracket(f, g, ctx))
+    assert str(dirac_bracket(f, g, ctx)) == first
+    other = make_context(ctx.ps, ctx.constraints)  # equal, but another context
+    counts["poisson"] = 0
+    assert str(dirac_bracket(f, g, other)) == first
+    assert counts["poisson"] == 4 * ctx.m + 1
+    counts["poisson"] = 0
+    dirac_bracket(f, g, ctx)  # each operand keeps the row of its last context only
+    assert counts["poisson"] == 4 * ctx.m + 1
+
+
+def dirac_fold(f, g, ctx):
+    """{f, g}_D as one left fold acc + ({f, chi_a} U_ab) {g, chi_b} over
+    freshly computed rows, then cancelled: what each bracket printed
+    when it took both rows on every call."""
+    row = lambda e: [(a, poisson_bracket(e, chi, ctx.ps)) for a, chi in enumerate(ctx.constraints)]
+    acc = poisson_bracket(f, g, ctx.ps)
+    for a, fa in row(f):
+        for b, gb in row(g):
+            u = ctx.delta_inv[a, b]
+            if not (fa.is_zero or gb.is_zero or u.is_zero):
+                acc = acc + fa * u * gb
+    return acc.cancel()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_fresh_jacobi_triple_makes_18_poisson_brackets(counts, seed):
+    """Three inner and three outer brackets on the sphere (m = 1): the
+    rows of f, g and h are taken once, not once per bracket, and so are
+    the rows of the three inner brackets: 6 rows of 2 and 6 {., .}, 18
+    in all where taking both rows on every call made 30."""
+    ps = PhaseSpace(3, parameters=("r",))
+    ctx = make_context(ps, [parse_expression("x1^2 + x2^2 + x3^2 - r^2", ps),
+                            parse_expression("p1*x1 + p2*x2 + p3*x3", ps)])
+    f, g, h = jacobi_triple(ps, random.Random(seed))
+    counts["poisson"] = 0
+    inner = [dirac_bracket(g, h, ctx), dirac_bracket(h, f, ctx), dirac_bracket(f, g, ctx)]
+    outer = [dirac_bracket(f, inner[0], ctx), dirac_bracket(g, inner[1], ctx),
+             dirac_bracket(h, inner[2], ctx)]
+    assert counts["poisson"] == 18
+    assert (outer[0] + outer[1] + outer[2]).is_zero
+    f, g, h = jacobi_triple(ps, random.Random(seed))
+    expected = [dirac_fold(g, h, ctx), dirac_fold(h, f, ctx), dirac_fold(f, g, ctx)]
+    expected += [dirac_fold(e, i, ctx) for e, i in zip((f, g, h), expected)]
+    assert [str(e) for e in inner + outer] == [str(e) for e in expected]
 
 
 @pytest.mark.parametrize("spheres,k", [(1, 3), (1, 5), (2, 4)])

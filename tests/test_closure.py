@@ -403,6 +403,69 @@ class TestVerdicts:
         with pytest.raises(ReportNotClosedError):
             finite_dim_obstruction(report)
 
+    @staticmethod
+    def closure_verdict(tmp_path, capsys, text, mode):
+        path = tmp_path / "verdict.system"
+        path.write_text(text, encoding="utf-8")
+        assert main(["closure", str(path), "--mode", mode]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("verdict:", "witness:", "explanation:"))]
+
+    @pytest.mark.parametrize("mode", ["poisson", "dirac"])
+    def test_a_central_charge_that_a_shift_removes_is_no_obstruction(self, tmp_path, capsys,
+                                                                    mode):
+        """{L2, L3} = L1 - 1 on the sphere with L1 shifted by 1: J1 + 1, J2,
+        J3 with J the spin-j matrices satisfy every relation, and the shift
+        L1 -> L1 - 1 removes the constant."""
+        text = SPHERE.read_text(encoding="utf-8").replace(
+            "L1 = x2*p3 - x3*p2", "L1 = x2*p3 - x3*p2 + 1")
+        assert "x3*p2 + 1" in text
+        lines = self.closure_verdict(tmp_path, capsys, text, mode)
+        assert lines[0] == "verdict: no_obstruction_detected"
+        assert lines[1].startswith("explanation: The shift L1 -> L1 - 1 removes every constant")
+        assert "All central charges vanish" not in lines[1]
+
+    @pytest.mark.parametrize("mode", ["poisson", "dirac"])
+    def test_a_constant_bracket_with_the_hamiltonian_is_an_obstruction(self, tmp_path, capsys,
+                                                                      mode):
+        text = ("[system]\nn = 2\n[constraints]\nchi1 = x2\nchi2 = p2\n"
+                "[primaries]\ng1 = x1\n[hamiltonian]\nH = p1\n")
+        lines = self.closure_verdict(tmp_path, capsys, text, mode)
+        assert lines[:2] == ["verdict: infinite_dimensional",
+                             'witness: {"pair": ["g1", "H"], "central_charge": "1"}']
+
+    def test_generator_parts_that_cancel_leave_an_obstruction(self, ps3):
+        """{g1, g2} = g3 + 1 and {g1, g4} = g3: no bracket is a bare
+        constant, but {g1, g2 - g4} = {x1, p1} = 1."""
+        names = ("g1", "g2", "g3", "g4")
+        report = closure_analysis(PrimarySet(names, tuple(
+            E(t, ps3) for t in ("x1", "p1*x2 + p1", "x2", "p1*x2"))), ps3)
+        verdict = finite_dim_obstruction(report)
+        assert verdict.kind == "infinite_dimensional"
+        combination = verdict.witness["combination"]
+        assert set(combination) == {"{g1,g2}", "{g1,g4}"}
+        rows = {f"{{{names[a]},{names[b]}}}": (report.c[a][b], report.z[a][b])
+                for a in range(4) for b in range(a + 1, 4)}
+        for k in range(4):
+            assert sum(lam * rows[label][0][k] for label, lam in combination.items()) == 0
+        total = sum(lam * rows[label][1] for label, lam in combination.items())
+        assert total == verdict.witness["central_charge"] != 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constant_shifts_of_the_primaries_keep_the_verdict(self, ps3, angular_momenta,
+                                                              seed):
+        """so(3) and the Heisenberg-like set above, each primary shifted by a
+        seeded constant: the constants the shifts bring are coboundaries."""
+        rng = random.Random(seed)
+        heisenberg = PrimarySet(("g1", "g2", "g3", "g4"), tuple(
+            E(t, ps3) for t in ("x1", "p1*x2 + p1", "x2", "p1*x2")))
+        for primaries in (angular_momenta, heisenberg):
+            kind = finite_dim_obstruction(closure_analysis(primaries, ps3)).kind
+            shifted = PrimarySet(primaries.names, tuple(
+                e + RationalExpr.constant(ps3, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                for e in primaries.exprs))
+            assert finite_dim_obstruction(closure_analysis(shifted, ps3)).kind == kind
+
 
 class TestLemmaVerdict:
     def test_sphere(self):

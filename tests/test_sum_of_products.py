@@ -1,9 +1,10 @@
 """The fused sum-of-products kernel and the expression fold over it.
 
 `poly.sum_of_products` must store exactly what folding `*` and `+`
-stores, and `expr.add_products` must print what the hand-written
-accumulation loops it replaced printed: on polynomials through the
-kernel, on operands with denominators through its own fold.
+stores, and `expr.add_products` must print what the left fold
+acc + a*b and the hand-written accumulation loops it replaced printed:
+on polynomials and on operands with denominators alike, every sum is
+one pass of the kernel.
 """
 
 import random
@@ -124,6 +125,16 @@ def trace_pair_loop(one, u, inverse, w):
     return pair
 
 
+def fold(start, pairs):
+    """add_products as the left fold it replaced: acc + a*b, left to
+    right, skipping pairs with an exact zero."""
+    acc = start
+    for a, b in pairs:
+        if not (a.is_zero or b.is_zero):
+            acc = acc + a * b
+    return acc
+
+
 def printed(e: RationalExpr):
     return str(e), stored(e.num), stored(e.den), e.atoms
 
@@ -178,7 +189,7 @@ class TestFold:
             assert printed(pair_by_partials(one, u, inverse, w)) \
                 == printed(trace_pair_loop(one, u, inverse, w))
 
-    def test_polynomial_sum_takes_the_kernel(self, monkeypatch):
+    def test_every_sum_takes_the_kernel_once(self, monkeypatch):
         from dirackit import expr
         ps = PhaseSpace(2)
         calls = []
@@ -189,10 +200,70 @@ class TestFold:
         assert str(add_products(x, [(x, p), (-p, x), (p, p)])) == "p1^2 + x1"
         assert calls == [1]
         assert str(add_products(x, [(x, p.int_pow(-1))])) == "(x1*p1 + x1)/(p1)"
-        assert calls == [1]
+        assert calls == [1, 1]
+        assert add_products(x, [(x, RationalExpr.zero(ps))]) is x
+        assert calls == [1, 1]
 
     def test_operands_of_another_phase_space_raise(self):
         ps, other = PhaseSpace(2), PhaseSpace(3)
         x = RationalExpr.symbol(ps, "x1")
         with pytest.raises(ValueError, match="different phase spaces"):
             add_products(RationalExpr.zero(ps), [(x, RationalExpr.symbol(other, "x1"))])
+
+
+class TestAgainstTheFold:
+    """`add_products` sums over the lcm of every denominator at once and
+    keeps the atoms the fold would have ended with."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_lists_print_as_the_fold(self, seed):
+        ps = PhaseSpace(2)
+        rng = random.Random(300 + seed)
+        start = operand(ps, rng, KINDS[seed % 3])
+        pairs = [tuple(operand(ps, rng, rng.choice(KINDS)) for _ in range(2))
+                 for _ in range(rng.randint(1, 6))]
+        assert printed(add_products(start, pairs)) == printed(fold(start, pairs))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_partial_sum_that_is_exactly_zero_restarts_the_atoms(self, seed):
+        """A pair and its negation mid-list, and start cancelled by a
+        later pair: after each exactly zero partial sum the fold starts
+        again from denominator 1."""
+        ps = PhaseSpace(2)
+        rng = random.Random(400 + seed)
+        one = RationalExpr.constant(ps, 1)
+        start = random_rational_expr(ps, rng)
+        a, b = random_rational_expr(ps, rng), random_rational_expr(ps, rng)
+        before = [(random_rational_expr(ps, rng), random_rational_expr(ps, rng))
+                  for _ in range(rng.randint(0, 2))]
+        after = [(operand(ps, rng, rng.choice(KINDS[:2])), operand(ps, rng, "polynomial"))
+                 for _ in range(rng.randint(1, 3))]
+        zero = RationalExpr.zero(ps)
+        for s, pairs in [(zero, before + [(a, b), (-a, b)] + after),
+                         (zero, [(a, b), (-a, b)] + after),
+                         (start, [(a, b), (-a, b), (start, -one)] + after),
+                         (start, [(start, -one)] + after)]:
+            if s is zero and before:
+                continue  # the pairs before would leave a nonzero sum
+            assert printed(add_products(s, pairs)) == printed(fold(s, pairs))
+
+    @pytest.mark.parametrize("texts", [
+        ("1/(x1^2 - 1)", "1/(x1 - 1)", "1/(x1 + 1)"),
+        ("1/(x1 - 1)", "1/(x1 + 1)", "1/(x1^2 - 1)"),
+        ("1/(x1^2 - 2*x1 + 1)", "1/(x1 - 1)", "1/(x1 - 1)"),
+        ("1/(x1 - 1)", "1/(x1 - 1)", "1/(x1^2 - 2*x1 + 1)"),
+    ])
+    def test_atom_tuples_that_expand_alike(self, texts):
+        """1/(x1^2 - 1) and 1/(x1 - 1) * 1/(x1 + 1) have one denominator
+        over two atom tuples, in both orders; so do a square atom and the
+        square of its root."""
+        ps = PhaseSpace(2)
+        lone, left, right = (parse_expression(t, ps) for t in texts)
+        one, p = RationalExpr.constant(ps, 1), RationalExpr.symbol(ps, "p1")
+        single = [(lone, p)]
+        for start in (RationalExpr.zero(ps), one, left):
+            for pairs in (single + [(left, right)], [(left, right)] + single,
+                          single + [(left, right), (left, p)],
+                          [(left * p, right)] + single + [(right, one)]):
+                assert printed(add_products(start, pairs)) == printed(fold(start, pairs))
+

@@ -412,9 +412,12 @@ def reduction_check(ctx: DiracContext, eliminated: set[int],
     """Dirac bracket for eliminated-pair constraints equals the Poisson
     bracket on the phase space with those pairs removed.  f and g must
     not mention an eliminated variable, so that bracket is their Poisson
-    bracket on the full phase space, term for term."""
+    bracket on the full phase space, term for term.  Pairs are numbered
+    1..n; any other k is refused."""
     ps = ctx.ps
     eliminated = set(eliminated)
+    if not all(type(k) is int and 1 <= k <= ps.n for k in eliminated):
+        raise PreconditionViolatedError(f"eliminated pairs must be ints in 1..{ps.n}")
     expected = []
     for k in sorted(eliminated):
         expected.append(RationalExpr.symbol(ps, ps.coordinates[k - 1]))

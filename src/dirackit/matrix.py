@@ -1,19 +1,18 @@
-"""Exact inversion of a square matrix, and the skew matrix kept as one
-triangle.
+"""Exact inversion of a skew-symmetric matrix, kept as one triangle.
 
-A general matrix is a tuple of rows.  A skew-symmetric one (Delta,
-Delta^-1, a bracket table) is a `Skew`: only its entries above the
-diagonal are built and stored, and `m[a, b]` reads any entry with its
-sign.  A symbolic matrix is inverted by Gauss-Jordan elimination over the
-rational-function field, `row_reduce`, which exact ranks and solves
-share.  Pivot choice: among the nonzero candidates in the current
+A skew-symmetric matrix (Delta, Delta^-1, a bracket table) is a `Skew`:
+only its entries above the diagonal are built and stored, and `m[a, b]`
+reads any entry with its sign.  `invert_matrix` takes a `Skew` and
+returns one.  A symbolic matrix is inverted by Gauss-Jordan elimination
+over the rational-function field, `row_reduce`, which exact ranks and
+solves share.  Pivot choice: among the nonzero candidates in the current
 column, take the entry whose numerator has the fewest monomials; ties go
 to the lowest row index.  This keeps intermediate expression swell down
 and is fully deterministic.  A matrix of constants is inverted on
-numbers instead: a skew one fraction-free on packed Python ints, two
-columns at a time (`_invert_skew_integers`), any other one, or a
-singular one, by Gauss-Jordan on Fractions (`row_reduce_fractions`),
-whose first-nonzero pivots name the first column of a singular one.
+numbers instead, fraction-free on packed Python ints, two columns at a
+time (`_invert_skew_integers`); a singular one is named by Gauss-Jordan
+on Fractions (`row_reduce_fractions`), whose first-nonzero pivots name
+its first column without a pivot.
 """
 
 from __future__ import annotations
@@ -157,60 +156,48 @@ def _check_pivots(pivots: list[int], size: int) -> None:
         raise SingularMatrixError(f"no nonzero pivot in column {missing[0]}")
 
 
-def invert_matrix(matrix):
-    """Exact inverse over the rational-function field: a `Skew` for a
-    `Skew`, whose inverse is skew, else a tuple of rows.
+def invert_matrix(matrix: Skew) -> Skew:
+    """Exact inverse of a `Skew` over the rational-function field, as a
+    `Skew`: only the k(k - 1)/2 entries above its diagonal are built.
 
-    Raises ValueError unless every row is as long as there are rows, and
-    SingularMatrixError when some column has no nonzero pivot, i.e. the
-    matrix is singular as a matrix of rational functions, naming the
-    first such column.  A matrix A of constants is inverted on numbers,
-    from the (num, den) contents of scale * A (a Skew's rows filled from
-    its triangle) to the entries scale * v / d of d * (scale * A)^-1, each
-    put in lowest terms by one gcd (`Polynomial.ratio`); an inverse is
-    unique and a constant has one normal form, so the entries are the
-    ones elimination over rational functions builds.  A Skew takes
-    `_invert_skew_integers`, with no `Fraction`; any other matrix, and a
-    singular Skew, Gauss-Jordan on Fractions, whose pivots name the
-    column.  A symbolic Skew is expanded to full rows for `row_reduce`.
-    Of a Skew's inverse only the k(k - 1)/2 entries above the diagonal
-    are built.
+    Raises TypeError for anything but a `Skew`, and SingularMatrixError
+    when some column has no nonzero pivot, i.e. the matrix is singular as
+    a matrix of rational functions, naming the first such column.  A
+    matrix of constants is inverted on numbers, by
+    `_invert_skew_integers` on the integer rows of scale * M (filled from
+    the triangle, scale the lcm of the (num, den) contents' denominators)
+    to the entries scale * v / d of d * (scale * M)^-1, each put in lowest
+    terms by one gcd (`Polynomial.ratio`); an inverse is unique and a
+    constant has one normal form, so the entries are the ones elimination
+    over rational functions builds.  The kernel declines exactly the
+    singular matrices; `row_reduce_fractions` of their int rows then
+    names the column, since pivots are read from those columns alone.  A
+    symbolic Skew is reduced as [M | I] by `row_reduce`.
     """
-    skew = isinstance(matrix, Skew)
-    size = len(matrix)
-    if not skew and any(len(row) != size for row in matrix):
-        raise ValueError("matrix must be square")
-    ps = matrix.ps if skew else matrix[0][0].ps
-    cells = [(a, b) for a in range(size) for b in range(a + 1 if skew else 0, size)]
-    entries = list(matrix.entries()) if skew else [e for row in matrix for e in row]
+    if not isinstance(matrix, Skew):
+        raise TypeError(f"invert_matrix takes a Skew, not {type(matrix).__name__}")
+    ps, size = matrix.ps, len(matrix)
+    cells = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    entries = list(matrix.entries())
     if all(e.num.is_constant and e.den.is_constant for e in entries):
         contents = [(0, 1) if e.num.is_zero else e.num.signed_content() for e in entries]
         scale = lcm(*(den for _, den in contents))
         ints = [[0] * size for _ in range(size)]
         for (a, b), (num, den) in zip(cells, contents):
             ints[a][b] = num * (scale // den)
-            if skew:
-                ints[b][a] = -ints[a][b]
-        found = _invert_skew_integers(ints) if skew else None
+            ints[b][a] = -ints[a][b]
+        found = _invert_skew_integers(ints)
         if found is None:
-            work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-                    for i, row in enumerate(ints)]
-            _check_pivots(row_reduce_fractions(work, size), size)
-            d = lcm(*(v.denominator for row in work for v in row[size:]))
-            found = d, [[v.numerator * (d // v.denominator) for v in row[size:]] for row in work]
+            rows = [[Fraction(v) for v in row] for row in ints]
+            _check_pivots(row_reduce_fractions(rows, size), size)
         d, scaled = found
-        nsyms = ps.nsyms
-        inverse = [RationalExpr.from_polynomial(
-            ps, Polynomial.ratio(nsyms, scale * scaled[a][b], d)) for a, b in cells]
+        inverse = (RationalExpr.from_polynomial(
+            ps, Polynomial.ratio(ps.nsyms, scale * scaled[a][b], d)) for a, b in cells)
     else:
         one, zero = RationalExpr.constant(ps, 1), RationalExpr.zero(ps)
-        rows = [[matrix[a, b] for b in range(size)] for a in range(size)] if skew else matrix
-        work = [[*row, *(one if i == j else zero for j in range(size))]
-                for i, row in enumerate(rows)]
+        work = [[matrix[a, b] for b in range(size)]
+                + [one if a == b else zero for b in range(size)] for a in range(size)]
         _check_pivots(row_reduce(work, size, one, operator.attrgetter("is_zero"),
                                  lambda e: len(e.num)), size)
-        inverse = [work[a][size + b] for a, b in cells]
-    flat = iter(inverse)
-    if skew:
-        return Skew(ps, tuple(tuple(islice(flat, size - a - 1)) for a in range(size)))
-    return tuple(tuple(islice(flat, size)) for _ in range(size))
+        inverse = (work[a][size + b] for a, b in cells)
+    return Skew(ps, tuple(tuple(islice(inverse, size - a - 1)) for a in range(size)))

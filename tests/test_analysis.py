@@ -656,6 +656,25 @@ def test_non_reduced_shell_is_degenerate():
         ("degenerate", 1, True, 0, 0)] * 3 + [("degenerate", 1, True, 0, 1)]
 
 
+def _circle_of_radius(r: str) -> str:
+    return (f"[system]\nn = 2\nparameters = r\nbind r = {r}\n[constraints]\n"
+            "chi1 = x1^2 + x2^2 - r^2\nchi2 = x1*p1 + x2*p2\n")
+
+
+@pytest.mark.parametrize("r", ["1e16", "1e17"] + [
+    pytest.param(r, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 14: no on-shell point after 50 retries on a circle of "
+        f"radius {r}, though the shell is nonempty and exact_rank ranks Delta 2")))
+    for r in ("1e18", "1e20")])
+def test_large_circle_has_a_shell(r):
+    """The shell x1^2 + x2^2 = r^2, x1*p1 + x2*p2 = 0 is a nonempty circle
+    (times a line) at every radius, and Delta = 2*(x1^2 + x2^2) is nonzero
+    on it.  Sampler defaults."""
+    text = _circle_of_radius(r)
+    assert _exact_rank(text) == 2
+    assert _classified(text) == ("second_class", 1, True, 2, 1)
+
+
 def test_constraint_too_large_for_a_float_has_a_shell():
     """Delta is the constant [[0, 10^400], [-10^400, 0]] and the shell
     x1 = p1 = 0 is not empty.  The residual 10^400*x1 overflows a float at
@@ -831,6 +850,18 @@ class TestReductionCheck:
         ctx = make_context(ps3, [E("x2", ps3), E("p2", ps3)])
         with pytest.raises(PreconditionViolatedError):
             reduction_check(ctx, {1}, E("x3", ps3), E("p3", ps3))
+
+    @pytest.mark.parametrize("pairs", [{0}, {3}, {-1}, {2, 3}, {True}, {2.0}, {"2"}],
+                             ids=["0", "3", "-1", "2_and_3", "True", "2.0", "text_2"])
+    def test_pair_outside_1_to_n_rejected(self, pairs):
+        """Pairs are numbered 1..n: 0 and -1 do not wrap round to pair n,
+        and n + 1 is not read past the end."""
+        ps = PhaseSpace(2)
+        ctx = make_context(ps, [E("x2", ps), E("p2", ps)])
+        with pytest.raises(PreconditionViolatedError,
+                           match=r"^eliminated pairs must be ints in 1\.\.2$"):
+            reduction_check(ctx, pairs, E("x1", ps), E("p1", ps))
+        assert reduction_check(ctx, {2}, E("x1", ps), E("p1", ps))
 
     def test_random_functions(self, ps3):
         ctx = make_context(ps3, [E("x1", ps3), E("p1", ps3)])

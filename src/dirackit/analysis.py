@@ -255,7 +255,7 @@ def _on_shell(ps: PhaseSpace, constraints, cfg: SamplerConfig):
     @cache
     def value(poly):
         remainder = reduce_by(poly, divisors)
-        if not remainder.symbols_used().isdisjoint(range(nvars)):
+        if remainder.symbol_mask() & ((1 << nvars) - 1):
             return None
         try:
             return sum(c * math.prod(bound(i) ** e for i, e in enumerate(mono) if e)
@@ -325,9 +325,12 @@ def _affine_shell(system: ConstraintSystem, invertible: bool, cfg: SamplerConfig
     if not all(chi.is_polynomial and chi.num.total_degree() <= 1 for chi in constraints):
         return False
     _parameter_values(ps, cfg)  # a missing binding is a ValidationError
-    mentioned = {i - nvars for chi in constraints for i in chi.num.symbols_used() if i >= nvars}
+    mentioned = 0
+    for chi in constraints:
+        mentioned |= chi.num.symbol_mask()
     try:
-        bound = {i: Fraction(cfg.parameter_bindings[ps.parameters[i]]) for i in mentioned}
+        bound = {i: Fraction(cfg.parameter_bindings[name])
+                 for i, name in enumerate(ps.parameters) if mentioned >> nvars + i & 1}
     except (ValueError, OverflowError):
         raise NoOnShellPointError(
             "no on-shell point: a constraint mentions a parameter that is not finite") from None
@@ -428,8 +431,7 @@ def reduction_check(ctx: DiracContext, eliminated: set[int],
         raise PreconditionViolatedError(
             "context constraints are not exactly the eliminated pairs")
 
-    banned = {ps.coordinate_index(k) for k in eliminated} \
-        | {ps.momentum_index(k) for k in eliminated}
-    if not banned.isdisjoint(_support(f) | _support(g)):
+    banned = sum(1 << ps.coordinate_index(k) | 1 << ps.momentum_index(k) for k in eliminated)
+    if (_support(f) | _support(g)) & banned:
         raise PreconditionViolatedError("f or g mentions an eliminated variable")
     return (dirac_bracket(f, g, ctx) - poisson_bracket(f, g, ps)).is_zero

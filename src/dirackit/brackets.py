@@ -5,7 +5,11 @@ The Poisson bracket of f and g is
 
     {f, g} = sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i)
 
-over the canonical pairs x_i <-> p_i read off the two supports.  For a
+over the canonical pairs x_i <-> p_i read off the two supports, each a
+bitmask of the symbols an operand mentions (see `Polynomial.symbol_mask`);
+both operands must be over the bracket's phase space.  Two polynomials
+sum their partials' numerators in one kernel pass, `poly.sum_of_products`;
+operands with atoms sum by `expr.add_products`.  For a
 second-class constraint set chi_1..chi_2m the Dirac bracket is
 
     {f, g}_D = {f, g} - {f, chi_a} * (Delta^-1)_ab * {chi_b, g}
@@ -36,37 +40,55 @@ from .errors import (
 from .expr import RationalExpr, add_products
 from .matrix import Skew, invert_matrix
 from .phase_space import PhaseSpace, Record
-from .poly import Polynomial, affine_rows
+from .poly import Polynomial, affine_rows, sum_of_products
 
 
-def _support(e: RationalExpr) -> frozenset[int]:
-    """The symbols num or den mentions; each polynomial finds its own once."""
-    num = e.num.symbols_used()
-    return num if e.den.is_constant else num | e.den.symbols_used()
+def _support(e: RationalExpr) -> int:
+    """The symbols num or den mentions, bit i for symbol i."""
+    return e.num.symbol_mask() | e.den.symbol_mask()
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> RationalExpr:
-    """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) by `add_products` over the
-    i the supports share (x_i in f and p_i in g, or p_i in f and x_i in g), in
-    ascending i, x_i in f first; with none shared, the exact zero at once."""
-    f_has, g_has = _support(f), _support(g)
+    """sum_i (df/dx_i * dg/dp_i - df/dp_i * dg/dx_i) over the i the supports
+    share (x_i in f and p_i in g, or p_i in f and x_i in g), in ascending
+    i, x_i in f first; with none shared, the exact zero at once.  Two
+    polynomials sum their partials' numerators in one `sum_of_products`;
+    any other operands sum their partials by `add_products`.  An operand
+    over another phase space than ps is a ValueError."""
+    if f.ps is not ps and f.ps != ps or g.ps is not ps and g.ps != ps:
+        raise ValueError("operands belong to different phase spaces")
     n = ps.n  # x_i is symbol i - 1 and p_i symbol n + i - 1; parameters come after
+    fm, gm = _support(f), _support(g)
+    # Bit i - 1 of xp: x_i in f and p_i in g; of px: p_i in f and x_i in g.
+    xp, px = fm & gm >> n, fm >> n & gm
+    shared = (xp | px) & ((1 << n) - 1)
+    if not shared:
+        return RationalExpr.zero(ps)
+    polynomial = not (f.atoms or g.atoms)
+    part = (lambda e, j: e.diff_index(j).num) if polynomial else RationalExpr.diff_index
     pairs = []
-    for j in sorted(f_has | g_has):
-        if j >= n:
-            break
-        if j in f_has and j + n in g_has:
-            pairs.append((f.diff_index(j), g.diff_index(j + n)))
-        if j in g_has and j + n in f_has:
-            pairs.append((-f.diff_index(j + n), g.diff_index(j)))
-    zero = RationalExpr.zero(ps)
-    return add_products(zero, pairs) if pairs else zero
+    for j in _bits(shared):
+        if xp >> j & 1:
+            pairs.append((part(f, j), part(g, j + n)))
+        if px >> j & 1:
+            pairs.append((-part(f, j + n), part(g, j)))
+    if polynomial:
+        return RationalExpr.from_polynomial(ps, sum_of_products(ps.nsyms, pairs))
+    return add_products(RationalExpr.zero(ps), pairs)
 
 
 def constraint_gradients(constraints, ps: PhaseSpace) -> tuple[dict[int, RationalExpr], ...]:
     """Per constraint, its partial along each phase-space variable it mentions."""
-    nvars = 2 * ps.n
-    return tuple({i: chi.diff_index(i) for i in sorted(_support(chi)) if i < nvars}
+    variables = (1 << 2 * ps.n) - 1
+    return tuple({i: chi.diff_index(i) for i in _bits(_support(chi) & variables)}
                  for chi in constraints)
 
 

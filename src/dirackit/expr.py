@@ -240,7 +240,7 @@ class RationalExpr:
         """d(N / prod f_i^e_i) = (dN * prod_H f_i - N * sum_H e_i df_i
         prod_{H - i} f_j) / prod f_i^(e_i + [i in H]), where H holds the
         atoms that depend on the variable."""
-        hit = [(atom.poly, e) for atom, e in self.atoms if index in atom.poly.symbols_used()]
+        hit = [(atom.poly, e) for atom, e in self.atoms if atom.poly.symbol_mask() >> index & 1]
         num = self.num.derivative(index)
         for f, _ in hit:
             num = num * f
@@ -251,7 +251,7 @@ class RationalExpr:
                     term = term * g
             num = num - term
         return RationalExpr._build(self.ps, num, tuple(
-            (atom, e + (index in atom.poly.symbols_used())) for atom, e in self.atoms))
+            (atom, e + (atom.poly.symbol_mask() >> index & 1)) for atom, e in self.atoms))
 
     # -- evaluation ---------------------------------------------------
 
@@ -271,12 +271,17 @@ class RationalExpr:
         """Remainders of num and den under multivariate division.
 
         The result is weakly equal to self: equal wherever all
-        constraints vanish and the denominator stays nonzero.
+        constraints vanish and the denominator stays nonzero.  A
+        polynomial whose numerator no constraint reduces is self; an
+        expression with atoms is rebuilt over its reduced denominator,
+        whose primitive part becomes one atom.
         """
         num = reduce_by(self.num, constraints)
         den = reduce_by(self.den, constraints)
         if den.is_zero:
             raise ZeroDenominatorOnShellError("denominator reduces to 0 on shell")
+        if num is self.num and self.is_polynomial:
+            return self
         return RationalExpr(self.ps, num, den)
 
     # -- equality and printing ----------------------------------------

@@ -126,7 +126,7 @@ def _make(nsyms: int, num: int, den: int, ints: dict[int, int], lead: int) -> "P
     p._d = den
     p._t = ints
     p._lead = lead
-    p._plan = p._symbols = None
+    p._plan = p._mask = None
     return p
 
 
@@ -184,14 +184,14 @@ class Terms(Mapping):
 class Polynomial:
     # The content is _n/_d in lowest terms with _d > 0; the zero
     # polynomial has content 1, no terms and leading key 0.
-    __slots__ = ("nsyms", "_n", "_d", "_t", "_lead", "_plan", "_symbols")
+    __slots__ = ("nsyms", "_n", "_d", "_t", "_lead", "_plan", "_mask")
 
     def __init__(self, nsyms: int, terms: Mapping[Monomial, Fraction] | None = None):
         p = _from_terms(nsyms, {_pack(nsyms, m): Fraction(c)
                                for m, c in (terms or {}).items() if c != 0})
         self.nsyms = nsyms
         self._n, self._d, self._t, self._lead = p._n, p._d, p._t, p._lead
-        self._plan = self._symbols = None
+        self._plan = self._mask = None
 
     # -- constructors -------------------------------------------------
 
@@ -259,14 +259,15 @@ class Polynomial:
         return [(_unpack(nsyms, k), _fraction(num * v, den))
                 for k, v in sorted(self._t.items(), reverse=True)]
 
-    def symbols_used(self) -> frozenset[int]:
-        """Indices of the symbols that occur in some term, found once."""
-        if self._symbols is None:
+    def symbol_mask(self) -> int:
+        """The symbols that occur in some term, bit i for symbol i: one
+        scan of the terms, made once."""
+        if self._mask is None:
             union = 0
             for k in self._t:
                 union |= k
-            self._symbols = frozenset(i for i, e in enumerate(_unpack(self.nsyms, union)) if e)
-        return self._symbols
+            self._mask = sum(1 << i for i, e in enumerate(_unpack(self.nsyms, union)) if e)
+        return self._mask
 
     # -- arithmetic ---------------------------------------------------
 
@@ -493,10 +494,16 @@ def reduce_by(poly: Polynomial, divisors: list[Polynomial]) -> Polynomial:
     leading monomial divides the current one is used.  The result is
     weakly equal to the input: they agree wherever all divisors vanish.
     It runs on Fraction coefficients over packed keys, dividing by each
-    divisor's primitive part, and normalizes the remainder once.
+    divisor's primitive part, and normalizes the remainder once.  When
+    no divisor's leading monomial divides any term of poly, poly itself
+    is the remainder and is returned, found before any Fraction is built;
+    a constant divisor divides every term.  A zero divisor is skipped.
     """
     nsyms = poly.nsyms
-    divs = [(d._lead, d._t, Fraction(-1, d._t[d._lead])) for d in divisors if d._t]
+    divisors = [d for d in divisors if d._t]
+    if not any(_divides(nsyms, d._lead, k) for k in poly._t for d in divisors):
+        return poly
+    divs = [(d._lead, d._t, Fraction(-1, d._t[d._lead])) for d in divisors]
     work = {k: Fraction(poly._n * v, poly._d) for k, v in poly._t.items()}
     remainder = {}
     while work:

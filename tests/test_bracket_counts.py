@@ -251,14 +251,16 @@ def test_mix_analyze_multiplies_only_while_parsing(monkeypatch, tmp_path):
 def test_brackets_without_a_shared_pair_skip_the_sum(monkeypatch):
     """Of the 28 brackets of the k = 4 tower's Delta, the 24 between
     different spheres have no canonical pair to sum over: each is zero
-    without a call of `add_products`."""
+    without a sum.  The 4 within a sphere are brackets of polynomials:
+    one kernel sum each and no call of `add_products`."""
     spec = parse_system(tower_text(4, sampler_seed=1))
     sums = []
-    add_products = brackets.add_products
-    monkeypatch.setattr(brackets, "add_products",
-                        lambda *args: sums.append(args) or add_products(*args))
+    for name in ("add_products", "sum_of_products"):
+        monkeypatch.setattr(brackets, name, lambda *args, _name=name,
+                            _original=getattr(brackets, name):
+                            sums.append(_name) or _original(*args))
     delta = brackets.delta_matrix(spec.constraints, spec.ps)
-    assert len(sums) == 4
+    assert sums == ["sum_of_products"] * 4
     for a in range(8):
         for b in range(8):
             assert (str(delta[a, b]) == "0") == (a // 2 != b // 2 or a == b)

@@ -108,7 +108,7 @@ class TestPairsFromSupports:
     """`poisson_bracket` reads the shared canonical pairs off the two
     supports, with parameters in them: each result prints as the n-loop
     references print it, and operands that share no pair give the exact
-    zero with no call of `add_products`."""
+    zero with no sum at all."""
 
     @pytest.mark.parametrize("parameters", [("r", "s"), ()])
     @pytest.mark.parametrize("n", range(1, 6))
@@ -135,16 +135,116 @@ class TestPairsFromSupports:
         ("x3*s/(x1 + r)", "x1*x3"),
     ])
     def test_no_shared_pair_is_the_exact_zero_without_a_sum(self, monkeypatch, f, g):
+        """A bracket with a shared pair makes one sum: one kernel sum of two
+        polynomials, else one `add_products`."""
         ps = PhaseSpace(3, parameters=("r", "s"))
         calls = []
-        original = brackets.add_products
-        monkeypatch.setattr(brackets, "add_products",
-                            lambda *args: calls.append(args) or original(*args))
+        for name in ("add_products", "sum_of_products"):
+            monkeypatch.setattr(brackets, name, lambda *args, _name=name,
+                                _original=getattr(brackets, name):
+                                calls.append(_name) or _original(*args))
         f, g = E(f, ps), E(g, ps)
         assert poisson_bracket(f, g, ps).is_zero and poisson_bracket(g, f, ps).is_zero
         assert calls == []
         assert not poisson_bracket(f + E("x1", ps), g + E("p1", ps), ps).is_zero
-        assert len(calls) == 1
+        polynomials = f.is_polynomial and g.is_polynomial
+        assert calls == ["sum_of_products" if polynomials else "add_products"]
+
+
+class TestOtherPhaseSpaces:
+    """An operand over another phase space than the bracket's is refused
+    before either support is read: the spaces number their symbols
+    differently, so the supports would pair the wrong symbols."""
+
+    @pytest.mark.parametrize("f_space, g_space, space", [
+        (PhaseSpace(2), PhaseSpace(3), PhaseSpace(2)),    # g over another n
+        (PhaseSpace(2), PhaseSpace(2), PhaseSpace(3)),    # both over another space
+        (PhaseSpace(2), PhaseSpace(2, parameters=("r",)), PhaseSpace(2)),  # a shared pair
+    ], ids=["other_n", "both_other", "other_parameters"])
+    def test_refused(self, f_space, g_space, space):
+        f, g = E("x1", f_space), E("p1", g_space)
+        with pytest.raises(ValueError, match="^operands belong to different phase spaces$"):
+            poisson_bracket(f, g, space)
+        with pytest.raises(ValueError, match="^operands belong to different phase spaces$"):
+            poisson_bracket(g, f, space)
+
+    def test_equal_spaces_bracket(self):
+        f, g = E("x1", PhaseSpace(2)), E("p1", PhaseSpace(2))
+        assert str(poisson_bracket(f, g, PhaseSpace(2))) == "1"
+        assert str(poisson_bracket(g, f, PhaseSpace(2))) == "-1"
+
+
+def to_sympy(e, names):
+    """A polynomial expression as a sympy expression in names."""
+    import sympy
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(v ** k for v, k in zip(names, mono)))
+                for mono, c in e.as_polynomial().terms.items()), sympy.Integer(0))
+
+
+def sympy_poisson(f, g, ps):
+    """The bracket built by sympy's `diff` from the operands' terms."""
+    import sympy
+    names = sympy.symbols(ps.symbols)
+    sf, sg = to_sympy(f, names), to_sympy(g, names)
+    return sum(sympy.diff(sf, names[i]) * sympy.diff(sg, names[ps.n + i])
+               - sympy.diff(sf, names[ps.n + i]) * sympy.diff(sg, names[i])
+               for i in range(ps.n))
+
+
+def polynomial_operands(ps, rng):
+    """Polynomial pairs (f, g) over ps: on all symbols, on a random few
+    (some pairs on one side only), and f = g or f and g times functions
+    of the parameters alone, whose brackets are exact zeros."""
+    symbols = list(ps.symbols)
+    for _ in range(12):
+        f = random_polynomial(ps, rng, max_terms=4)
+        g = random_polynomial(ps, rng, max_terms=4,
+                              symbols=rng.sample(symbols, rng.randint(1, len(symbols))))
+        yield f, g
+        yield g, f
+        yield f, f
+        if ps.parameters:
+            a = random_polynomial(ps, rng, max_terms=2, symbols=ps.parameters)
+            b = random_polynomial(ps, rng, max_terms=2, symbols=ps.parameters)
+            yield f * a, f * b
+
+
+class TestPolynomialPath:
+    """Two polynomials are bracketed by one kernel sum of their partials'
+    numerators: it gives exactly the left fold of `RationalExpr` products
+    over every pair (`dense_poisson`) and sympy's bracket."""
+
+    @pytest.mark.parametrize("parameters", [(), ("r", "s")])
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_the_fold_and_sympy(self, n, parameters):
+        import sympy
+        ps = PhaseSpace(n, parameters=parameters)
+        rng = random.Random(3800 + 10 * n + len(parameters))
+        zeros = 0
+        for f, g in polynomial_operands(ps, rng):
+            bracket = poisson_bracket(f, g, ps)
+            expected = dense_poisson(f, g, ps)
+            assert bracket.atoms == expected.atoms == ()
+            assert bracket.num == expected.num and str(bracket) == str(expected)
+            names = sympy.symbols(ps.symbols)
+            assert sympy.expand(sympy_poisson(f, g, ps) - to_sympy(bracket, names)) == 0
+            reverse = poisson_bracket(g, f, ps)
+            assert reverse.num == (-bracket).num and str(reverse) == str(-bracket)
+            zeros += bracket.is_zero
+        assert zeros >= 12  # f = g at least
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_operands_differing_only_in_parameters_bracket_to_zero(self, n):
+        ps = PhaseSpace(n, parameters=("r", "s"))
+        rng = random.Random(3900 + n)
+        for _ in range(10):
+            h = random_polynomial(ps, rng, max_terms=4, variables_only=True)
+            a = random_polynomial(ps, rng, max_terms=2, symbols=ps.parameters)
+            b = random_polynomial(ps, rng, max_terms=2, symbols=ps.parameters)
+            for f, g in ((h * a, h * b), (h + a, h + b), (a, b)):
+                bracket = poisson_bracket(f, g, ps)
+                assert bracket.is_zero and bracket.atoms == () and str(bracket) == "0"
 
 
 class TestDeltaMatrix:

@@ -178,6 +178,33 @@ class TestReduceModConstraints:
         with pytest.raises(ZeroDenominatorOnShellError):
             e.reduce_mod([chi])
 
+    def test_zero_denominator_of_a_polynomial(self, ps):
+        """A constant rule reduces the denominator 1 to 0, also under the
+        zero polynomial, whose numerator it leaves as it is."""
+        one = E("2/3", ps).as_polynomial()
+        for text in ("0", "x1*p1 + r", "5"):
+            with pytest.raises(ZeroDenominatorOnShellError):
+                E(text, ps).reduce_mod([one])
+
+    def test_unreduced_polynomial_is_self(self, ps):
+        chi = E("x1^2 - r", ps).as_polynomial()
+        e = E("x1*p1 + p2^2 - r", ps)
+        assert e.reduce_mod([chi]) is e
+        reduced = E("x1^3 + p1", ps).reduce_mod([chi])
+        assert str(reduced) == "x1*r + p1"
+
+    def test_atom_powers_are_rebuilt(self, ps):
+        """A denominator with an atom power above 1 becomes one atom, as the
+        constructor makes it, even when no rule reduces anything."""
+        e = E("p1", ps) * E("1/x1", ps).int_pow(2) * E("1/(x2 + r)", ps)
+        assert sorted(exponent for _, exponent in e.atoms) == [1, 2]
+        reduced = e.reduce_mod([E("p2^2 - r", ps).as_polynomial()])
+        assert reduced is not e
+        assert [(str(RationalExpr.from_polynomial(ps, atom.poly)), exponent)
+                for atom, exponent in reduced.atoms] == [("x1^2*x2 + x1^2*r", 1)]
+        assert str(reduced) == str(e) == "(p1)/(x1^2*x2 + x1^2*r)"
+        assert reduced == e
+
     def test_rational_reduction(self):
         ps = PhaseSpace(3, parameters=("r",))
         chi = E("x1^2 + x2^2 + x3^2 - r^2", ps).as_polynomial()

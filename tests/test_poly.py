@@ -457,7 +457,8 @@ def test_terms_view_is_read_only(ps):
 
 def test_reduce_by_builds_no_polynomial_in_its_loop(monkeypatch):
     """The division runs on one dict of packed terms: no `Polynomial`
-    product or sum, and one `Polynomial` built, the remainder."""
+    product or sum, and one `Polynomial` built, the remainder; none when
+    no divisor reduces the input, which is returned."""
     inputs = []
     for rng, nsyms, ta, tb in map(oracle_case, range(40)):
         product = Polynomial(nsyms, ta) * Polynomial(nsyms, tb)
@@ -471,8 +472,77 @@ def test_reduce_by_builds_no_polynomial_in_its_loop(monkeypatch):
     monkeypatch.setattr(poly, "_make", lambda *args: calls.append("_make") or make(*args))
     for product, divisors in inputs:
         calls.clear()
-        reduce_by(product, divisors)
-        assert calls == ["_make"]
+        remainder = reduce_by(product, divisors)
+        assert calls == ([] if remainder is product else ["_make"])
+
+
+def division_reference(p: Polynomial, divisors) -> Polynomial:
+    """Multivariate division as `reduce_by` did it before its short path:
+    always on Fraction terms, always a new remainder."""
+    nsyms = p.nsyms
+    divs = [(d._lead, d._t, Fraction(-1, d._t[d._lead])) for d in divisors if d._t]
+    work = {k: Fraction(p._n * v, p._d) for k, v in p._t.items()}
+    remainder = {}
+    while work:
+        lm = max(work)
+        for dlm, dt, scale in divs:
+            if poly._divides(nsyms, dlm, lm):
+                poly._accumulate(work, {lm - dlm: work[lm]}, dt, scale)
+                break
+        else:
+            remainder[lm] = work.pop(lm)
+    return poly._from_terms(nsyms, remainder)
+
+
+def no_lead_divides(p: Polynomial, divisors) -> bool:
+    """Whether no nonzero divisor's leading monomial divides a term of p,
+    read from the exponent tuples."""
+    leads = [leading_monomial(d) for d in divisors if not d.is_zero]
+    return not any(all(a <= b for a, b in zip(lead, mono)) for lead in leads for mono in p.terms)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_reduce_by_returns_what_no_rule_divides(case):
+    """The input itself when no leading monomial divides any of its terms,
+    else the reference division's remainder.  Divisors of high degree in
+    few symbols often divide nothing."""
+    rng, nsyms, ta, tb = oracle_case(case)
+    a = Polynomial(nsyms, ta)
+    lists = divisor_lists(rng, nsyms, tb)
+    for _ in range(4):
+        lists.append([Polynomial(nsyms, {random_monomial(rng, nsyms, rng.randint(2, 5)): 1,
+                                         (0,) * nsyms: Fraction(rng.randint(-3, 3))})
+                      for _ in range(rng.randint(1, 3))])
+    returned = 0
+    for divisors in lists:
+        remainder = reduce_by(a, divisors)
+        assert remainder == division_reference(a, divisors)
+        assert (remainder is a) == no_lead_divides(a, divisors)
+        returned += remainder is a
+    assert a.is_zero or returned < len(lists)  # the constant divides every term
+
+
+def test_reduce_by_short_path_is_taken():
+    """Across the seeded cases, both outcomes occur."""
+    outcomes = set()
+    for rng, nsyms, ta, tb in map(oracle_case, range(40)):
+        a = Polynomial(nsyms, ta)
+        outcomes.update(reduce_by(a, d) is a for d in divisor_lists(rng, nsyms, tb))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("case", range(13))
+def test_reduce_by_constant_and_zero_divisors(case):
+    """A constant divisor reduces everything to 0, wherever it stands in
+    the list; a zero divisor is skipped."""
+    rng, nsyms, ta, tb = oracle_case(case)
+    a, b = Polynomial(nsyms, ta), Polynomial(nsyms, tb)
+    constant, zero = Polynomial.constant(nsyms, Fraction(-3, 7)), Polynomial.zero(nsyms)
+    assert reduce_by(a, [constant]).is_zero
+    assert reduce_by(a, [b, constant]).is_zero
+    assert reduce_by(a, [zero]) is a
+    assert reduce_by(a, [zero, b]) == reduce_by(a, [b]) == division_reference(a, [b])
+    assert reduce_by(a, [zero, constant]).is_zero
 
 
 @pytest.mark.parametrize("case", range(40))

@@ -98,7 +98,7 @@ def poisson_loop(f, g, ps):
     """The bracket as poisson_bracket summed it: acc + a*b and acc - a*b
     in pair order, only where both partials can be nonzero."""
     def support(e):
-        return e.num.symbols_used() | e.den.symbols_used()
+        return {i for p in (e.num, e.den) for mono in p.terms for i, k in enumerate(mono) if k}
     f_has, g_has = support(f), support(g)
     acc = RationalExpr.zero(ps)
     for i in range(1, ps.n + 1):

@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrixError,
     TooManyConstraintsError,
 )
-from .expr import RationalExpr, add_products
+from .expr import RationalExpr, _same_space, add_products
 from .matrix import Skew, invert_matrix
 from .phase_space import PhaseSpace, Record
 from .poly import Polynomial, affine_rows, sum_of_products
@@ -63,8 +63,8 @@ def poisson_bracket(f: RationalExpr, g: RationalExpr, ps: PhaseSpace) -> Rationa
     polynomials sum their partials' numerators in one `sum_of_products`;
     any other operands sum their partials by `add_products`.  An operand
     over another phase space than ps is a ValueError."""
-    if f.ps is not ps and f.ps != ps or g.ps is not ps and g.ps != ps:
-        raise ValueError("operands belong to different phase spaces")
+    _same_space(ps, f)
+    _same_space(ps, g)
     n = ps.n  # x_i is symbol i - 1 and p_i symbol n + i - 1; parameters come after
     fm, gm = _support(f), _support(g)
     # Bit i - 1 of xp: x_i in f and p_i in g; of px: p_i in f and x_i in g.

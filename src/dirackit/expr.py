@@ -75,6 +75,13 @@ def _product(atoms: tuple) -> Polynomial:
     return p
 
 
+def _same_space(ps: PhaseSpace, e: "RationalExpr") -> None:
+    """Refuse an expression over another phase space than ps: `is`
+    first, then `==`."""
+    if e.ps is not ps and e.ps != ps:
+        raise ValueError("operands belong to different phase spaces")
+
+
 @lru_cache(maxsize=None)
 def _one(nsyms: int) -> Polynomial:
     return Polynomial.constant(nsyms, 1)
@@ -178,12 +185,8 @@ class RationalExpr:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "RationalExpr"):
-        if self.ps is not other.ps and self.ps != other.ps:
-            raise ValueError("operands belong to different phase spaces")
-
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        self._check(other)
+        _same_space(self.ps, other)
         lcm = _combine(self.atoms, other.atoms, max)
         return _one_pass(self, [(_one(self.ps.nsyms), other.num, other.atoms)], lcm)
 
@@ -194,12 +197,12 @@ class RationalExpr:
         return RationalExpr._build(self.ps, -self.num, self.atoms)
 
     def __mul__(self, other: "RationalExpr") -> "RationalExpr":
-        self._check(other)
+        _same_space(self.ps, other)
         return RationalExpr._build(self.ps, self.num * other.num,
                                    _combine(self.atoms, other.atoms, add))
 
     def __truediv__(self, other: "RationalExpr") -> "RationalExpr":
-        self._check(other)
+        _same_space(self.ps, other)
         if other.is_zero:
             raise DivisionByZeroError("division by a canonically zero expression")
         return self * RationalExpr(self.ps, other.den, other.num)
@@ -317,8 +320,8 @@ def add_products(start: RationalExpr, pairs) -> RationalExpr:
     lcm, run = start.atoms, []
     for a, b in pairs:
         if a.ps is not ps or b.ps is not ps:
-            start._check(a)
-            start._check(b)
+            _same_space(ps, a)
+            _same_space(ps, b)
         p = _combine(a.atoms, b.atoms, add)
         if p != lcm:
             lcm = _combine(lcm, p, max)

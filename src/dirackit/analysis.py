@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .brackets import (
     ConstraintSystem,
@@ -69,16 +69,12 @@ class Classification(Record):
 
 
 class TraceIdentity(Record):
-    _fields = ("value", "expected", "holds")
-    __slots__ = _fields + ("__dict__",)  # value_text is cached in __dict__
+    # value is the cancelled sum; when the identity holds it is the
+    # constant n - m, with no atom left.
+    __slots__ = _fields = ("value", "expected", "holds")
 
     def __init__(self, value: RationalExpr, expected: int, holds: bool):
         self._assign(value, expected, holds)
-
-    @cached_property
-    def value_text(self) -> str:
-        """The printed value, formatted once; it can run to thousands of terms."""
-        return str(self.value)
 
 
 def _parameter_values(ps: PhaseSpace, cfg: SamplerConfig) -> list[float]:
@@ -93,30 +89,20 @@ def _parameter_values(ps: PhaseSpace, cfg: SamplerConfig) -> list[float]:
 class _Plan:
     """Float values of a fixed, sparse list of expressions, planned once.
 
-    Exact zeros are left out, constants are evaluated when the plan is
-    built (one too large for a float becomes inf), and an expression
-    whose denominator is exactly 1 evaluates its numerator directly,
-    since it cannot have a pole.
+    Exact zeros are left out, and an expression whose denominator is
+    exactly 1 evaluates its numerator directly, since it cannot have a
+    pole.
     """
 
-    __slots__ = ("base", "varying")
+    __slots__ = ("size", "varying")
 
     def __init__(self, size: int, entries):
-        self.base = [0.0] * size
-        self.varying = []
-        for i, e in entries:
-            if e.is_zero:
-                continue
-            if e.num.is_constant and e.den.is_constant:
-                try:
-                    self.base[i] = float(e.num.constant_value())
-                except OverflowError:
-                    self.base[i] = math.inf
-            else:
-                self.varying.append((i, e.num.evaluate if e.is_polynomial else e.evaluate_vector))
+        self.size = size
+        self.varying = [(i, e.num.evaluate if e.is_polynomial else e.evaluate_vector)
+                        for i, e in entries if not e.is_zero]
 
     def __call__(self, values) -> list[float]:
-        out = self.base[:]
+        out = [0.0] * self.size
         for i, evaluate in self.varying:
             out[i] = evaluate(values)
         return out
@@ -125,12 +111,10 @@ class _Plan:
 def _delta_plan(delta):
     """Delta's k * k values by rows at a point, a list of floats: only the
     triangle of the `Skew` is planned and evaluated, and each value is
-    mirrored below the diagonal, negated (an exact zero stays 0.0)."""
+    mirrored below the diagonal, negated."""
     k = len(delta)
     below = {a * k + b: b * k + a for a in range(k) for b in range(a + 1, k)}
     plan = _Plan(k * k, zip(below, delta.entries()))
-    for i, j in below.items():
-        plan.base[j] = -plan.base[i] or 0.0
     mirrored = [(i, below[i]) for i, _ in plan.varying]
 
     def values(point) -> list[float]:

@@ -113,7 +113,7 @@ def _classification_dict(c) -> dict:
 
 
 def _trace_dict(t) -> dict:
-    return {"value": t.value_text, "expected": t.expected, "holds": t.holds}
+    return {"value": str(t.value), "expected": t.expected, "holds": t.holds}
 
 
 def _residual_key(key, names) -> str:
@@ -281,7 +281,7 @@ def cmd_bracket(spec: SystemSpec, args):
 def cmd_trace(spec: SystemSpec, args):
     t = trace_identity(_space(spec, "dirac"))
     sys.stdout.write(
-        f"value={t.value_text} expected={t.expected} holds={str(t.holds).lower()}\n")
+        f"value={t.value} expected={t.expected} holds={str(t.holds).lower()}\n")
 
 
 def cmd_verdict(spec: SystemSpec, args):

@@ -304,7 +304,7 @@ def trace_verdict(classification: Classification, ti: TraceIdentity | None) -> V
             f"trace identity violated: got {ti.value}, expected {ti.expected}")
     return Verdict(
         kind="infinite_dimensional",
-        witness={"trace_value": ti.expected, "trace_expression": ti.value_text},
+        witness={"trace_value": ti.expected, "trace_expression": str(ti.value)},
         explanation=(
             f"The sum of Dirac brackets of all canonical pairs equals "
             f"n - m = {ti.expected} != 0 identically. Its operator image is "

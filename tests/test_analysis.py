@@ -2,8 +2,8 @@
 
 import contextlib
 import ctypes
+import hashlib
 import io
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -106,27 +106,69 @@ def ps3():
     return PhaseSpace(3)
 
 
-def test_constants_are_planned_without_an_evaluation_plan():
-    """A constant's planned float is num / den, bit for bit what
-    `Polynomial.evaluate(())` gives; one too large for a float is inf,
-    where evaluate raises OverflowError; and no evaluation plan is built."""
+def test_constants_are_planned_as_their_float():
+    """A planned constant evaluates to float(Fraction), bit for bit, as
+    `Polynomial.evaluate` of any constant does; one too large for a float
+    raises OverflowError there, which the sampler counts as a failed
+    attempt."""
     ps = PhaseSpace(2)
     rng = random.Random(23)
     values = [Fraction(rng.randint(-10 ** rng.randint(1, 320), 10 ** 320),
                        rng.randint(1, 10 ** rng.randint(1, 320))) for _ in range(200)]
     values += [Fraction(1, 3), Fraction(10) ** 400, -Fraction(10) ** 400 / 7]
-    entries = [RationalExpr.constant(ps, v) for v in values]
-    plan = analysis._Plan(len(entries), enumerate(entries))
-    assert plan.varying == []
-    assert all(e.num._plan is None for e in entries)
-    for base, e in zip(plan.base, entries):
+    overflowed = []
+    for v in values:
+        plan = analysis._Plan(1, [(0, RationalExpr.constant(ps, v))])
         try:
-            value = e.num.evaluate(())
+            expected = float(v)
         except OverflowError:
-            assert base == math.inf
+            with pytest.raises(OverflowError):
+                plan(())
+            overflowed.append(v)
             continue
-        assert base.hex() == value.hex()
-    assert plan.base[-2:] == [math.inf, math.inf]
+        assert [x.hex() for x in plan(())] == [expected.hex()]
+    assert overflowed[-2:] == values[-2:]
+
+
+# Sets whose Jacobian and Delta have constant entries, sampled at seed 7
+# over PhaseSpace(3): (constraints, parameter bindings).
+CONSTANT_ENTRY_SETS = [
+    (["x1 - x2^2", "p1"], {}),
+    (["x1 + 2*p2 - x2^3", "p1 - 3", "x3*p3 - 1", "p3 - 2*x3"], {}),
+    (["3*x1 + r*x2^2 - 1", "p1 + 5"], {"r": 2.0}),
+]
+
+
+def test_points_of_sets_with_constant_entries_are_pinned():
+    """Every coordinate of the 8 points of each set and every value of
+    Delta there, as float.hex, one line per point: the sha256 of those
+    lines is pinned, recorded when constants were folded into the plans."""
+    lines = []
+    for texts, bindings in CONSTANT_ENTRY_SETS:
+        ps = PhaseSpace(3, parameters=tuple(bindings))
+        at = []
+        points = sample_on_shell(
+            constraint_system(ps, [E(t, ps) for t in texts]),
+            SamplerConfig(seed=7, point_count=8, parameter_bindings=bindings), at)
+        assert len(points) == len(at) == 8
+        lines += [" ".join(v.hex() for v in point.values()) + " | "
+                  + " ".join(v.hex() for v in delta) for point, delta in zip(points, at)]
+    assert lines[0] == (
+        "0x1.a0cf603ab8f60p-5 0x1.cdf5ae00d048cp-3 -0x1.cf0b818bf4a85p-3 0x0.0p+0 "
+        "-0x1.dc2b58203e26dp-1 -0x1.b4d7a6c2c7070p-3 | "
+        "0x0.0p+0 0x1.0000000000000p+0 -0x1.0000000000000p+0 0x0.0p+0")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "ec36d8c1235320d16d10533c47c80e227567394c8f5d51cb3421e45383eb7c8e")
+
+
+def test_constant_past_floats_finds_no_point(tmp_path, capsys):
+    """The coefficient 10^400 is past a float, so every attempt fails."""
+    path = tmp_path / "huge.system"
+    path.write_text("[system]\nn = 2\n[constraints]\nchi1 = x1^2 + 10^400*x2 - 1\n"
+                    "chi2 = p1\n[sampler]\nseed = 5\nmax_retries = 3\n")
+    assert main(["classify", str(path)]) == 4
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: no on-shell point after 3 retries")
 
 
 class TestSampler:
@@ -695,7 +737,7 @@ class TestTraceIdentity:
         t = trace_identity(sphere_ctx)
         assert t.expected == 2
         assert t.holds
-        assert t.value_text == "2"
+        assert str(t.value) == "2"
 
     def test_trivial_full_constraint_set(self):
         ps = PhaseSpace(2)
@@ -757,6 +799,32 @@ def assert_trace_matches(ctx):
     assert str(value) == dirac_trace_text(ctx)
 
 
+NON_POLYNOMIAL_SETS = [
+    ["x1/(1+x2^2)", "p1"],
+    ["x1^2+x2^2-1", "(x1*p1+x2*p2)/(1+x3^2)"],
+    ["x1/(1+x2^2)", "p1*(1+x2^2)", "x3", "p3 + x1*x2/(2+x3^2)"],
+]
+
+
+def test_trace_that_holds_is_the_constant_n_minus_m(ps3):
+    """A trace that holds equals n - m, so its cancelled numerator is n - m
+    times its atom powers and `cancel` leaves no atom: the value is the
+    constant and prints as the expected count.  Over the second-class
+    golden family systems, seeded rational pairs and non-polynomial sets."""
+    contexts = [make_context(spec.ps, spec.constraints)
+                for spec in map(parse_system, (text for name, text in family_files().items()
+                                               if not name.startswith("dependent_")))]
+    assert len(contexts) == 10
+    contexts += _rational_pair_contexts(60)
+    contexts += [make_context(ps3, [E(t, ps3) for t in texts]) for texts in NON_POLYNOMIAL_SETS]
+    for ctx in contexts:
+        t = trace_identity(ctx)
+        assert t.holds
+        assert t.value.atoms == ()
+        assert t.value == RationalExpr.constant(ctx.ps, ctx.ps.n - ctx.m)
+        assert str(t.value) == str(t.expected)
+
+
 class TestTraceMatchesDiracBrackets:
     def test_sphere_and_towers(self, sphere_ctx):
         """The sphere and every second-class golden family text: towers
@@ -776,16 +844,12 @@ class TestTraceMatchesDiracBrackets:
             ps = PhaseSpace(n)
             assert_trace_matches(make_context(ps, linear_mix_constraints(ps, m, rng)))
 
-    @pytest.mark.parametrize("texts,printed", [
-        (["x1/(1+x2^2)", "p1"], "2"),
-        (["x1^2+x2^2-1", "(x1*p1+x2*p2)/(1+x3^2)"], "2"),
-        (["x1/(1+x2^2)", "p1*(1+x2^2)", "x3", "p3 + x1*x2/(2+x3^2)"], "1"),
-    ])
+    @pytest.mark.parametrize("texts,printed", zip(NON_POLYNOMIAL_SETS, ["2", "2", "1"]))
     def test_non_polynomial_constraints(self, ps3, texts, printed):
         ctx = make_context(ps3, [E(t, ps3) for t in texts])
         assert is_skew_symmetric(ctx.delta_inv)
         assert_trace_matches(ctx)
-        assert trace_identity(ctx).value_text == printed
+        assert str(trace_identity(ctx).value) == printed
 
     def test_seeded_rational_pairs(self):
         for ctx in _rational_pair_contexts(20):

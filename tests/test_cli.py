@@ -24,6 +24,7 @@ from dirackit.poly import MAX_DEGREE, Polynomial
 from dirackit.sysfile import parse_system
 
 from conftest import tower_text
+from test_golden import family_files
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -604,6 +605,44 @@ class TestOtherCommands:
 
     def test_verdict_degenerate(self, capsys):
         assert main(["verdict", DEGENERATE]) == 3
+
+
+SYMBOLIC_M_EQUALS_N = "[system]\nn = 1\n[constraints]\nchi1 = x1^2 + p1^2 - 1\nchi2 = x1*p1 + x1\n"
+
+
+def _verdict_files() -> dict[str, str]:
+    """The shipped files, the golden towers and mixes (m = n included) and
+    a symbolic m = n set, by name."""
+    files = {Path(p).name: Path(p).read_text() for p in SYSTEM_FILES}
+    files.update((name, text) for name, text in family_files().items()
+                 if name.startswith(("tower", "mix")))
+    files["symbolic_m_equals_n.system"] = SYMBOLIC_M_EQUALS_N
+    return files
+
+
+VERDICT_FILES = _verdict_files()
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_FILES))
+def test_verdict_prints_the_verdict_of_analyze(tmp_path, capsys, name):
+    """`verdict` prints the kind, the witness when there is one, and the
+    explanation of the `verdict` object of `analyze --format json`, and
+    exits as it does."""
+    path = tmp_path / name
+    path.write_text(VERDICT_FILES[name])
+    code = main(["verdict", str(path)])
+    printed = capsys.readouterr().out
+    assert main(["analyze", str(path), "--format", "json"]) == code
+    report = capsys.readouterr().out
+    if code:
+        assert printed == report == ""
+        return
+    verdict = json.loads(report)["verdict"]
+    lines = [verdict["kind"]]
+    if verdict["witness"]:
+        lines.append(f"witness: {json.dumps(verdict['witness'])}")
+    lines.append(verdict["explanation"])
+    assert printed == "".join(line + "\n" for line in lines)
 
 
 def _run(argv):

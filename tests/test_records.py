@@ -10,7 +10,6 @@ import pytest
 from dirackit import (
     ConstraintSystem,
     PhaseSpace,
-    RationalExpr,
     SamplerConfig,
     classify_constraints,
     closure_analysis,
@@ -104,15 +103,6 @@ def test_decomposition_compares_by_value():
     assert one != (one.coefficients, one.constant)
     assert repr(one) == ("Decomposition(coefficients=(Fraction(1, 1), Fraction(1, 2)), "
                          "constant=Fraction(3, 1))")
-
-
-def test_trace_value_is_formatted_once(records, monkeypatch):
-    calls = []
-    printed = RationalExpr.__str__
-    monkeypatch.setattr(RationalExpr, "__str__", lambda e: calls.append(1) or printed(e))
-    t = trace_identity(records["DiracContext"])
-    assert t.value_text == t.value_text == "2"
-    assert len(calls) == 1
 
 
 def test_sampler_config_defaults():
